@@ -41,7 +41,6 @@ class WindowRecord:
     motion_index: float
     blob_count: int
     posture: PostureLabel | None = None
-    probabilities: np.ndarray | None = None
 
 
 @dataclass
@@ -198,7 +197,6 @@ def _process_thermal_sensor(
                 probs = model.predict_proba(x)
                 for rec, row in zip(records[lo : lo + batch], probs):
                     rec.posture = PostureLabel(int(row.argmax()))
-                    rec.probabilities = row
         track.windows.extend(records)
     track.calibration_events = list(tracker.calibration_events)
     return track

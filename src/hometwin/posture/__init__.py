@@ -1,7 +1,7 @@
 """Posture recognition: window assembly, a from-scratch convolutional
 classifier, its training loop, and model persistence."""
 
-from .net import NetworkConfig, PostureNet, PosturePrediction, config_for_resolution
+from .net import NetworkConfig, PostureNet, config_for_resolution
 from .train import TrainReport, gradient_check, train
 from .windows import PostureWindow, build_windows
 from .model_io import load_model, save_model
@@ -10,7 +10,6 @@ from .data import generate_posture_dataset
 __all__ = [
     "NetworkConfig",
     "PostureNet",
-    "PosturePrediction",
     "PostureWindow",
     "TrainReport",
     "build_windows",

@@ -5,9 +5,12 @@ grid.  Every convolutional layer is followed by batch normalization, ReLU,
 (max pooling at 32x32) and dropout; fully-connected layers finish with a
 softmax over the five posture classes.
 
-Training mode uses batch statistics and inverted dropout; inference mode uses
-running statistics with dropout off, so repeated inference on the same input
-is bit-identical.
+Training runs the modules below: batch statistics, inverted dropout, and
+caches for backpropagation.  Inference is a separate plain path that folds
+each batch norm's running statistics into the conv or dense layer before it,
+drops dropout, and runs the batch in cache-sized blocks of windows; it writes
+nothing to the model, so repeated inference on the same input is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -16,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import PostureLabel
 from ..errors import DimensionError
 
 BN_MOMENTUM = 0.9
 BN_EPS = 1e-5
+# Inference runs the batch in blocks whose largest im2col matrix fits in
+# about this many bytes (near a 2 MiB per-core L2); see PostureNet._infer.
+INFER_BLOCK_BYTES = 2 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +160,7 @@ class _Conv:
     def grads(self):
         return [("w", self.dw), ("b", self.db)]
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         cols, (ho, wo) = _im2col(x, self.k, self.pad)
         wmat = self.w.reshape(self.w.shape[0], -1)
         out = np.matmul(wmat[None], cols)  # (n, out, ho*wo)
@@ -203,22 +208,23 @@ class _BatchNorm:
     def _shape(self, x):
         return (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         shape = self._shape(x)
-        if train:
-            axes = self._axes(x)
-            mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
-            if self.update_stats:
-                self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
-                self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
-            self._cache = (xhat, inv, axes, shape)
-            return self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
-        inv = 1.0 / np.sqrt(self.running_var + BN_EPS)
-        xhat = (x - self.running_mean.reshape(shape)) * inv.reshape(shape)
-        return (self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)).astype(x.dtype)
+        axes = self._axes(x)
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+        if self.update_stats:
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+        self._cache = (xhat, inv, axes, shape)
+        return self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+
+    def folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-channel (scale, shift) in float64 that apply the running stats."""
+        scale = self.gamma / np.sqrt(self.running_var + BN_EPS)
+        return scale, self.beta - self.running_mean * scale
 
     def backward(self, dout):
         xhat, inv, axes, shape = self._cache
@@ -238,7 +244,7 @@ class _ReLU:
     def __init__(self):
         self._mask = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         self._mask = x > 0
         return x * self._mask
 
@@ -252,7 +258,7 @@ class _MaxPool2:
     def __init__(self):
         self._cache = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         n, c, h, w = x.shape
         h2, w2 = h // 2, w // 2
         x = x[:, :, : h2 * 2, : w2 * 2]
@@ -280,8 +286,8 @@ class _Dropout:
         self.rate = rate
         self._mask = None
 
-    def forward(self, x, train, rng):
-        if not train or self.rate <= 0.0:
+    def forward(self, x, rng):
+        if self.rate <= 0.0:
             self._mask = None
             return x
         if self.rate >= 1.0:
@@ -301,7 +307,7 @@ class _Flatten:
     def __init__(self):
         self._shape = None
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         self._shape = x.shape
         return x.reshape(x.shape[0], -1)
 
@@ -323,7 +329,7 @@ class _Dense:
     def grads(self):
         return [("w", self.dw), ("b", self.db)]
 
-    def forward(self, x, train, rng):
+    def forward(self, x, rng):
         self._x = x
         return x @ self.w.T + self.b
 
@@ -349,12 +355,6 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits / n
 
 
-@dataclass
-class PosturePrediction:
-    label: PostureLabel
-    probabilities: np.ndarray  # 5-vector, sums to 1
-
-
 class PostureNet:
     def __init__(self, config: NetworkConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -364,13 +364,15 @@ class PostureNet:
         ch = config.in_channels
         side = config.resolution
         dim = None
+        window_cols = 0  # elements of the largest per-window im2col matrix
         for spec in config.layers:
             if spec.kind == "conv":
                 self.modules.append(_Conv(spec, ch, rng, dtype))
-                ch = spec.out
                 side = side + 2 * spec.pad - spec.kernel + 1
+                window_cols = max(window_cols, ch * spec.kernel**2 * side * side)
+                ch = spec.out
             elif spec.kind == "bn":
-                self.modules.append(_BatchNorm(ch, dtype))
+                self.modules.append(_BatchNorm(ch if dim is None else dim, dtype))
             elif spec.kind == "relu":
                 self.modules.append(_ReLU())
             elif spec.kind == "pool":
@@ -388,6 +390,9 @@ class PostureNet:
                 dim = spec.out
             else:
                 raise DimensionError(f"unknown layer kind {spec.kind!r}")
+        self._out_shape = (dim,) if dim is not None else (ch, side, side)
+        window_bytes = window_cols * np.dtype(dtype).itemsize
+        self._block_rows = max(1, INFER_BLOCK_BYTES // max(1, window_bytes))
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -440,8 +445,83 @@ class PostureNet:
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None = None) -> np.ndarray:
         self._check_input(x)
         out = np.ascontiguousarray(x, dtype=self.dtype)
+        if not train:
+            return self._infer(out)
         for m in self.modules:
-            out = m.forward(out, train, rng)
+            out = m.forward(out, rng)
+        return out
+
+    def _folded_layers(self) -> list[tuple]:
+        """The inference layers, rebuilt from the current parameters.
+
+        Each batch norm is folded into the conv or dense layer before it
+        (w' = w * s, b' = b * s + t for its running-stat scale s and shift t,
+        computed in float64) or kept as an affine step where nothing precedes
+        it; dropout is dropped.  Entries: ("conv", w[o, c*k*k], b, k, pad),
+        ("fc", w[o, i], b), ("affine", s, t), ("relu",), ("pool",),
+        ("flatten",).
+        """
+        layers: list[tuple] = []
+        for m in self.modules:
+            if isinstance(m, _Conv):
+                w = m.w.reshape(m.w.shape[0], -1).astype(np.float64)
+                layers.append(("conv", w, m.b.astype(np.float64), m.k, m.pad))
+            elif isinstance(m, _Dense):
+                layers.append(("fc", m.w.astype(np.float64), m.b.astype(np.float64)))
+            elif isinstance(m, _BatchNorm):
+                scale, shift = m.folded()
+                if layers and layers[-1][0] in ("conv", "fc"):
+                    kind, w, b, *rest = layers[-1]
+                    layers[-1] = (kind, w * scale[:, None], b * scale + shift, *rest)
+                else:
+                    layers.append(("affine", scale, shift))
+            elif isinstance(m, _ReLU):
+                layers.append(("relu",))
+            elif isinstance(m, _MaxPool2):
+                layers.append(("pool",))
+            elif isinstance(m, _Flatten):
+                layers.append(("flatten",))
+        return [
+            tuple(v.astype(self.dtype) if isinstance(v, np.ndarray) else v for v in layer)
+            for layer in layers
+        ]
+
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference on a contiguous batch, in blocks of `_block_rows` windows.
+
+        A block's largest im2col matrix stays within INFER_BLOCK_BYTES, so
+        each conv's patches are still in cache when its GEMM reads them.
+        """
+        layers = self._folded_layers()
+        out = np.empty((x.shape[0],) + self._out_shape, dtype=self.dtype)
+        for lo in range(0, x.shape[0], self._block_rows):
+            h = x[lo : lo + self._block_rows]
+            owned = False  # h may be written in place once it is not the caller's
+            for kind, *p in layers:
+                if kind == "conv":
+                    w, b, k, pad = p
+                    cols, (ho, wo) = _im2col(h, k, pad)
+                    h = np.matmul(w, cols)
+                    h += b[:, None]
+                    h = h.reshape(h.shape[0], -1, ho, wo)
+                elif kind == "fc":
+                    w, b = p
+                    h = h @ w.T
+                    h += b
+                elif kind == "affine":
+                    shape = (1, -1, 1, 1) if h.ndim == 4 else (1, -1)
+                    h = h * p[0].reshape(shape) + p[1].reshape(shape)
+                elif kind == "relu":
+                    h = np.maximum(h, 0, out=h if owned else None)
+                elif kind == "pool":  # 2x2, stride 2, odd edges dropped
+                    he, we = h.shape[2] // 2 * 2, h.shape[3] // 2 * 2
+                    top = np.maximum(h[:, :, 0:he:2, 0:we:2], h[:, :, 0:he:2, 1:we:2])
+                    h = np.maximum(h[:, :, 1:he:2, 0:we:2], h[:, :, 1:he:2, 1:we:2])
+                    np.maximum(h, top, out=h)
+                else:  # flatten
+                    h = h.reshape(h.shape[0], -1)
+                owned = kind != "flatten" or owned
+            out[lo : lo + self._block_rows] = h
         return out
 
     def backward(self, dlogits: np.ndarray) -> np.ndarray:
@@ -453,11 +533,3 @@ class PostureNet:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode class probabilities (deterministic)."""
         return softmax(self.forward(x, train=False))
-
-    def predict(self, x: np.ndarray) -> list[PosturePrediction]:
-        probs = self.predict_proba(x)
-        out = []
-        for row in probs:
-            label = PostureLabel(int(np.argmax(row)))  # ties: lowest enum wins
-            out.append(PosturePrediction(label, row))
-        return out

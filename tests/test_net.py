@@ -30,6 +30,19 @@ def test_gradient_check_with_pooling():
     assert gradient_check(config, seed=1) < 1e-4
 
 
+def test_gradient_check_with_batch_norm_after_dense():
+    config = NetworkConfig(
+        resolution=4,
+        layers=(
+            LayerSpec("conv", 2, 3, 1), LayerSpec("relu"), LayerSpec("flatten"),
+            LayerSpec("bn"), LayerSpec("fc", 6), LayerSpec("bn"), LayerSpec("relu"),
+            LayerSpec("fc", 5),
+        ),
+        dropout_rate=0.0,
+    )
+    assert gradient_check(config, seed=2) < 1e-4
+
+
 def test_gradients_finite_at_zero_weights():
     net = PostureNet(toy_config(), seed=0, dtype=np.float64)
     for _, param in net.named_params():
@@ -65,10 +78,16 @@ def test_prediction_probabilities_sum_to_one():
     rng = np.random.default_rng(1)
     net = PostureNet(config_for_resolution(4), seed=7)
     x = rng.uniform(0, 8, size=(16, 20, 4, 4)).astype(np.float32)
-    preds = net.predict(x)
-    for pred in preds:
-        assert pred.probabilities.sum() == pytest.approx(1.0, abs=1e-6)
-        assert pred.label.value == int(np.argmax(pred.probabilities))
+    probs = net.predict_proba(x)
+    labels = probs.argmax(axis=1)
+    for row, label in zip(probs, labels):
+        assert row.sum() == pytest.approx(1.0, abs=1e-6)
+        assert label == int(np.argmax(row))
+    for _, param in net.named_params():
+        param[...] = 0.0
+    tied = net.predict_proba(x)  # every logit 0: ties, lowest index wins
+    assert np.all(tied == tied[:, :1])
+    assert np.all(tied.argmax(axis=1) == 0)
 
 
 def test_inference_is_deterministic_and_repeatable():
@@ -81,16 +100,19 @@ def test_inference_is_deterministic_and_repeatable():
 
 
 def test_dropout_inverted_scaling_preserves_expectation():
-    # training-mode expectation of a dropped activation equals inference
-    net = PostureNet(toy_config(), seed=0)
+    # training-mode expectation of a dropped activation equals inference,
+    # which has no dropout: a net's predictions do not depend on the rate
     from hometwin.posture.net import _Dropout
 
     drop = _Dropout(0.25)
-    rng_total = np.zeros((2000, 8))
     x = np.ones((2000, 8), dtype=np.float32)
-    out = drop.forward(x, train=True, rng=np.random.default_rng(0))
+    out = drop.forward(x, rng=np.random.default_rng(0))
     assert out.mean() == pytest.approx(1.0, abs=0.02)
-    assert np.all(drop.forward(x, train=False, rng=None) == x)
+    windows = np.random.default_rng(1).uniform(0, 8, size=(3, 20, 4, 4)).astype(np.float32)
+    without = PostureNet(config_for_resolution(4, dropout_rate=0.0), seed=0)
+    for rate in (0.25, 1.0):
+        with_dropout = PostureNet(config_for_resolution(4, dropout_rate=rate), seed=0)
+        assert np.all(with_dropout.predict_proba(windows) == without.predict_proba(windows))
 
 
 def test_dropout_rate_one_blanks_everything():
@@ -98,7 +120,7 @@ def test_dropout_rate_one_blanks_everything():
 
     drop = _Dropout(1.0)
     x = np.ones((4, 4), dtype=np.float32)
-    assert np.all(drop.forward(x, train=True, rng=np.random.default_rng(0)) == 0.0)
+    assert np.all(drop.forward(x, rng=np.random.default_rng(0)) == 0.0)
 
 
 def test_batchnorm_inference_uses_running_stats():

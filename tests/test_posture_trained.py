@@ -12,17 +12,17 @@ def test_empty_room_window_is_not_here(small_models):
     rng = np.random.default_rng(0)
     # rectified noise only: what an empty room's residual window looks like
     noise = np.maximum(rng.normal(0, 0.3, size=(20, 20, 4, 4)), 0).astype(np.float32)
-    preds = models[4].predict(noise)
-    for pred in preds:
-        assert pred.label is PostureLabel.NOT_HERE
-        assert pred.probabilities[PostureLabel.NOT_HERE.value] >= 0.9
+    probs = models[4].predict_proba(noise)
+    for row, label in zip(probs, probs.argmax(axis=1)):
+        assert PostureLabel(int(label)) is PostureLabel.NOT_HERE
+        assert row[PostureLabel.NOT_HERE.value] >= 0.9
 
 
 def test_all_zero_window_is_not_here(small_models):
     models, _ = small_models
-    pred = models[4].predict(np.zeros((1, 20, 4, 4), dtype=np.float32))[0]
-    assert pred.label is PostureLabel.NOT_HERE
-    assert pred.probabilities[PostureLabel.NOT_HERE.value] >= 0.9
+    probs = models[4].predict_proba(np.zeros((1, 20, 4, 4), dtype=np.float32))
+    assert PostureLabel(int(probs.argmax(axis=1)[0])) is PostureLabel.NOT_HERE
+    assert probs[0, PostureLabel.NOT_HERE.value] >= 0.9
 
 
 @pytest.mark.parametrize("resolution", [4, 32])
