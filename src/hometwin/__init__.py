@@ -13,7 +13,6 @@ from .core import (
     PostureLabel,
     ReadingSeries,
     SensorKind,
-    SensorReading,
     ThermalFrame,
 )
 from .layout import HomeLayout, ModulePlacement, Room, RoomRole, validate_layout
@@ -31,7 +30,6 @@ __all__ = [
     "Room",
     "RoomRole",
     "SensorKind",
-    "SensorReading",
     "ThermalFrame",
     "validate_layout",
     "__version__",

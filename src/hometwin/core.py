@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -136,26 +135,9 @@ def pixels_to_celsius(centi: np.ndarray) -> np.ndarray:
     return centi.astype(np.float32) / 100.0
 
 
-@dataclass(frozen=True, slots=True)
-class SensorReading:
-    """One timestamped scalar sample.
-
-    value semantics by kind: degrees C or %RH for temp/humidity channels,
-    arbitrary-but-consistent units for light and noise, {0.0, 1.0} for motion
-    (1 = something moved inside the sensing area).  Values are quantized to
-    0.01 so the wire format round-trips exactly.
-    """
-
-    sensor_id: str
-    timestamp: int
-    kind: SensorKind
-    value: float
-
-    def __post_init__(self):
-        if self.kind.is_thermal:
-            raise ValueError("thermal samples are ThermalFrame, not SensorReading")
-        if self.kind is SensorKind.MOTION and self.value not in (0.0, 1.0):
-            raise ValueError(f"motion value must be 0 or 1, got {self.value}")
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.array_equal for arrays, without its conversions (NaN != NaN)."""
+    return a.shape == b.shape and not np.count_nonzero(a != b)
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,11 +155,6 @@ class ThermalFrame:
                 f"expected {self.resolution}x{self.resolution} pixels, "
                 f"got {self.pixels_centi.shape}"
             )
-
-    @classmethod
-    def from_celsius(cls, sensor_id: str, timestamp: int, celsius: np.ndarray) -> "ThermalFrame":
-        centi = quantize_pixels(celsius)
-        return cls(sensor_id, timestamp, centi.shape[0], centi)
 
     def celsius(self) -> np.ndarray:
         return pixels_to_celsius(self.pixels_centi)
@@ -223,8 +200,8 @@ class FrameBlock:
         return (
             self.sensor_id == other.sensor_id
             and self.resolution == other.resolution
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.pixels_centi, other.pixels_centi)
+            and _same_array(self.timestamps, other.timestamps)
+            and _same_array(self.pixels_centi, other.pixels_centi)
         )
 
     def frame(self, i: int) -> ThermalFrame:
@@ -232,16 +209,14 @@ class FrameBlock:
             self.sensor_id, int(self.timestamps[i]), self.resolution, self.pixels_centi[i]
         )
 
-    def iter_frames(self) -> Iterator[ThermalFrame]:
-        for i in range(len(self)):
-            yield self.frame(i)
+    def __getitem__(self, rows: slice | np.ndarray) -> "FrameBlock":
+        return FrameBlock(
+            self.sensor_id, self.resolution, self.timestamps[rows], self.pixels_centi[rows]
+        )
 
     def slice(self, t0: int, t1: int) -> "FrameBlock":
-        lo = int(np.searchsorted(self.timestamps, t0, side="left"))
-        hi = int(np.searchsorted(self.timestamps, t1, side="left"))
-        return FrameBlock(
-            self.sensor_id, self.resolution, self.timestamps[lo:hi], self.pixels_centi[lo:hi]
-        )
+        lo, hi = np.searchsorted(self.timestamps, (t0, t1), side="left")
+        return self[lo:hi]
 
     @staticmethod
     def concat(blocks: list["FrameBlock"]) -> "FrameBlock":
@@ -265,6 +240,14 @@ class ReadingSeries:
     timestamps: np.ndarray  # int64[n]
     values: np.ndarray  # float64[n], quantized to 0.01
 
+    def __post_init__(self):
+        ts = self.timestamps
+        if ts.ndim != 1 or self.values.shape != ts.shape:
+            raise ValueError(
+                f"series {self.sensor_id} needs 1-D timestamps and values of one length, "
+                f"got {ts.shape} and {self.values.shape}"
+            )
+
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -274,26 +257,13 @@ class ReadingSeries:
         return (
             self.sensor_id == other.sensor_id
             and self.kind == other.kind
-            and np.array_equal(self.timestamps, other.timestamps)
-            and np.array_equal(self.values, other.values)
+            and _same_array(self.timestamps, other.timestamps)
+            and _same_array(self.values, other.values)
         )
 
-    def iter_readings(self) -> Iterator[SensorReading]:
-        for i in range(len(self)):
-            yield SensorReading(self.sensor_id, int(self.timestamps[i]), self.kind, float(self.values[i]))
+    def __getitem__(self, rows: slice | np.ndarray) -> "ReadingSeries":
+        return ReadingSeries(self.sensor_id, self.kind, self.timestamps[rows], self.values[rows])
 
     def slice(self, t0: int, t1: int) -> "ReadingSeries":
-        lo = int(np.searchsorted(self.timestamps, t0, side="left"))
-        hi = int(np.searchsorted(self.timestamps, t1, side="left"))
-        return ReadingSeries(self.sensor_id, self.kind, self.timestamps[lo:hi], self.values[lo:hi])
-
-    @staticmethod
-    def from_readings(readings: list[SensorReading]) -> "ReadingSeries":
-        if not readings:
-            raise ValueError("cannot build a series from zero readings")
-        return ReadingSeries(
-            readings[0].sensor_id,
-            readings[0].kind,
-            np.array([r.timestamp for r in readings], dtype=np.int64),
-            np.array([r.value for r in readings], dtype=np.float64),
-        )
+        lo, hi = np.searchsorted(self.timestamps, (t0, t1), side="left")
+        return self[lo:hi]

@@ -6,23 +6,58 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import MS_PER_MINUTE, FrameBlock, SensorReading, floor_minute
+from ..core import MS_PER_MINUTE, FrameBlock, ReadingSeries, SensorKind, floor_minute
 from ..errors import StalenessError
+
+
+def _canonical_readings(readings: list[ReadingSeries]) -> list[ReadingSeries]:
+    """One non-empty series per sensor id, ordered by id, each stably sorted
+    by timestamp -- the order of a stable (sensor id, timestamp) sort of the
+    individual samples in the order they were given."""
+    parts: dict[str, list[ReadingSeries]] = {}
+    for series in readings:
+        if len(series):
+            parts.setdefault(series.sensor_id, []).append(series)
+    out = []
+    for sensor_id in sorted(parts):
+        group = parts[sensor_id]
+        kind = group[0].kind
+        if kind.is_thermal:
+            raise ValueError("thermal samples are FrameBlock, not ReadingSeries")
+        if len(group) == 1:
+            ts, values = group[0].timestamps, group[0].values
+        elif any(s.kind is not kind for s in group):
+            raise ValueError(f"readings for {sensor_id} mix sensor kinds")
+        else:
+            ts = np.concatenate([s.timestamps for s in group])
+            values = np.concatenate([s.values for s in group])
+        ts = np.asarray(ts, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if len(ts) > 1 and np.count_nonzero(ts[1:] < ts[:-1]):
+            order = np.argsort(ts, kind="stable")
+            ts, values = ts[order], values[order]
+        if kind is SensorKind.MOTION:
+            bad = (values != 0.0) & (values != 1.0)
+            if np.count_nonzero(bad):
+                raise ValueError(f"motion value must be 0 or 1, got {values[bad][0]}")
+        out.append(ReadingSeries(sensor_id, kind, ts, values))
+    return out
 
 
 @dataclass
 class HubPacket:
     """One minute of buffered sensor data from one hub.
 
-    Contents are kept in canonical order (readings by sensor id then
-    timestamp, frame blocks by sensor id) so that decode(encode(p)) == p.
+    Contents are kept in canonical order (one reading series per sensor, by
+    sensor id, each sorted by timestamp; frame blocks by sensor id) so that
+    decode(encode(p)) == p.
     """
 
     hub_id: str
     sequence_number: int
     window_start: int
     window_end: int
-    readings: list[SensorReading] = field(default_factory=list)
+    readings: list[ReadingSeries] = field(default_factory=list)
     frames: list[FrameBlock] = field(default_factory=list)
 
     def __post_init__(self):
@@ -31,30 +66,28 @@ class HubPacket:
                 f"packet window must span exactly one minute, got "
                 f"[{self.window_start}, {self.window_end})"
             )
-        self.readings = sorted(self.readings, key=lambda r: (r.sensor_id, r.timestamp))
+        self.readings = _canonical_readings(self.readings)
         self.frames = sorted(self.frames, key=lambda b: b.sensor_id)
-        for r in self.readings:
-            if not (self.window_start <= r.timestamp < self.window_end):
+        # every sample inside the window: readings are sorted by now, frames
+        # need not be
+        bounds = [(s.sensor_id, s.timestamps[0], s.timestamps[-1]) for s in self.readings]
+        bounds += [
+            (b.sensor_id, b.timestamps.min(), b.timestamps.max()) for b in self.frames if len(b)
+        ]
+        for sensor_id, first, last in bounds:
+            if not (self.window_start <= first and last < self.window_end):
                 raise ValueError(
-                    f"reading at {r.timestamp} outside window "
-                    f"[{self.window_start}, {self.window_end})"
-                )
-        for b in self.frames:
-            if len(b) and not (
-                self.window_start <= b.timestamps[0] and b.timestamps[-1] < self.window_end
-            ):
-                raise ValueError(
-                    f"frames for {b.sensor_id} outside window "
+                    f"samples of {sensor_id} outside window "
                     f"[{self.window_start}, {self.window_end})"
                 )
 
     @property
     def item_count(self) -> int:
-        return len(self.readings) + sum(len(b) for b in self.frames)
+        return sum(len(s) for s in self.readings) + sum(len(b) for b in self.frames)
 
 
 class Redirector:
-    """Buffers readings and frames, emitting one packet per closed minute.
+    """Buffers reading series and frame blocks, emitting one packet per closed minute.
 
     A packet is produced for every minute even when nothing arrived
     (heartbeat semantics); sequence numbers increase by exactly one per
@@ -67,24 +100,26 @@ class Redirector:
         self.hub_id = hub_id
         self.window_start = window_start
         self.sequence_number = 0
-        self._readings: list[SensorReading] = []
+        self._series: list[ReadingSeries] = []
         self._frames: list[FrameBlock] = []
 
-    def add_reading(self, reading: SensorReading) -> None:
-        if reading.timestamp < self.window_start:
+    def _buffer(self, item: ReadingSeries | FrameBlock, into: list) -> None:
+        """Keep an item for flushing, stably sorted by timestamp."""
+        ts = item.timestamps
+        if len(ts) and (first := int(ts.min())) < self.window_start:
             raise StalenessError(
-                f"reading at {reading.timestamp} predates open window "
+                f"sample of {item.sensor_id} at {first} predates open window "
                 f"starting {self.window_start}"
             )
-        self._readings.append(reading)
+        if len(ts) > 1 and np.count_nonzero(ts[1:] < ts[:-1]):
+            item = item[np.argsort(ts, kind="stable")]
+        into.append(item)
+
+    def add_series(self, series: ReadingSeries) -> None:
+        self._buffer(series, self._series)
 
     def add_frames(self, block: FrameBlock) -> None:
-        if len(block) and block.timestamps[0] < self.window_start:
-            raise StalenessError(
-                f"frame at {int(block.timestamps[0])} predates open window "
-                f"starting {self.window_start}"
-            )
-        self._frames.append(block)
+        self._buffer(block, self._frames)
 
     def flush(self, boundary: int) -> list[HubPacket]:
         """Close out every whole minute before `boundary` (minute-aligned)."""
@@ -92,38 +127,34 @@ class Redirector:
             raise ValueError("flush boundary must be minute-aligned")
         if boundary <= self.window_start:
             return []
-        buckets: dict[int, list[SensorReading]] = {}
-        remainder: list[SensorReading] = []
-        for r in self._readings:
-            if r.timestamp >= boundary:
-                remainder.append(r)
-            else:
-                buckets.setdefault(r.timestamp // MS_PER_MINUTE, []).append(r)
+        edges = np.arange(self.window_start, boundary + 1, MS_PER_MINUTE)
+        minutes = len(edges) - 1
+        readings: list[list[ReadingSeries]] = [[] for _ in range(minutes)]
+        frames: list[list[FrameBlock]] = [[] for _ in range(minutes)]
+        for buffered, per_minute in ((self._series, readings), (self._frames, frames)):
+            remainder = []
+            for item in buffered:
+                cuts = np.searchsorted(item.timestamps, edges, side="left").tolist()
+                for m in range(minutes):
+                    if cuts[m + 1] > cuts[m]:
+                        per_minute[m].append(item[cuts[m] : cuts[m + 1]])
+                if cuts[-1] < len(item):
+                    remainder.append(item[cuts[-1] :])
+            buffered[:] = remainder
         packets = []
-        for start in range(self.window_start, boundary, MS_PER_MINUTE):
-            end = start + MS_PER_MINUTE
-            frames = [
-                sliced
-                for b in self._frames
-                if len(sliced := b.slice(start, end))
-            ]
+        for m in range(minutes):
+            start = int(edges[m])
             packets.append(
                 HubPacket(
                     self.hub_id,
                     self.sequence_number,
                     start,
-                    end,
-                    buckets.get(start // MS_PER_MINUTE, []),
-                    frames,
+                    start + MS_PER_MINUTE,
+                    readings[m],
+                    frames[m],
                 )
             )
             self.sequence_number += 1
-        self._readings = remainder
-        self._frames = [
-            sliced
-            for b in self._frames
-            if len(sliced := b.slice(boundary, np.iinfo(np.int64).max))
-        ]
         self.window_start = boundary
         return packets
 

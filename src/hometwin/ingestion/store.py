@@ -7,6 +7,7 @@ sequence numbers are tracked as gaps, not errors.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -41,21 +42,14 @@ class RecordStore:
         seqs.add(packet.sequence_number)
 
         count = 0
-        i = 0
-        readings = packet.readings
-        while i < len(readings):
-            j = i
-            sid = readings[i].sensor_id
-            while j < len(readings) and readings[j].sensor_id == sid:
-                j += 1
+        for series in packet.readings:
             kind, ts_chunks, val_chunks = self._readings.setdefault(
-                sid, (readings[i].kind, [], [])
+                series.sensor_id, (series.kind, [], [])
             )
-            ts_chunks.append(np.array([r.timestamp for r in readings[i:j]], dtype=np.int64))
-            val_chunks.append(np.array([r.value for r in readings[i:j]], dtype=np.float64))
-            self._dirty.add(sid)
-            count += j - i
-            i = j
+            ts_chunks.append(series.timestamps)
+            val_chunks.append(series.values)
+            self._dirty.add(series.sensor_id)
+            count += len(series)
 
         for block in packet.frames:
             if not len(block):
@@ -187,11 +181,22 @@ class RecordStore:
             body += ts.astype("<i8").tobytes()
             body += px.astype("<i2").tobytes()
 
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(bytes([1]))
-            fh.write(_U32.pack(zlib.crc32(bytes(body))))
-            fh.write(body)
+        # written beside the target and renamed over it, so a failed save
+        # leaves the previous snapshot whole
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_MAGIC)
+                fh.write(bytes([1]))
+                fh.write(_U32.pack(zlib.crc32(body)))
+                fh.write(body)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":

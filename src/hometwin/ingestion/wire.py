@@ -23,7 +23,9 @@ Layout, all little-endian::
     u32 crc32 of body
 
 Temperatures ride as int16 centi-degrees and scalar values as int32
-centi-units, so decoding reproduces the original values exactly.
+centi-units, so decoding reproduces the original values exactly.  A reading
+group is one `ReadingSeries` and a frame group one `FrameBlock`; each column
+is written with one `tobytes` and read with one `frombuffer`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import zlib
 
 import numpy as np
 
-from ..core import FrameBlock, SensorKind, SensorReading
+from ..core import FrameBlock, ReadingSeries, SensorKind
 from ..errors import VersionError, WireFormatError
 from .packets import HubPacket
 
@@ -47,140 +49,131 @@ _KIND_CODES = {
     SensorKind.THERMAL4: 4,
     SensorKind.THERMAL32: 5,
 }
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+# reading groups carry scalar kinds only; thermal samples travel as frame groups
+_READING_KINDS = {code: k for k, code in _KIND_CODES.items() if not k.is_thermal}
 
 _HEAD = struct.Struct("<BI")
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-_PACKET_META = struct.Struct("<Qqq")
+_PACKET_META = struct.Struct("<QqqH")  # sequence, window, reading group count
 _GROUP_META = struct.Struct("<BI")
+_I32_MIN, _I32_MAX = float(np.iinfo(np.int32).min), float(np.iinfo(np.int32).max)
 
 
-def _put_str(buf: bytearray, text: str) -> None:
+def _str_bytes(text: str) -> bytes:
     raw = text.encode("utf-8")
-    buf += _U16.pack(len(raw))
-    buf += raw
+    return _U16.pack(len(raw)) + raw
+
+
+def _centi_values(series: ReadingSeries) -> np.ndarray:
+    """Scalar values as int32 centi-units; NaN and values past int32 are refused."""
+    centi = np.rint(series.values * 100.0)
+    if not (centi.min() >= _I32_MIN and centi.max() <= _I32_MAX):
+        raise ValueError(
+            f"readings of {series.sensor_id} do not fit int32 centi-units on the wire"
+        )
+    return centi.astype("<i4")
 
 
 def encode_packet(packet: HubPacket) -> bytes:
-    body = bytearray()
-    _put_str(body, packet.hub_id)
-    body += _PACKET_META.pack(
-        packet.sequence_number, packet.window_start, packet.window_end
-    )
-
-    # readings, grouped per sensor (packet keeps them sorted by sensor, time)
-    groups: list[tuple[str, SensorKind, list[SensorReading]]] = []
-    for r in packet.readings:
-        if groups and groups[-1][0] == r.sensor_id:
-            groups[-1][2].append(r)
+    parts = [
+        _str_bytes(packet.hub_id),
+        _PACKET_META.pack(
+            packet.sequence_number, packet.window_start, packet.window_end, len(packet.readings)
+        ),
+    ]
+    # one group per sensor: the packet keeps one series per sensor id
+    for series in packet.readings:
+        parts.append(_str_bytes(series.sensor_id))
+        parts.append(_GROUP_META.pack(_KIND_CODES[series.kind], len(series)))
+        parts.append(series.timestamps.astype("<i8", copy=False).tobytes())
+        if series.kind is SensorKind.MOTION:
+            parts.append(series.values.astype(np.uint8).tobytes())
         else:
-            groups.append((r.sensor_id, r.kind, [r]))
-    body += _U16.pack(len(groups))
-    for sensor_id, kind, items in groups:
-        _put_str(body, sensor_id)
-        body += _GROUP_META.pack(_KIND_CODES[kind], len(items))
-        body += np.array([r.timestamp for r in items], dtype="<i8").tobytes()
-        if kind is SensorKind.MOTION:
-            body += np.array([int(r.value) for r in items], dtype=np.uint8).tobytes()
-        else:
-            body += np.array(
-                [round(r.value * 100.0) for r in items], dtype="<i4"
-            ).tobytes()
+            parts.append(_centi_values(series).tobytes())
 
-    body += _U16.pack(len(packet.frames))
+    parts.append(_U16.pack(len(packet.frames)))
     for block in packet.frames:
-        _put_str(body, block.sensor_id)
-        body += _GROUP_META.pack(block.resolution, len(block))
-        body += block.timestamps.astype("<i8").tobytes()
-        body += block.pixels_centi.astype("<i2").tobytes()
+        parts.append(_str_bytes(block.sensor_id))
+        parts.append(_GROUP_META.pack(block.resolution, len(block)))
+        parts.append(block.timestamps.astype("<i8", copy=False).tobytes())
+        parts.append(block.pixels_centi.astype("<i2", copy=False).tobytes())
 
-    return _HEAD.pack(WIRE_VERSION, len(body)) + bytes(body) + _U32.pack(
-        zlib.crc32(body)
-    )
+    body = b"".join(parts)
+    return _HEAD.pack(WIRE_VERSION, len(body)) + body + _U32.pack(zlib.crc32(body))
 
 
-class _Cursor:
-    """Sequential reader that reports the absolute offset of any failure."""
+def _need(pos: int, n: int, end: int) -> int:
+    """The offset n bytes past pos; WireFormatError if the body ends first."""
+    if pos + n > end:
+        raise WireFormatError(f"truncated packet: wanted {n} bytes, have {end - pos}", pos)
+    return pos + n
 
-    def __init__(self, data: bytes, base: int = 0):
-        self.data = data
-        self.pos = 0
-        self.base = base
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+def _string(data: bytes, pos: int, end: int) -> tuple[str, int]:
+    at = _need(pos, 2, end)
+    (n,) = _U16.unpack_from(data, pos)
+    stop = _need(at, n, end)
+    try:
+        return data[at:stop].decode("utf-8"), stop
+    except UnicodeDecodeError as exc:
+        raise WireFormatError(f"bad utf-8 string: {exc}", at)
+
+
+def _decode_body(data: bytes, start: int, end: int) -> HubPacket:
+    """Decode the body at data[start:end]: one frombuffer per column, each
+    copied once by its conversion to the in-memory dtype."""
+    hub_id, pos = _string(data, start, end)
+    at, pos = pos, _need(pos, _PACKET_META.size, end)
+    seq, w0, w1, n_groups = _PACKET_META.unpack_from(data, at)
+
+    readings: list[ReadingSeries] = []
+    for _ in range(n_groups):
+        group_at = pos
+        sensor_id, pos = _string(data, pos, end)
+        ts_at = _need(pos, _GROUP_META.size, end)
+        kind_code, n = _GROUP_META.unpack_from(data, pos)
+        kind = _READING_KINDS.get(kind_code)
+        if kind is None:
             raise WireFormatError(
-                f"truncated packet: wanted {n} bytes, have {len(self.data) - self.pos}",
-                self.base + self.pos,
+                f"reading group of {sensor_id} has bad sensor kind code {kind_code}",
+                group_at,
             )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"bad utf-8 string: {exc}", self.base + self.pos - n)
-
-    def array(self, dtype: str, count: int) -> np.ndarray:
-        item = np.dtype(dtype).itemsize
-        raw = self.take(item * count)
-        return np.frombuffer(raw, dtype=dtype, count=count).copy()
-
-
-def _decode_body(body: bytes, base: int) -> HubPacket:
-    cur = _Cursor(body, base)
-    hub_id = cur.string()
-    seq, w0, w1 = _PACKET_META.unpack(cur.take(_PACKET_META.size))
-
-    readings: list[SensorReading] = []
-    for _ in range(cur.u16()):
-        sensor_id = cur.string()
-        kind_code, n = _GROUP_META.unpack(cur.take(_GROUP_META.size))
-        if kind_code not in _CODE_KINDS:
-            raise WireFormatError(
-                f"unknown sensor kind code {kind_code}", base + cur.pos - _GROUP_META.size
-            )
-        kind = _CODE_KINDS[kind_code]
-        ts = cur.array("<i8", n)
+        value_size = 1 if kind is SensorKind.MOTION else 4
+        pos = _need(ts_at, n * (8 + value_size), end)
+        ts = np.frombuffer(data, "<i8", n, ts_at).astype(np.int64)
         if kind is SensorKind.MOTION:
-            values = cur.array("u1", n).astype(np.float64)
+            raw = np.frombuffer(data, "u1", n, ts_at + 8 * n)
+            if np.count_nonzero(raw > 1):
+                raise WireFormatError(
+                    f"motion value must be 0 or 1, got {int(raw.max())}", group_at
+                )
+            values = raw.astype(np.float64)
         else:
-            values = cur.array("<i4", n).astype(np.float64) / 100.0
-        readings.extend(
-            SensorReading(sensor_id, int(t), kind, float(v))
-            for t, v in zip(ts, values)
-        )
+            values = np.frombuffer(data, "<i4", n, ts_at + 8 * n) / 100.0
+        readings.append(ReadingSeries(sensor_id, kind, ts, values))
 
+    at, pos = pos, _need(pos, 2, end)
+    (n_groups,) = _U16.unpack_from(data, at)
     frames: list[FrameBlock] = []
-    for _ in range(cur.u16()):
-        sensor_id = cur.string()
-        resolution, n = _GROUP_META.unpack(cur.take(_GROUP_META.size))
+    for _ in range(n_groups):
+        sensor_id, pos = _string(data, pos, end)
+        ts_at = _need(pos, _GROUP_META.size, end)
+        resolution, n = _GROUP_META.unpack_from(data, pos)
         if resolution not in (4, 32):
-            raise WireFormatError(
-                f"bad thermal resolution {resolution}", base + cur.pos - _GROUP_META.size
-            )
-        ts = cur.array("<i8", n)
-        px = cur.array("<i2", n * resolution * resolution)
-        frames.append(
-            FrameBlock(sensor_id, resolution, ts, px.reshape(n, resolution, resolution))
-        )
+            raise WireFormatError(f"bad thermal resolution {resolution}", pos)
+        pos = _need(ts_at, n * (8 + 2 * resolution * resolution), end)
+        ts = np.frombuffer(data, "<i8", n, ts_at).astype(np.int64)
+        px = np.frombuffer(data, "<i2", n * resolution * resolution, ts_at + 8 * n)
+        px = px.astype(np.int16).reshape(n, resolution, resolution)
+        frames.append(FrameBlock(sensor_id, resolution, ts, px))
 
-    if cur.pos != len(body):
-        raise WireFormatError(
-            f"{len(body) - cur.pos} unconsumed bytes after packet body", base + cur.pos
-        )
+    if pos != end:
+        raise WireFormatError(f"{end - pos} unconsumed bytes after packet body", pos)
     try:
         return HubPacket(hub_id, seq, w0, w1, readings, frames)
     except ValueError as exc:
-        raise WireFormatError(f"invalid packet contents: {exc}", base)
+        raise WireFormatError(f"invalid packet contents: {exc}", start)
 
 
 def _decode_at(data: bytes, offset: int) -> tuple[HubPacket, int]:
@@ -195,11 +188,10 @@ def _decode_at(data: bytes, offset: int) -> tuple[HubPacket, int]:
     body_end = body_start + body_len
     if body_end + 4 > len(data):
         raise WireFormatError("truncated packet body", len(data))
-    body = data[body_start:body_end]
     (crc,) = _U32.unpack_from(data, body_end)
-    if crc != zlib.crc32(body):
+    if crc != zlib.crc32(memoryview(data)[body_start:body_end]):
         raise WireFormatError("crc mismatch", body_end)
-    return _decode_body(body, body_start), body_end + 4
+    return _decode_body(data, body_start, body_end), body_end + 4
 
 
 def decode_packet(data: bytes) -> HubPacket:

@@ -26,6 +26,8 @@ BN_EPS = 1e-5
 # Inference runs the batch in blocks whose largest im2col matrix fits in
 # about this many bytes (near a 2 MiB per-core L2); see PostureNet._infer.
 INFER_BLOCK_BYTES = 2 << 20
+# module fields a training forward fills for the backward pass that follows
+STEP_BUFFERS = ("_cache", "_mask", "_x")
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +431,14 @@ class PostureNet:
             if hasattr(m, "buffers"):
                 m.running_mean = state[f"m{i}.running_mean"].copy()
                 m.running_var = state[f"m{i}.running_var"].copy()
+
+    def release_step_buffers(self) -> None:
+        """Drop what the last training step kept for its backward pass
+        (im2col matrices, normalized activations, masks, layer inputs)."""
+        for m in self.modules:
+            for name in STEP_BUFFERS:
+                if name in vars(m):  # instance fields only, never a method
+                    setattr(m, name, None)
 
     def set_update_stats(self, flag: bool) -> None:
         for m in self.modules:

@@ -151,6 +151,7 @@ def train(
                 best_state = net.state_dict()
 
     net.load_state_dict(best_state)
+    net.release_step_buffers()
     report = TrainReport(
         test_accuracy=_accuracy(net, x_test, y_test),
         best_val_accuracy=best_val,

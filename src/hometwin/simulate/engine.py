@@ -117,8 +117,7 @@ class StreamBundle:
         window_start = self.start - self.start % MS_PER_MINUTE
         redirector = Redirector(hub_id, window_start)
         for series in self.readings:
-            for reading in series.iter_readings():
-                redirector.add_reading(reading)
+            redirector.add_series(series)
         for block in self.frames:
             redirector.add_frames(block)
         return redirector.flush_all(self.end - 1)

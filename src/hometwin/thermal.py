@@ -147,12 +147,6 @@ def motion_index(frames: np.ndarray) -> float:
     return float(diffs.mean())
 
 
-def motion_index_series(frames: np.ndarray) -> np.ndarray:
-    """Per-pair mean absolute difference; motion_index is the mean of these."""
-    frames = np.asarray(frames, dtype=np.float64)
-    return np.abs(np.diff(frames, axis=0)).mean(axis=(1, 2))
-
-
 def count_blobs(
     residual: np.ndarray, threshold: float = 2.0, min_pixels: int = 3
 ) -> int:
@@ -239,11 +233,6 @@ class BaselineTracker:
         # drift cannot fake (or erase) a warm body while updates are blocked
         self._ambient_at_mean: float | None = None
         self.calibration_events: list[int] = []
-
-    def observe_ambient(self, value: float) -> None:
-        self._ambient = float(value)
-        if self._ambient_at_mean is None:
-            self._ambient_at_mean = float(value)
 
     def set_ambient_series(self, timestamps: np.ndarray, values: np.ndarray) -> None:
         """Co-located temperature readings for continuous drift compensation."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hometwin.core import SensorKind, SensorReading, FrameBlock, quantize
+from hometwin.core import FrameBlock, ReadingSeries, SensorKind, quantize
 from hometwin.ingestion.packets import HubPacket
 from hometwin.layout import default_layout
 
@@ -46,22 +46,14 @@ def random_packet(rng: np.random.Generator, seq: int = 0, hub_id: str = "hub0") 
             "noise": SensorKind.NOISE,
             "temperature": SensorKind.TEMP_HUMIDITY,
         }[sensor_id.rsplit("/", 1)[1]]
-        for t in sorted(rng.integers(0, 60_000, size=int(rng.integers(1, 4)))):
-            readings.append(
-                SensorReading(
-                    sensor_id,
-                    window_start + int(t),
-                    kind,
-                    quantize(float(rng.uniform(-100, 500))),
-                )
-            )
+        ts = window_start + np.sort(rng.integers(0, 60_000, size=int(rng.integers(1, 4))))
+        values = [quantize(float(rng.uniform(-100, 500))) for _ in ts]
+        readings.append(ReadingSeries(sensor_id, kind, ts.astype(np.int64), np.array(values)))
     if rng.random() < 0.5:
         ts = window_start + np.sort(rng.integers(0, 60_000, size=3)).astype(np.int64)
         ts = np.unique(ts)
-        readings.extend(
-            SensorReading("hall/B0/motion", int(t), SensorKind.MOTION, float(rng.integers(0, 2)))
-            for t in ts
-        )
+        values = [float(rng.integers(0, 2)) for _ in ts]
+        readings.append(ReadingSeries("hall/B0/motion", SensorKind.MOTION, ts, np.array(values)))
     frames = []
     if rng.random() < 0.6:
         res = int(rng.choice([4, 32]))

@@ -5,8 +5,8 @@ from hometwin.core import (
     ActivityLabel,
     FrameBlock,
     PostureLabel,
+    ReadingSeries,
     SensorKind,
-    SensorReading,
     ThermalFrame,
     format_clock,
     in_clock_window,
@@ -18,6 +18,7 @@ from hometwin.core import (
     quantize_pixels,
 )
 from hometwin.errors import DimensionError
+from hometwin.ingestion.packets import HubPacket
 
 
 def test_label_enums_are_closed():
@@ -62,15 +63,20 @@ def test_night_window_wraps_midnight():
     assert in_clock_window(day + parse_clock("12:00"), *night, tz_offset_min=600)
 
 
+def _reading_packet(sensor_id, kind, value):
+    series = ReadingSeries(sensor_id, kind, np.array([0]), np.array([value]))
+    return HubPacket("h", 0, 0, 60_000, [series])
+
+
 def test_motion_reading_values_are_binary():
-    SensorReading("a/B0/motion", 0, SensorKind.MOTION, 1.0)
+    _reading_packet("a/B0/motion", SensorKind.MOTION, 1.0)
     with pytest.raises(ValueError):
-        SensorReading("a/B0/motion", 0, SensorKind.MOTION, 0.5)
+        _reading_packet("a/B0/motion", SensorKind.MOTION, 0.5)
 
 
 def test_thermal_kind_rejected_in_reading():
     with pytest.raises(ValueError):
-        SensorReading("x", 0, SensorKind.THERMAL4, 1.0)
+        _reading_packet("x", SensorKind.THERMAL4, 1.0)
 
 
 def test_quantize_round_half_even_grid():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hometwin.core import FrameBlock, SensorKind, SensorReading
+from hometwin.core import FrameBlock, ReadingSeries, SensorKind
 from hometwin.errors import RangeError
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.store import RecordStore
@@ -16,8 +16,9 @@ def minute_packet(seq, n_frames=240, hub="hub0"):
         FrameBlock("bed/C0/thermal", 4, ts, np.full((n_frames, 4, 4), 2800, dtype=np.int16))
     ]
     readings = [
-        SensorReading("bed/C0/motion", start + 1000 * i, SensorKind.MOTION, 0.0)
-        for i in range(60)
+        ReadingSeries(
+            "bed/C0/motion", SensorKind.MOTION, start + 1000 * np.arange(60), np.zeros(60)
+        )
     ]
     return HubPacket(hub, seq, start, start + 60_000, readings, frames)
 
@@ -102,3 +103,52 @@ def test_snapshot_round_trip(tmp_path):
     for sensor_id in store.sensor_ids():
         assert loaded.query(sensor_id, 0, 10**12) == store.query(sensor_id, 0, 10**12)
     assert loaded.gaps() == store.gaps()
+
+
+def test_failed_save_leaves_previous_snapshot_whole(tmp_path, monkeypatch):
+    import hometwin.ingestion.store as store_module
+
+    rng = np.random.default_rng(12)
+    before = RecordStore()
+    for seq in range(5):
+        before.append(random_packet(rng, seq=seq))
+    path = tmp_path / "store.bin"
+    before.save(path)
+    after = RecordStore()
+    for seq in range(40):
+        after.append(random_packet(rng, seq=seq))
+
+    class FailingFile:
+        """Writes the first half of what it is given, then the disk fills."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            if len(data) > 64:
+                self.fh.write(data[: len(data) // 2])
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    monkeypatch.setattr(
+        store_module, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False
+    )
+    with pytest.raises(OSError):
+        after.save(path)
+    monkeypatch.undo()
+
+    loaded = RecordStore.load(path)
+    assert loaded.sensor_ids() == before.sensor_ids()
+    for sensor_id in before.sensor_ids():
+        assert loaded.query(sensor_id, 0, 10**12) == before.query(sensor_id, 0, 10**12)
+    assert loaded.gaps() == before.gaps()
+    assert [p.name for p in tmp_path.iterdir()] == ["store.bin"]

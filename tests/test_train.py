@@ -4,7 +4,7 @@ import pytest
 from hometwin.errors import StratificationError
 from hometwin.posture.data import generate_posture_dataset, render_window
 from hometwin.posture.model_io import load_model, save_model
-from hometwin.posture.net import config_for_resolution
+from hometwin.posture.net import STEP_BUFFERS, PostureNet, config_for_resolution
 from hometwin.posture.train import stratified_split, train
 from hometwin.core import PostureLabel
 from hometwin.errors import ModelFormatError
@@ -115,3 +115,33 @@ def test_model_file_version_checked(tmp_path, small_dataset):
     junk.write_bytes(b"not a model")
     with pytest.raises(ModelFormatError):
         load_model(junk)
+
+
+def test_training_releases_step_buffers(small_dataset, monkeypatch):
+    x, y = small_dataset
+    config = config_for_resolution(4)
+    net, report = train(x, y, config, seed=6, iterations=30, val_every=15)
+    held = [
+        (type(m).__name__, name)
+        for m in net.modules
+        for name in STEP_BUFFERS
+        if getattr(m, name, None) is not None
+    ]
+    assert held == []
+
+    # without the release, the same run keeps the buffers but nothing else differs
+    monkeypatch.setattr(PostureNet, "release_step_buffers", lambda self: None)
+    kept, kept_report = train(x, y, config, seed=6, iterations=30, val_every=15)
+    assert any(getattr(m, "_cache", None) is not None for m in kept.modules)
+    state, kept_state = net.state_dict(), kept.state_dict()
+    assert state.keys() == kept_state.keys()
+    assert all(np.array_equal(state[k], kept_state[k]) for k in state)
+    assert report.test_accuracy == kept_report.test_accuracy
+    assert report.curve == kept_report.curve
+    probe = x[:16]
+    assert np.array_equal(net.predict_proba(probe), kept.predict_proba(probe))
+
+    # the released net still trains; this moves its batch-norm running stats
+    logits = net.forward(x[:8], train=True, rng=np.random.default_rng(0))
+    assert logits.shape == (8, 5)
+    assert net.backward(np.ones_like(logits)).shape == x[:8].shape
