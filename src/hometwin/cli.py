@@ -189,6 +189,13 @@ def _run(args):
     models = _load_models(args.models, layout)
     source = StreamSource(layout, store=store, start=start, end=end)
     result = run_pipeline(source, models, config)
+    gate = "auto" if config.theta_active <= 0 else "fixed"
+    for sensor_id, track in result.tracks.items():
+        _log(
+            f"{sensor_id}: {len(track.start)} windows, {track.dropped_windows} dropped, "
+            f"{len(track.calibration_events)} calibrations, "
+            f"theta {result.thetas[sensor_id]:.4f} ({gate})"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return result, truth, layout, config, out, source
@@ -270,10 +277,10 @@ def cmd_evaluate(args) -> int:
             truth_codes = truth.posture_truth.get(track.sensor_id)
             if truth_codes is None:
                 continue
-            for rec in track.windows:
-                if 0 <= rec.interval_index < len(truth_codes) and rec.posture is not None:
-                    hits += int(rec.posture.value == int(truth_codes[rec.interval_index]))
-                    total += 1
+            index = track.interval_index
+            graded = (index >= 0) & (index < len(truth_codes))
+            hits += int((track.posture[graded] == truth_codes[index[graded]]).sum())
+            total += int(graded.sum())
         if total:
             print(f"posture accuracy {resolution}x{resolution}: {hits / total:.4f} over {total} windows")
 

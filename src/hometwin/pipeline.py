@@ -3,17 +3,27 @@
 
 Consumes either a StreamBundle (in memory) or a RecordStore; both reduce to
 per-sensor time-ordered arrays.
+
+Each thermal frame block passes through as one columnar window stack, with
+no per-window objects: the tracker turns it into residuals, `build_windows`
+tiles them into 20-frame windows and drops the off-cadence ones,
+`stack_windows` returns the kept windows as a [k, 20, r, r] view (one
+gather when some were dropped), and batched kernels compute the motion
+indices, the blob counts of the 32x32 window means and the postures
+(256-window inference batches).  A `SensorTrack` keeps one array per
+column, and the per-minute room evidence is folded from those arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import PipelineConfig
 from .core import (
     MS_PER_MINUTE,
+    WINDOW_FRAMES,
     FrameBlock,
     PostureLabel,
     ReadingSeries,
@@ -40,18 +50,40 @@ class WindowRecord:
     interval_index: int  # position on the scenario-wide 5 s grid
     motion_index: float
     blob_count: int
-    posture: PostureLabel | None = None
+    posture: PostureLabel
 
 
-@dataclass
+@dataclass(eq=False)
 class SensorTrack:
+    """The classified 5 s windows of one thermal sensor, one array per
+    column, in time order."""
+
     sensor_id: str
     room_id: str
     room_role: RoomRole
     resolution: int
-    windows: list[WindowRecord] = field(default_factory=list)
-    dropped_windows: int = 0
-    calibration_events: list[int] = field(default_factory=list)
+    start: np.ndarray  # int64: timestamp of each window's first frame
+    interval_index: np.ndarray  # int64: position on the scenario-wide 5 s grid
+    motion_index: np.ndarray  # float64
+    blob_count: np.ndarray  # int64; 0 below 32x32
+    posture: np.ndarray  # int64 PostureLabel values
+    dropped_windows: int
+    calibration_events: list[int]
+
+    @property
+    def windows(self) -> list[WindowRecord]:
+        """The columns as records, built on each access; the pipeline itself
+        reads only the columns."""
+        return [
+            WindowRecord(self.sensor_id, start, index, motion, blobs, PostureLabel(posture))
+            for start, index, motion, blobs, posture in zip(
+                self.start.tolist(),
+                self.interval_index.tolist(),
+                self.motion_index.tolist(),
+                self.blob_count.tolist(),
+                self.posture.tolist(),
+            )
+        ]
 
 
 @dataclass
@@ -131,13 +163,12 @@ def _process_thermal_sensor(
 ) -> SensorTrack:
     """Baseline-filter the stream and classify every 5 s window.
 
-    Prediction happens block by block so residual arrays for long streams are
-    released as soon as their windows are classified.
+    Each frame block becomes one window stack, so a block's residuals are
+    released as soon as its windows are classified.
     """
     spec = source.layout.sensor(sensor_id)
     room = source.layout.room(spec.room_id)
     resolution = spec.kind.resolution
-    track = SensorTrack(sensor_id, spec.room_id, room.role, resolution)
 
     tracker = BaselineTracker(
         resolution,
@@ -154,60 +185,63 @@ def _process_thermal_sensor(
     if ambient is not None and len(ambient):
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
 
-    window_ms = config.frame_period_ms * 20
+    starts, motion, blobs, posture = [], [], [], []
+    dropped = 0
     for block in source.frame_blocks(sensor_id):
         if not len(block):
             continue
         residuals = tracker.process(block.timestamps, block.pixels_centi)
-        windows, dropped = build_windows(
-            sensor_id,
-            block.timestamps,
-            residuals,
-            period_ms=config.frame_period_ms,
+        kept, off_cadence = build_windows(
+            block.timestamps, residuals, period_ms=config.frame_period_ms
         )
-        track.dropped_windows += len(dropped)
-        if not windows:
+        dropped += len(off_cadence)
+        if not len(kept):
             continue
-        records = []
-        for w in windows:
-            records.append(
-                WindowRecord(
-                    sensor_id=w.sensor_id,
-                    start=w.start,
-                    interval_index=int(round((w.start - source.start) / window_ms)),
-                    motion_index=motion_index(w.frames),
-                    blob_count=(
-                        count_blobs(
-                            w.frames.mean(axis=0),
-                            config.blob_threshold_c,
-                            config.blob_min_pixels,
-                        )
-                        if resolution == 32
-                        else 0
-                    ),
+        windows = stack_windows(residuals, kept)
+        starts.append(block.timestamps[kept * WINDOW_FRAMES])
+        motion.append(motion_index(windows))
+        if resolution == 32:
+            blobs.append(
+                count_blobs(
+                    windows.mean(axis=1), config.blob_threshold_c, config.blob_min_pixels
                 )
             )
-        if model is None:
-            for rec in records:
-                rec.posture = PostureLabel.NOT_HERE
         else:
-            batch = 256
-            for lo in range(0, len(windows), batch):
-                x = stack_windows(windows[lo : lo + batch])
-                probs = model.predict_proba(x)
-                for rec, row in zip(records[lo : lo + batch], probs):
-                    rec.posture = PostureLabel(int(row.argmax()))
-        track.windows.extend(records)
-    track.calibration_events = list(tracker.calibration_events)
-    return track
+            blobs.append(np.zeros(len(kept), dtype=np.int64))
+        posture.append(_classify(model, windows))
+
+    start = _concat(starts, np.int64)
+    window_ms = config.frame_period_ms * WINDOW_FRAMES
+    return SensorTrack(
+        sensor_id,
+        spec.room_id,
+        room.role,
+        resolution,
+        start=start,
+        interval_index=np.rint((start - source.start) / window_ms).astype(np.int64),
+        motion_index=_concat(motion, np.float64),
+        blob_count=_concat(blobs, np.int64),
+        posture=_concat(posture, np.int64),
+        dropped_windows=dropped,
+        calibration_events=list(tracker.calibration_events),
+    )
 
 
-def _majority_posture(records: list[WindowRecord]) -> PostureLabel:
-    counts: dict[PostureLabel, int] = {}
-    for rec in records:
-        counts[rec.posture] = counts.get(rec.posture, 0) + 1
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0].value))
-    return best[0]
+def _classify(model: PostureNet | None, windows: np.ndarray) -> np.ndarray:
+    """PostureLabel values of a window stack, in 256-window batches."""
+    if model is None:
+        return np.full(len(windows), PostureLabel.NOT_HERE.value, dtype=np.int64)
+    batch = 256
+    return np.concatenate(
+        [
+            model.predict_proba(windows[lo : lo + batch]).argmax(axis=1)
+            for lo in range(0, len(windows), batch)
+        ]
+    )
+
+
+def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 # auto threshold = multiplier x the lower-quartile window index pooled over
@@ -223,17 +257,83 @@ THETA_FALLBACK = 0.35
 
 def auto_theta_active(tracks: dict[str, SensorTrack]) -> dict[int, float]:
     """Per-resolution activity gates from the pooled index distribution."""
-    pooled: dict[int, list[float]] = {}
+    pooled: dict[int, list[np.ndarray]] = {}
     for track in tracks.values():
-        pooled.setdefault(track.resolution, []).extend(
-            rec.motion_index for rec in track.windows
+        pooled.setdefault(track.resolution, []).append(track.motion_index)
+    gates = {}
+    for resolution, parts in pooled.items():
+        values = np.concatenate(parts)
+        gates[resolution] = (
+            THETA_MULTIPLIER.get(resolution, 2.0) * float(np.percentile(values, 25))
+            if len(values)
+            else THETA_FALLBACK
         )
-    return {
-        resolution: THETA_MULTIPLIER.get(resolution, 2.0) * float(np.percentile(values, 25))
-        if values
-        else THETA_FALLBACK
-        for resolution, values in pooled.items()
-    }
+    return gates
+
+
+def _room_evidence(
+    tracks: dict[str, SensorTrack],
+    thetas: dict[str, float],
+    start: int,
+    n_minutes: int,
+) -> list[dict[RoomRole, RoomEvidence]]:
+    """Per minute, the evidence of each thermal room role, folded from the
+    track columns.
+
+    A (minute, role) group keeps the windows in track order (by sensor id),
+    then in time order, and its roles are keyed in the order the tracks
+    first reach them that minute.  The mean motion index is `np.mean` over
+    each group in that order, so it matches a per-window fold bit for bit;
+    a tie for the majority posture goes to the lowest label.
+    """
+    rooms: list[dict[RoomRole, RoomEvidence]] = [{} for _ in range(n_minutes)]
+    ordered = list(tracks.values())
+    if not ordered:
+        return rooms
+    roles = list(RoomRole)
+    theta_of_role = {track.room_role: thetas[sid] for sid, track in tracks.items()}
+
+    # one key per window, minute * len(roles) + role; the stable sort keeps
+    # track order, then time order, inside each (minute, role) group
+    sizes = [len(t.start) for t in ordered]
+    minute = np.concatenate([(t.start - start) // MS_PER_MINUTE for t in ordered])
+    key = minute * len(roles) + np.repeat([roles.index(t.room_role) for t in ordered], sizes)
+    inside = np.flatnonzero((key >= 0) & (key < n_minutes * len(roles)))
+    pick = inside[np.argsort(key[inside], kind="stable")]
+    if not len(pick):
+        return rooms
+    key = key[pick]
+    track_of = np.repeat(np.arange(len(ordered)), sizes)[pick]
+    motion = np.concatenate([t.motion_index for t in ordered])[pick]
+    blobs = np.concatenate([t.blob_count for t in ordered])[pick]
+    posture = np.concatenate([t.posture for t in ordered])[pick]
+
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    bounds = np.r_[first, len(key)]
+    group = np.repeat(np.arange(len(first)), np.diff(bounds))
+    n_labels = len(PostureLabel)
+    majority = (
+        np.bincount(group * n_labels + posture, minlength=len(first) * n_labels)
+        .reshape(-1, n_labels)
+        .argmax(axis=1)
+    )
+    blob_max = np.maximum.reduceat(blobs, first)
+    multi_blob = np.add.reduceat((blobs >= 2).astype(np.int64), first)
+
+    group_minute = key[first] // len(roles)
+    for g in np.lexsort((track_of[first], group_minute)).tolist():
+        lo, hi = int(bounds[g]), int(bounds[g + 1])
+        role = roles[int(key[lo]) % len(roles)]
+        rooms[int(group_minute[g])][role] = RoomEvidence(
+            room_role=role,
+            majority_posture=PostureLabel(int(majority[g])),
+            mean_motion_index=float(np.mean(motion[lo:hi])),
+            blob_count_max=int(blob_max[g]),
+            multi_blob_windows=int(multi_blob[g]),
+            window_count=hi - lo,
+            theta_active=theta_of_role[role],
+        )
+    return rooms
 
 
 def run_pipeline(
@@ -293,43 +393,24 @@ def run_pipeline(
         ok = (minutes >= 0) & (minutes < n_minutes)
         np.maximum.at(light_step, minutes[ok], steps[ok])
 
-    # fold window records into per-minute per-room evidence
+    rooms = _room_evidence(tracks, thetas, start, n_minutes)
     evidence: list[MinuteEvidence] = []
-    per_minute: dict[int, dict[RoomRole, list[WindowRecord]]] = {}
-    role_of: dict[str, RoomRole] = {sid: t.room_role for sid, t in tracks.items()}
-    theta_of_role: dict[RoomRole, float] = {
-        role_of[sid]: thetas[sid] for sid in tracks
-    }
-    for track in tracks.values():
-        for rec in track.windows:
-            minute = (rec.start - start) // MS_PER_MINUTE
-            if 0 <= minute < n_minutes:
-                per_minute.setdefault(minute, {}).setdefault(
-                    role_of[rec.sensor_id], []
-                ).append(rec)
-
     night_lo, night_hi = layout.night_window
     for m in range(n_minutes):
         minute_start = start + m * MS_PER_MINUTE
-        ev = MinuteEvidence(
-            minute_start=minute_start,
-            is_night=in_clock_window(minute_start, night_lo, night_hi, layout.tz_offset_min),
-            restroom_triggers=int(restroom_triggers[m]),
-            doorway_triggers=int(doorway_triggers[m]),
-            other_motion_triggers=int(other_triggers[m]),
-            light_step_max=float(light_step[m]),
-        )
-        for role, records in per_minute.get(m, {}).items():
-            ev.rooms[role] = RoomEvidence(
-                room_role=role,
-                majority_posture=_majority_posture(records),
-                mean_motion_index=float(np.mean([r.motion_index for r in records])),
-                blob_count_max=max(r.blob_count for r in records),
-                multi_blob_windows=sum(1 for r in records if r.blob_count >= 2),
-                window_count=len(records),
-                theta_active=theta_of_role[role],
+        evidence.append(
+            MinuteEvidence(
+                minute_start=minute_start,
+                is_night=in_clock_window(
+                    minute_start, night_lo, night_hi, layout.tz_offset_min
+                ),
+                rooms=rooms[m],
+                restroom_triggers=int(restroom_triggers[m]),
+                doorway_triggers=int(doorway_triggers[m]),
+                other_motion_triggers=int(other_triggers[m]),
+                light_step_max=float(light_step[m]),
             )
-        evidence.append(ev)
+        )
 
     params = RuleParams(
         k_rest=config.k_rest,

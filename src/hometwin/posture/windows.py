@@ -1,63 +1,41 @@
-"""Assembling 20-frame posture windows from a residual frame stream."""
+"""Tiling a residual frame stream into 20-frame posture windows."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import WINDOW_FRAMES
 
 
-@dataclass
-class PostureWindow:
-    sensor_id: str
-    start: int  # timestamp of the first frame
-    frames: np.ndarray  # float32 [20, r, r] residuals
-    resolution: int
-
-
 def build_windows(
-    sensor_id: str,
     timestamps: np.ndarray,
-    frames: np.ndarray,
-    stride: int = 1,
+    residuals: np.ndarray,
     period_ms: int = 250,
     tolerance: float = 0.10,
-) -> tuple[list[PostureWindow], list[int]]:
-    """Tile the stream into 20-frame windows at `stride` intervals.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tile the stream into consecutive 20-frame windows.
 
-    Windows whose inter-frame spacing strays outside period_ms +/- tolerance
-    (a cadence gap) are dropped; their window indices are returned so callers
-    can report them.  A trailing partial window is never emitted.
+    Returns the indices of the kept and of the dropped tiles.  A tile whose
+    inter-frame spacing strays outside period_ms +/- tolerance (a cadence
+    gap) is dropped.  A trailing partial window is never emitted.
     """
-    n = len(timestamps)
-    resolution = frames.shape[-1]
-    lo_ms = period_ms * (1.0 - tolerance)
-    hi_ms = period_ms * (1.0 + tolerance)
-
-    windows: list[PostureWindow] = []
-    dropped: list[int] = []
-    step = stride * WINDOW_FRAMES
-    index = 0
-    for base in range(0, n - WINDOW_FRAMES + 1, step):
-        ts = timestamps[base : base + WINDOW_FRAMES]
-        spacing = np.diff(ts)
-        if len(spacing) and (spacing.min() < lo_ms or spacing.max() > hi_ms):
-            dropped.append(index)
-        else:
-            windows.append(
-                PostureWindow(
-                    sensor_id=sensor_id,
-                    start=int(ts[0]),
-                    frames=frames[base : base + WINDOW_FRAMES],
-                    resolution=resolution,
-                )
-            )
-        index += 1
-    return windows, dropped
+    if len(timestamps) != len(residuals):
+        raise ValueError(
+            f"{len(timestamps)} timestamps for {len(residuals)} residual frames"
+        )
+    tiles = len(timestamps) // WINDOW_FRAMES
+    spacing = np.diff(timestamps[: tiles * WINDOW_FRAMES].reshape(tiles, WINDOW_FRAMES), axis=1)
+    off_cadence = (spacing.min(axis=1) < period_ms * (1.0 - tolerance)) | (
+        spacing.max(axis=1) > period_ms * (1.0 + tolerance)
+    )
+    return np.flatnonzero(~off_cadence), np.flatnonzero(off_cadence)
 
 
-def stack_windows(windows: list[PostureWindow]) -> np.ndarray:
-    """Batch windows into a [n, 20, r, r] float32 array for the classifier."""
-    return np.stack([w.frames for w in windows]).astype(np.float32)
+def stack_windows(residuals: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """The kept tiles as a [k, 20, r, r] float32 stack: a view of the
+    residuals when no tile was dropped, one gather when some were."""
+    tiles = len(residuals) // WINDOW_FRAMES
+    stack = residuals[: tiles * WINDOW_FRAMES].reshape(tiles, WINDOW_FRAMES, *residuals.shape[1:])
+    if len(kept) != tiles:
+        stack = stack[kept]
+    return stack.astype(np.float32, copy=False)

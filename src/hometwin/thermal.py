@@ -10,7 +10,6 @@ co-located temperature sensor reports a significant ambient shift.
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass
 
@@ -50,48 +49,6 @@ class PixelBaseline:
         self.mean += alpha * delta
         self.var = (1.0 - alpha) * (self.var + alpha * delta * delta)
         self.frames_seen += 1
-
-    # -- persistence (store snapshot conventions: little-endian, versioned)
-
-    def to_bytes(self) -> bytes:
-        head = struct.pack(
-            "<8sBBqdq",
-            b"HTBASE1\x00",
-            1,
-            self.resolution,
-            self.last_calibration,
-            self.reference_ambient,
-            self.frames_seen,
-        )
-        return head + self.mean.astype("<f8").tobytes() + self.var.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PixelBaseline":
-        magic, version, res, last_cal, ref, seen = struct.unpack_from("<8sBBqdq", data)
-        if magic != b"HTBASE1\x00" or version != 1:
-            raise ValueError("bad baseline blob")
-        offset = struct.calcsize("<8sBBqdq")
-        n = res * res
-        mean = np.frombuffer(data, dtype="<f8", count=n, offset=offset).reshape(res, res)
-        var = np.frombuffer(data, dtype="<f8", count=n, offset=offset + 8 * n).reshape(res, res)
-        return cls(res, mean.copy(), var.copy(), last_cal, ref, seen)
-
-
-def filter_frame(celsius: np.ndarray, baseline: PixelBaseline) -> np.ndarray:
-    """Residual = frame minus baseline mean, clamped at zero.
-
-    Accepts a single frame [r, r] or a stack [n, r, r]; float degrees C in,
-    float32 residual out.
-    """
-    celsius = np.asarray(celsius)
-    if celsius.shape[-2:] != (baseline.resolution, baseline.resolution):
-        raise DimensionError(
-            f"frame shape {celsius.shape[-2:]} does not match baseline "
-            f"resolution {baseline.resolution}"
-        )
-    residual = celsius - baseline.mean
-    np.maximum(residual, 0.0, out=residual)
-    return residual.astype(np.float32)
 
 
 def should_calibrate(
@@ -135,54 +92,96 @@ def apply_calibration(
     return True
 
 
-def motion_index(frames: np.ndarray) -> float:
-    """Mean over consecutive frame pairs of the mean absolute per-pixel change.
+# Budget for one block of float64 motion-index buffers (the cast windows and
+# their frame differences): 2 windows at 32x32 and 183 at 4x4, so a block
+# stays in cache.  One pass over a whole stack was slower than a loop over
+# single windows.
+MOTION_BLOCK_BYTES = 896 * 1024
+
+
+def motion_index(windows: np.ndarray) -> np.ndarray:
+    """Per window of a [k, n, r, r] stack: the mean over consecutive frame
+    pairs of the mean absolute per-pixel change, as float64[k].
 
     Already per-pixel, so 4x4 and 32x32 values are directly comparable.
+    Each window is cast to float64 and summed along its own row, the same
+    reduction as `np.mean` over that window alone.
     """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 3 or frames.shape[0] < 2:
+    windows = np.asarray(windows)
+    if windows.ndim != 4:
+        raise DimensionError(f"expected a [k, n, r, r] window stack, got {windows.shape}")
+    k, n, rows, cols = windows.shape
+    if n < 2:
         raise InsufficientDataError("motion index needs at least 2 frames")
-    diffs = np.abs(np.diff(frames, axis=0))
-    return float(diffs.mean())
+    step = max(1, MOTION_BLOCK_BYTES // ((2 * n - 1) * rows * cols * 8))
+    cast = np.empty((min(step, k), n, rows, cols))
+    diffs = np.empty((min(step, k), n - 1, rows, cols))
+    sums = np.empty(k)
+    for lo in range(0, k, step):
+        m = min(step, k - lo)
+        np.copyto(cast[:m], windows[lo : lo + m])
+        np.subtract(cast[:m, 1:], cast[:m, :-1], out=diffs[:m])
+        np.abs(diffs[:m], out=diffs[:m])
+        np.add.reduce(diffs[:m].reshape(m, -1), axis=1, out=sums[lo : lo + m])
+    return sums / ((n - 1) * rows * cols)
 
 
 def count_blobs(
-    residual: np.ndarray, threshold: float = 2.0, min_pixels: int = 3
-) -> int:
-    """Number of 4-connected components with >= min_pixels above threshold.
+    residual_means: np.ndarray, threshold: float = 2.0, min_pixels: int = 3
+) -> np.ndarray:
+    """Per window of a [k, 32, 32] stack: the number of 4-connected
+    components with >= min_pixels pixels above threshold, as int64[k].
 
     Only meaningful at 32x32 (the high-resolution module); lower resolutions
     raise ResolutionError.
+
+    Run-based two-pass labelling (Wu, Otoo & Suzuki 2009) over the whole
+    stack at once: each window gets a zero row below it and each row a zero
+    column after it, so one diff over the flat mask yields every row run
+    and no run or link crosses a row or window edge.  Runs that overlap in
+    adjacent rows are linked with two searchsorted calls, and components
+    are the roots of a union-find that hooks the larger root onto the
+    smaller and then jumps pointers until every run points at its root.
     """
-    residual = np.asarray(residual)
-    if residual.shape != (32, 32):
+    means = np.asarray(residual_means)
+    if means.ndim != 3 or means.shape[1:] != (32, 32):
         raise ResolutionError(
-            f"blob counting requires a 32x32 residual, got {residual.shape}"
+            f"blob counting requires a [k, 32, 32] residual stack, got {means.shape}"
         )
-    hot = residual > threshold
-    labels = np.zeros(hot.shape, dtype=np.int32)
-    current = 0
-    count = 0
-    for i in range(32):
-        for j in range(32):
-            if not hot[i, j] or labels[i, j]:
-                continue
-            current += 1
-            size = 0
-            stack = [(i, j)]
-            labels[i, j] = current
-            while stack:
-                y, x = stack.pop()
-                size += 1
-                for dy, dx in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                    ny, nx = y + dy, x + dx
-                    if 0 <= ny < 32 and 0 <= nx < 32 and hot[ny, nx] and not labels[ny, nx]:
-                        labels[ny, nx] = current
-                        stack.append((ny, nx))
-            if size >= min_pixels:
-                count += 1
-    return count
+    k = means.shape[0]
+    side = 33  # padded row length, and padded rows per window
+    mask = np.zeros((k, side, side), dtype=np.int8)
+    mask[:, :32, :32] = means > threshold
+    edges = np.diff(mask.ravel(), prepend=0)
+    starts = np.flatnonzero(edges == 1)  # flat index of a run's first pixel
+    ends = np.flatnonzero(edges == -1)  # flat index just past its last pixel
+
+    # runs of the row above that overlap each run: [lo, hi) in run order
+    lo = np.searchsorted(ends, starts - side, side="right")
+    hi = np.searchsorted(starts, ends - side, side="left")
+    links = np.maximum(hi - lo, 0)
+    below = np.repeat(np.arange(len(starts)), links)
+    above = np.repeat(lo - (np.cumsum(links) - links), links) + np.arange(links.sum())
+
+    parent = np.arange(len(starts))
+    while len(above):
+        root_above = parent[above]
+        root_below = parent[below]
+        apart = root_above != root_below
+        above, below = above[apart], below[apart]
+        root_above, root_below = root_above[apart], root_below[apart]
+        np.minimum.at(
+            parent, np.maximum(root_above, root_below), np.minimum(root_above, root_below)
+        )
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+
+    sizes = np.bincount(parent, weights=ends - starts, minlength=len(starts))
+    roots = np.flatnonzero((parent == np.arange(len(starts))) & (sizes >= min_pixels))
+    return np.bincount(starts[roots] // (side * side), minlength=k).astype(np.int64)
 
 
 @dataclass
@@ -273,6 +272,11 @@ class BaselineTracker:
         Warmup frames produce all-zero residuals (the baseline is still
         forming).
         """
+        if pixels_centi.shape[1:] != (self.resolution, self.resolution):
+            raise DimensionError(
+                f"frame shape {pixels_centi.shape[1:]} does not match tracker "
+                f"resolution {self.resolution}"
+            )
         n = pixels_centi.shape[0]
         residuals = np.zeros((n, self.resolution, self.resolution), dtype=np.float32)
         p = self.params

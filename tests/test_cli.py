@@ -117,6 +117,28 @@ def test_run_produces_timeline_and_report(workdir):
     assert (out / "activity_series.csv").exists()
 
 
+def test_run_logs_pipeline_health(workdir, capsys):
+    root, model_dir = workdir
+    code = main(
+        [
+            "run",
+            "--scenario", str(root / "scenario.json"),
+            "--layout", str(root / "layout.json"),
+            "--models", str(model_dir),
+            "--seed", "7",
+            "--out", str(root / "run_health"),
+        ]
+    )
+    assert code == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "/thermal:" in line]
+    thermal = sorted(s.sensor_id for s in lite_layout().thermal_sensors())
+    assert [line.split(":")[0] for line in lines] == thermal
+    for line in lines:
+        # 40 minutes at 12 windows a minute, none off cadence, auto gate
+        assert ": 480 windows, 0 dropped, 0 calibrations, theta 0." in line
+        assert line.endswith(" (auto)")
+
+
 def test_run_from_packet_file(workdir):
     root, model_dir = workdir
     sim_out = root / "sim"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hometwin.core import pixels_to_celsius, quantize_pixels
 from hometwin.errors import DimensionError, InsufficientDataError, ResolutionError
 from hometwin.thermal import (
     BaselineTracker,
@@ -8,7 +9,6 @@ from hometwin.thermal import (
     TrackerParams,
     apply_calibration,
     count_blobs,
-    filter_frame,
     motion_index,
     should_calibrate,
 )
@@ -22,6 +22,19 @@ def flat_baseline(res=4, mean=28.0, ambient=28.0, at=0):
         last_calibration=at,
         reference_ambient=ambient,
     )
+
+
+def filter_frame(celsius, baseline):
+    """The tracker's residual for frames against a fixed baseline: frame
+    minus baseline mean, clamped at zero (one chunk, no ambient series)."""
+    celsius = np.asarray(celsius, dtype=np.float64)
+    frames = celsius.reshape((-1,) + celsius.shape[-2:])
+    tracker = BaselineTracker(baseline.resolution, TrackerParams(warmup_frames=1))
+    tracker.baseline = baseline
+    residual = tracker.process(
+        250 * np.arange(len(frames), dtype=np.int64), quantize_pixels(frames)
+    )
+    return residual.reshape(celsius.shape)
 
 
 class TestFilterFrame:
@@ -51,7 +64,8 @@ class TestFilterFrame:
         base = flat_baseline()
         frame = 28.0 + rng.normal(0, 1, size=(4, 4))
         residual = filter_frame(frame, base)
-        assert np.all(residual + base.mean >= frame - 1e-6)
+        seen = pixels_to_celsius(quantize_pixels(frame))  # the frame on the wire grid
+        assert np.all(residual + base.mean >= seen - 1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -95,35 +109,35 @@ class TestApplyCalibration:
 class TestMotionIndex:
     def test_identical_frames_zero(self):
         frames = np.full((5, 4, 4), 3.0)
-        assert motion_index(frames) == 0.0
+        assert motion_index(frames[None])[0] == 0.0
 
     def test_single_pixel_change_analytic(self):
         frames = np.zeros((2, 4, 4))
         frames[1, 0, 0] = 1.0
-        assert motion_index(frames) == pytest.approx(1.0 / 16.0)
+        assert motion_index(frames[None])[0] == pytest.approx(1.0 / 16.0)
 
     def test_insufficient_frames(self):
         with pytest.raises(InsufficientDataError):
-            motion_index(np.zeros((1, 4, 4)))
+            motion_index(np.zeros((1, 1, 4, 4)))
 
     def test_scales_linearly_with_uniform_difference(self):
         rng = np.random.default_rng(1)
         base = rng.uniform(0, 1, size=(4, 4))
         for scale in (0.5, 1.0, 2.0, 7.0):
             frames = np.stack([base, base + scale])
-            assert motion_index(frames) == pytest.approx(scale)
+            assert motion_index(frames[None])[0] == pytest.approx(scale)
 
     def test_time_translation_invariance(self):
         # the index depends on frame content only, not on when frames occur
         rng = np.random.default_rng(2)
         frames = rng.uniform(0, 2, size=(12, 4, 4))
-        assert motion_index(frames) == motion_index(frames.copy())
+        assert motion_index(frames[None])[0] == motion_index(frames[None].copy())[0]
 
     def test_resolution_comparability(self):
         # a uniform +1 change reads the same at both resolutions
         small = np.stack([np.zeros((4, 4)), np.ones((4, 4))])
         big = np.stack([np.zeros((32, 32)), np.ones((32, 32))])
-        assert motion_index(small) == pytest.approx(motion_index(big))
+        assert motion_index(small[None])[0] == pytest.approx(motion_index(big[None])[0])
 
 
 class TestCountBlobs:
@@ -133,30 +147,30 @@ class TestCountBlobs:
         return amp * np.exp(-(((yy - center[0]) ** 2 + (xx - center[1]) ** 2) / (2 * radius**2)))
 
     def test_empty_zero(self):
-        assert count_blobs(np.zeros((32, 32))) == 0
+        assert count_blobs(np.zeros((1, 32, 32)))[0] == 0
 
     def test_single_blob(self):
-        assert count_blobs(self.blob((16, 16))) == 1
+        assert count_blobs(self.blob((16, 16))[None])[0] == 1
 
     def test_two_separated_blobs(self):
         residual = self.blob((8, 8)) + self.blob((24, 24))
-        assert count_blobs(residual) == 2
+        assert count_blobs(residual[None])[0] == 2
 
     def test_min_pixel_filter(self):
         residual = np.zeros((32, 32))
         residual[3, 3] = 9.0  # single-pixel speck
-        assert count_blobs(residual, min_pixels=3) == 0
-        assert count_blobs(residual, min_pixels=1) == 1
+        assert count_blobs(residual[None], min_pixels=3)[0] == 0
+        assert count_blobs(residual[None], min_pixels=1)[0] == 1
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
-            count_blobs(np.zeros((4, 4)))
+            count_blobs(np.zeros((1, 4, 4)))
 
     def test_noise_invariance_below_threshold(self):
         base = self.blob((10, 20)) + self.blob((24, 6))
         for seed in range(10):
             noisy = base + np.random.default_rng(seed).normal(0, 0.3, size=(32, 32))
-            assert count_blobs(noisy, threshold=2.0, min_pixels=3) == 2
+            assert count_blobs(noisy[None], threshold=2.0, min_pixels=3)[0] == 2
 
     def test_four_connectivity_oracle(self):
         # brute-force oracle: label by flood fill on a fixed pattern with a
@@ -165,7 +179,7 @@ class TestCountBlobs:
         residual[5:8, 5:8] = 9.0
         residual[8, 8] = 9.0  # touches (7,7) only diagonally
         residual[9:11, 9:11] = 9.0
-        assert count_blobs(residual, min_pixels=1) == 3
+        assert count_blobs(residual[None], min_pixels=1)[0] == 3
 
 
 class TestBaselineTracker:
@@ -192,11 +206,3 @@ class TestBaselineTracker:
         )
         # the body is still fully visible at the end
         assert residuals[-1, 1, 1] > 5.0
-
-    def test_serialization_round_trip(self):
-        base = flat_baseline()
-        blob = base.to_bytes()
-        back = PixelBaseline.from_bytes(blob)
-        assert np.array_equal(back.mean, base.mean)
-        assert back.reference_ambient == base.reference_ambient
-        assert back.last_calibration == base.last_calibration
