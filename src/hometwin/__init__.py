@@ -13,7 +13,6 @@ from .core import (
     PostureLabel,
     ReadingSeries,
     SensorKind,
-    ThermalFrame,
 )
 from .layout import HomeLayout, ModulePlacement, Room, RoomRole, validate_layout
 
@@ -30,7 +29,6 @@ __all__ = [
     "Room",
     "RoomRole",
     "SensorKind",
-    "ThermalFrame",
     "validate_layout",
     "__version__",
 ]

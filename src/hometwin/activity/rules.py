@@ -8,7 +8,7 @@ Cascade order:
 2. A sustained multi-body blob count in the living room means visitors.
 3. Among thermal rooms whose majority posture shows somebody present AND
    whose motion index clears the activity threshold, the highest score
-   (motion index x room weight, bedroom boosted at night) wins; the bedroom
+   (motion index, bedroom boosted at night) wins; the bedroom
    maps to Sleeping only on a lie-down majority, otherwise it yields to the
    next-best room.
 4. A still lie-down in the bedroom continues Sleeping if the previous minute
@@ -51,9 +51,6 @@ class RuleParams:
     s_vis: int = 4
     min_away_min: int = 5
     carry_forward_max: int = 1
-    room_weights: dict[RoomRole, float] = field(
-        default_factory=lambda: {role: 1.0 for role in _ROLE_ORDER}
-    )
 
 
 @dataclass
@@ -119,10 +116,10 @@ def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
         theta = room.theta_active if room.theta_active > 0 else params.theta_active
         if room.mean_motion_index < theta:
             continue
-        weight = params.room_weights.get(role, 1.0)
+        score = room.mean_motion_index
         if role is RoomRole.BEDROOM and ev.is_night:
-            weight *= params.w_night
-        candidates.append((room.mean_motion_index * weight, role, room))
+            score *= params.w_night
+        candidates.append((score, role, room))
     # descending score; _ROLE_ORDER position breaks exact ties deterministically
     candidates.sort(key=lambda c: (-c[0], _ROLE_ORDER.index(c[1])))
     for score, role, room in candidates:
@@ -203,7 +200,6 @@ def detect_not_at_home(
     timeline: ActivityTimeline,
     doorway_trigger_ts,
     params: RuleParams,
-    theta_active: float | None = None,
 ) -> ActivityTimeline:
     """Post-hoc relabeling of silent doorway-bracketed stretches.
 
@@ -214,7 +210,6 @@ def detect_not_at_home(
     shorter than min_away_min are ignored.  Away interval boundaries are the
     bracketing cluster times, so they track the real exit/entry to seconds.
     """
-    theta = params.theta_active if theta_active is None else theta_active
     entries = timeline.entries
     evidence = timeline.evidence
     n = len(entries)
@@ -225,7 +220,7 @@ def detect_not_at_home(
         if ev.doorway_triggers or ev.restroom_triggers or ev.other_motion_triggers:
             return False
         for room in ev.rooms.values():
-            gate = room.theta_active if room.theta_active > 0 else theta
+            gate = room.theta_active if room.theta_active > 0 else params.theta_active
             if room.mean_motion_index >= gate:
                 return False
         return entries[i].label == UNKNOWN_ACTIVITY or entries[i].carried

@@ -31,7 +31,7 @@ from .posture.model_io import load_model, save_model
 from .posture.net import config_for_resolution
 from .posture.train import train
 from .simulate.engine import SimParams, simulate
-from .simulate.scenario import load_scenario
+from .simulate.scenario import ScenarioScript, load_scenario
 from .simulate.scripts import BUILTIN_SCENARIOS, builtin
 from .simulate.truth import load_truth_sidecar, write_truth_sidecar
 
@@ -45,7 +45,7 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_inputs(args) -> tuple[HomeLayout, "ScenarioScript"]:
+def _load_inputs(args) -> tuple[HomeLayout, ScenarioScript]:
     if args.scenario.startswith("builtin:"):
         layout, script = builtin(args.scenario.split(":", 1)[1])
         if args.layout:
@@ -158,16 +158,9 @@ def _ingest_packets(path: str | Path) -> tuple[RecordStore, int, int]:
 def _run(args):
     """Shared run/evaluate front half; returns the pipeline result and context."""
     config = _config_from_args(args)
-    layout = load_layout(args.layout) if args.layout else None
     if args.scenario:
         # full in-process path: simulate -> packets -> store -> pipeline
-        if args.scenario.startswith("builtin:"):
-            built_layout, script = builtin(args.scenario.split(":", 1)[1])
-            layout = layout or built_layout
-        else:
-            if layout is None:
-                raise ConfigError("--layout is required with a scenario file")
-            script = load_scenario(args.scenario)
+        layout, script = _load_inputs(args)
         bundle = simulate(layout, script, config.seed, SimParams.from_config(config))
         store = RecordStore()
         for packet in bundle.to_packets():
@@ -175,8 +168,9 @@ def _run(args):
         start, end = bundle.start, bundle.end
         truth = bundle.truth
     elif args.packets:
-        if layout is None:
+        if not args.layout:
             raise ConfigError("--layout is required with --packets")
+        layout = load_layout(args.layout)
         store, start, end = _ingest_packets(args.packets)
         truth = load_truth_sidecar(args.truth) if args.truth else None
     else:
@@ -260,9 +254,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    result, truth, layout, config, out, source = _run(args)
-    if truth is None:
+    if not args.scenario and not args.truth:
         raise ConfigError("evaluation needs --truth (or a --scenario with builtin truth)")
+    result, truth, layout, config, out, source = _run(args)
 
     evaluation = evaluate_timeline(result.timeline, truth)
     print(evaluation.to_text())

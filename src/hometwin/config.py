@@ -16,12 +16,6 @@ from .errors import ConfigError
 
 @dataclass
 class PipelineConfig:
-    # --- file paths (CLI) ---
-    layout_path: str = ""
-    scenario_path: str = ""
-    model_dir: str = "models"
-    out_dir: str = "out"
-    store_path: str = ""
     seed: int = 0
 
     # --- simulator ---
@@ -33,7 +27,6 @@ class PipelineConfig:
     motion_epsilon_m: float = 0.05  # displacement per sample that counts as movement
     residual_tau_min: float = 10.0  # residual-heat decay time constant
     residual_amplitude_frac: float = 0.4
-    sunlight_delta_c: float = 4.0
     lamp_delta: float = 150.0  # light units added by a lamp
     walk_speed_mps: float = 1.0
     passage_seconds: float = 3.0  # doorway transit duration on leave/return
@@ -68,7 +61,6 @@ class PipelineConfig:
     carry_forward_max: int = 1
 
     # --- wellness analytics ---
-    gap_bridge_min: int = 15
     dwell_min: int = 30  # minutes out of band before an alert fires
     temp_band_low_c: float = 22.0
     temp_band_high_c: float = 32.0
@@ -77,7 +69,6 @@ class PipelineConfig:
     sleep_low_h: float = 5.0
     sleep_high_h: float = 10.0
     theta_move: float = 0.0  # 0 = auto (3x empty-bed frame-difference median)
-    report_day_boundary: str = "18:00"
 
     def override(self, **kwargs) -> "PipelineConfig":
         unknown = set(kwargs) - {f.name for f in dataclasses.fields(self)}
@@ -96,16 +87,9 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     kwargs = {}
     for key, value in data.items():
-        want = fields[key].type
+        cast = int if fields[key].type == "int" else float
         try:
-            if want == "int":
-                kwargs[key] = int(value)
-            elif want == "float":
-                kwargs[key] = float(value)
-            elif want == "str":
-                kwargs[key] = str(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = cast(value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
     return PipelineConfig(**kwargs)

@@ -1,4 +1,5 @@
-"""Shared vocabulary: time conventions, sensor kinds, readings, thermal frames, labels.
+"""Shared vocabulary: time conventions, sensor kinds, labels, and the two columnar
+data forms (`ReadingSeries` for scalar readings, `FrameBlock` for thermal frames).
 
 Timestamps are integer milliseconds on a naive local clock (a configurable
 wall-clock origin plus a timezone offset make clock-of-day rules such as
@@ -140,42 +141,12 @@ def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and not np.count_nonzero(a != b)
 
 
-@dataclass(frozen=True, slots=True)
-class ThermalFrame:
-    """One heat-map frame; pixels are a row-major res x res int16 centi-degree grid."""
-
-    sensor_id: str
-    timestamp: int
-    resolution: int
-    pixels_centi: np.ndarray
-
-    def __post_init__(self):
-        if self.pixels_centi.shape != (self.resolution, self.resolution):
-            raise DimensionError(
-                f"expected {self.resolution}x{self.resolution} pixels, "
-                f"got {self.pixels_centi.shape}"
-            )
-
-    def celsius(self) -> np.ndarray:
-        return pixels_to_celsius(self.pixels_centi)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThermalFrame):
-            return NotImplemented
-        return (
-            self.sensor_id == other.sensor_id
-            and self.timestamp == other.timestamp
-            and self.resolution == other.resolution
-            and np.array_equal(self.pixels_centi, other.pixels_centi)
-        )
-
-
 @dataclass
 class FrameBlock:
     """A contiguous run of frames from one sensor, stored as bulk arrays.
 
-    This is the canonical in-memory and on-wire form; per-frame ThermalFrame
-    objects are materialized only where a single frame is handled.
+    This is the one form thermal frames take, in memory and on the wire; a
+    single frame is a row of `pixels_centi`.
     """
 
     sensor_id: str
@@ -202,11 +173,6 @@ class FrameBlock:
             and self.resolution == other.resolution
             and _same_array(self.timestamps, other.timestamps)
             and _same_array(self.pixels_centi, other.pixels_centi)
-        )
-
-    def frame(self, i: int) -> ThermalFrame:
-        return ThermalFrame(
-            self.sensor_id, int(self.timestamps[i]), self.resolution, self.pixels_centi[i]
         )
 
     def __getitem__(self, rows: slice | np.ndarray) -> "FrameBlock":

@@ -7,7 +7,6 @@ sequence numbers are tracked as gaps, not errors.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from pathlib import Path
@@ -16,11 +15,14 @@ import numpy as np
 
 from ..core import FrameBlock, ReadingSeries, SensorKind
 from ..errors import RangeError, VersionError, WireFormatError
+from ..files import write_atomic
 from .packets import HubPacket
+from .wire import _GROUP_META, _need, _str_bytes, _string
 
 _MAGIC = b"HTSTORE1"
+_VERSION = 1
+_KINDS = list(SensorKind)  # a reading series stores its kind as an index here
 _U32 = struct.Struct("<I")
-_U16 = struct.Struct("<H")
 
 
 class RecordStore:
@@ -150,9 +152,7 @@ class RecordStore:
         body = bytearray()
         body += _U32.pack(len(self._seen))
         for hub_id in sorted(self._seen):
-            raw = hub_id.encode("utf-8")
-            body += _U16.pack(len(raw))
-            body += raw
+            body += _str_bytes(hub_id)
             seqs = sorted(self._seen[hub_id])
             body += _U32.pack(len(seqs))
             body += np.array(seqs, dtype="<u8").tobytes()
@@ -162,10 +162,8 @@ class RecordStore:
         for sid in reading_ids:
             self._consolidate(sid)
             kind, (ts,), (vals,) = self._readings[sid]
-            raw = sid.encode("utf-8")
-            body += _U16.pack(len(raw))
-            body += raw
-            body += struct.pack("<BI", list(SensorKind).index(kind), len(ts))
+            body += _str_bytes(sid)
+            body += _GROUP_META.pack(_KINDS.index(kind), len(ts))
             body += ts.astype("<i8").tobytes()
             body += np.round(vals * 100.0).astype("<i4").tobytes()
 
@@ -174,78 +172,72 @@ class RecordStore:
         for sid in frame_ids:
             self._consolidate(sid)
             res, (ts,), (px,) = self._frames[sid]
-            raw = sid.encode("utf-8")
-            body += _U16.pack(len(raw))
-            body += raw
-            body += struct.pack("<BI", res, len(ts))
+            body += _str_bytes(sid)
+            body += _GROUP_META.pack(res, len(ts))
             body += ts.astype("<i8").tobytes()
             body += px.astype("<i2").tobytes()
 
-        # written beside the target and renamed over it, so a failed save
-        # leaves the previous snapshot whole
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(bytes([1]))
-                fh.write(_U32.pack(zlib.crc32(body)))
-                fh.write(body)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        header = _MAGIC + bytes([_VERSION]) + _U32.pack(zlib.crc32(body))
+        write_atomic(path, header, body)
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
+        """Read a snapshot; malformed bytes raise WireFormatError with the
+        absolute offset of the fault."""
         data = Path(path).read_bytes()
+        end = len(data)
         if data[: len(_MAGIC)] != _MAGIC:
             raise WireFormatError("bad store snapshot magic", 0)
-        if data[len(_MAGIC)] != 1:
+        pos = _need(len(_MAGIC), 5, end)
+        if data[len(_MAGIC)] != _VERSION:
             raise VersionError(f"unsupported store snapshot version {data[len(_MAGIC)]}")
         (crc,) = _U32.unpack_from(data, len(_MAGIC) + 1)
-        body = data[len(_MAGIC) + 5 :]
-        if zlib.crc32(body) != crc:
+        if zlib.crc32(memoryview(data)[pos:]) != crc:
             raise WireFormatError("store snapshot crc mismatch", len(_MAGIC) + 1)
 
+        def count(pos: int) -> tuple[int, int]:
+            at = _need(pos, 4, end)
+            (n,) = _U32.unpack_from(data, pos)
+            return n, at
+
+        def group(pos: int) -> tuple[str, int, int, int, int]:
+            """A sensor id and its (code, sample count) header, with the code's
+            offset and the offset just past the header."""
+            sid, pos = _string(data, pos, end)
+            at = _need(pos, _GROUP_META.size, end)
+            code, n = _GROUP_META.unpack_from(data, pos)
+            return sid, code, n, pos, at
+
         store = cls()
-        pos = 0
-
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(body):
-                raise WireFormatError("truncated store snapshot", len(_MAGIC) + 5 + pos)
-            out = body[pos : pos + n]
-            pos += n
-            return out
-
-        def take_str() -> str:
-            (n,) = _U16.unpack(take(2))
-            return take(n).decode("utf-8")
-
-        (n_hubs,) = _U32.unpack(take(4))
+        n_hubs, pos = count(pos)
         for _ in range(n_hubs):
-            hub_id = take_str()
-            (n_seqs,) = _U32.unpack(take(4))
-            seqs = np.frombuffer(take(8 * n_seqs), dtype="<u8")
-            store._seen[hub_id] = set(int(s) for s in seqs)
+            hub_id, pos = _string(data, pos, end)
+            n_seqs, pos = count(pos)
+            at, pos = pos, _need(pos, 8 * n_seqs, end)
+            store._seen[hub_id] = set(np.frombuffer(data, "<u8", n_seqs, at).tolist())
 
-        (n_series,) = _U32.unpack(take(4))
+        n_series, pos = count(pos)
         for _ in range(n_series):
-            sid = take_str()
-            kind_idx, n = struct.unpack("<BI", take(5))
-            ts = np.frombuffer(take(8 * n), dtype="<i8").astype(np.int64)
-            vals = np.frombuffer(take(4 * n), dtype="<i4").astype(np.float64) / 100.0
-            store._readings[sid] = (list(SensorKind)[kind_idx], [ts], [vals])
+            sid, kind_idx, n, kind_at, at = group(pos)
+            if kind_idx >= len(_KINDS) or _KINDS[kind_idx].is_thermal:
+                raise WireFormatError(
+                    f"reading series {sid} has bad sensor kind index {kind_idx}", kind_at
+                )
+            pos = _need(at, 12 * n, end)
+            ts = np.frombuffer(data, "<i8", n, at).astype(np.int64)
+            vals = np.frombuffer(data, "<i4", n, at + 8 * n).astype(np.float64) / 100.0
+            store._readings[sid] = (_KINDS[kind_idx], [ts], [vals])
 
-        (n_series,) = _U32.unpack(take(4))
+        n_series, pos = count(pos)
         for _ in range(n_series):
-            sid = take_str()
-            res, n = struct.unpack("<BI", take(5))
-            ts = np.frombuffer(take(8 * n), dtype="<i8").astype(np.int64)
-            px = np.frombuffer(take(2 * n * res * res), dtype="<i2").astype(np.int16)
+            sid, res, n, res_at, at = group(pos)
+            if res not in (4, 32):
+                raise WireFormatError(f"frame series {sid} has bad resolution {res}", res_at)
+            pos = _need(at, (8 + 2 * res * res) * n, end)
+            ts = np.frombuffer(data, "<i8", n, at).astype(np.int64)
+            px = np.frombuffer(data, "<i2", n * res * res, at + 8 * n).astype(np.int16)
             store._frames[sid] = (res, [ts], [px.reshape(n, res, res)])
 
+        if pos != end:
+            raise WireFormatError(f"{end - pos} trailing bytes after store snapshot", pos)
         return store

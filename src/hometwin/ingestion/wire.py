@@ -104,9 +104,9 @@ def encode_packet(packet: HubPacket) -> bytes:
 
 
 def _need(pos: int, n: int, end: int) -> int:
-    """The offset n bytes past pos; WireFormatError if the body ends first."""
+    """The offset n bytes past pos; WireFormatError if the data ends first."""
     if pos + n > end:
-        raise WireFormatError(f"truncated packet: wanted {n} bytes, have {end - pos}", pos)
+        raise WireFormatError(f"truncated: wanted {n} bytes, have {end - pos}", pos)
     return pos + n
 
 

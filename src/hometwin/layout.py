@@ -155,11 +155,6 @@ class HomeLayout:
         return [s for s in self._registry.values() if s.kind.is_thermal]
 
 
-def room_of_sensor(layout: HomeLayout, sensor_id: str) -> str:
-    """Room id containing a registered sensor; UnknownSensorError otherwise."""
-    return layout.sensor(sensor_id).room_id
-
-
 def _rects_overlap(a, b) -> bool:
     ax0, ay0, ax1, ay1 = a
     bx0, by0, bx1, by1 = b

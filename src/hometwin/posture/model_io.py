@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ModelFormatError
+from ..files import write_atomic
 from .net import NetworkConfig, PostureNet
 
 _MAGIC = b"HTNET"
@@ -41,17 +42,14 @@ def save_model(net: PostureNet, path: str | Path) -> None:
         for dim in arr.shape:
             blob += struct.pack("<I", dim)
         blob += arr.astype(_DTYPES[code]).tobytes()
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, blob)
 
 
 def load_model(path: str | Path) -> PostureNet:
     data = Path(path).read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
         raise ModelFormatError(f"{path} is not a model file")
-    version = data[len(_MAGIC)]
-    if version != _VERSION:
-        raise ModelFormatError(f"unsupported model file version {version}")
-    pos = len(_MAGIC) + 1
+    pos = len(_MAGIC)
 
     def take(n: int) -> bytes:
         nonlocal pos
@@ -61,6 +59,9 @@ def load_model(path: str | Path) -> PostureNet:
         pos += n
         return out
 
+    (version,) = take(1)
+    if version != _VERSION:
+        raise ModelFormatError(f"unsupported model file version {version}")
     (config_len,) = struct.unpack("<I", take(4))
     try:
         config = NetworkConfig.from_dict(json.loads(take(config_len)))
@@ -71,7 +72,11 @@ def load_model(path: str | Path) -> PostureNet:
     state: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        name_at = pos
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"bad tensor name at byte {name_at}: {exc}") from exc
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise ModelFormatError(f"unknown tensor dtype code {code}")
@@ -79,10 +84,16 @@ def load_model(path: str | Path) -> PostureNet:
         count = int(np.prod(shape)) if shape else 1
         arr = np.frombuffer(take(count * np.dtype(_DTYPES[code]).itemsize), dtype=_DTYPES[code])
         state[name] = arr.reshape(shape).copy()
+    if pos != len(data):
+        raise ModelFormatError(f"{path} has {len(data) - pos} trailing bytes")
 
     net = PostureNet(config)
-    try:
-        net.load_state_dict(state)
-    except KeyError as exc:
-        raise ModelFormatError(f"model file missing tensor {exc}") from exc
+    for name, want in net.state_dict().items():
+        if name not in state:
+            raise ModelFormatError(f"model file missing tensor {name!r}")
+        if state[name].shape != want.shape:
+            raise ModelFormatError(
+                f"tensor {name!r} has shape {state[name].shape}, the config needs {want.shape}"
+            )
+    net.load_state_dict(state)
     return net

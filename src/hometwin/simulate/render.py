@@ -1,7 +1,8 @@
-"""Synthetic heat-map formation.
+"""Synthetic heat-map building blocks.
 
-A frame is additive: room ambient + one 2D Gaussian blob per occupant +
-decaying residual-heat patches + an optional sunlight patch + per-pixel
+The engine (`simulate.engine._render_sensor`) renders whole frame stacks
+additively: room ambient + one 2D Gaussian blob per occupant (`blob_images`)
++ decaying residual-heat patches + an optional sunlight patch + per-pixel
 Gaussian noise.  Blob shape and amplitude depend on posture; lying down is an
 elongated anisotropic ellipse, standing is compact and hottest.
 
@@ -15,11 +16,10 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import TEMP_MAX_C, TEMP_MIN_C, PostureLabel, ThermalFrame, quantize_pixels
+from ..core import PostureLabel
 from ..layout import ModulePlacement
 
 # posture -> (sigma_major m, sigma_minor m, amplitude degrees C)
@@ -175,102 +175,3 @@ def turnover_offsets(turnovers: tuple[int, ...], ts: np.ndarray) -> np.ndarray:
         ramp = np.clip((np.asarray(ts) - at) / TURNOVER_RAMP_MS, 0.0, 1.0)
         offset = offset * (1.0 - ramp) + new_side * ramp
     return offset
-
-
-@dataclass(frozen=True)
-class OccupantBlob:
-    """One body as seen by a thermal sensor at a single instant."""
-
-    center: tuple[float, float]
-    posture: PostureLabel
-    orientation_rad: float = 0.0
-    amplitude_factor: float = 1.0
-
-
-@dataclass(frozen=True)
-class ResidualPatch:
-    """Decaying warmth left on furniture after a body moves away."""
-
-    center: tuple[float, float]
-    posture: PostureLabel  # shape of the body that left
-    orientation_rad: float
-    amplitude_c: float  # at t0
-    t0: int
-    tau_ms: float
-
-    def amplitude_at(self, t: int | np.ndarray) -> np.ndarray:
-        dt = np.maximum(np.asarray(t, dtype=np.float64) - self.t0, 0.0)
-        return self.amplitude_c * np.exp(-dt / self.tau_ms)
-
-
-@dataclass
-class RoomState:
-    """Everything a thermal sensor can see at one instant."""
-
-    ambient_c: float
-    occupants: list[OccupantBlob] = field(default_factory=list)
-    patches: list[ResidualPatch] = field(default_factory=list)
-    sunlight_region: tuple[int, int, int, int] | None = None  # row0, col0, row1, col1
-    sunlight_delta_c: float = 0.0
-
-
-def render_thermal_frame(
-    room_state: RoomState,
-    placement: ModulePlacement,
-    t: int,
-    rng: np.random.Generator | None = None,
-    noise_sigma: float = 0.3,
-    resolution: int | None = None,
-) -> ThermalFrame:
-    """Render one frame: ambient + blobs + residual patches + sunlight + noise.
-
-    Occupants outside the FOV simply contribute (almost) nothing; that is not
-    an error.
-    """
-    res = resolution if resolution is not None else (
-        32 if placement.module_type.value == "D" else 4
-    )
-    xs, ys = sensor_grid(placement, res)
-    pixels = np.full((res, res), room_state.ambient_c, dtype=np.float64)
-
-    for occ in room_state.occupants:
-        if occ.posture is PostureLabel.NOT_HERE:
-            continue
-        sx, sy, amp = BLOB_PARAMS[occ.posture]
-        pixels += blob_images(
-            xs,
-            ys,
-            np.array([occ.center[0]]),
-            np.array([occ.center[1]]),
-            sx,
-            sy,
-            np.array([amp * occ.amplitude_factor]),
-            occ.orientation_rad,
-        )[0]
-
-    for patch in room_state.patches:
-        sx, sy, _ = BLOB_PARAMS[patch.posture]
-        amp = float(patch.amplitude_at(t))
-        if amp > 1e-3:
-            pixels += blob_images(
-                xs,
-                ys,
-                np.array([patch.center[0]]),
-                np.array([patch.center[1]]),
-                sx,
-                sy,
-                np.array([amp]),
-                patch.orientation_rad,
-            )[0]
-
-    if room_state.sunlight_region is not None and room_state.sunlight_delta_c:
-        r0, c0, r1, c1 = room_state.sunlight_region
-        pixels[r0:r1, c0:c1] += room_state.sunlight_delta_c
-
-    if rng is not None and noise_sigma > 0.0:
-        pixels += rng.normal(0.0, noise_sigma, size=pixels.shape)
-
-    np.clip(pixels, TEMP_MIN_C, TEMP_MAX_C, out=pixels)
-    return ThermalFrame(
-        sensor_id="", timestamp=t, resolution=res, pixels_centi=quantize_pixels(pixels)
-    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import MS_PER_MINUTE, PostureLabel, parse_clock, parse_epoch
+from ..errors import ConfigError
 from ..layout import HomeLayout, default_layout, lite_layout
 from .scenario import (
     AmbientProfile,
@@ -228,6 +229,6 @@ def builtin(name: str) -> tuple[HomeLayout, ScenarioScript]:
     try:
         return BUILTIN_SCENARIOS[name]()
     except KeyError:
-        raise KeyError(
+        raise ConfigError(
             f"unknown builtin scenario {name!r}; have {sorted(BUILTIN_SCENARIOS)}"
         ) from None

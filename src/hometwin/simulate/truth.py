@@ -35,12 +35,6 @@ class GroundTruthTimeline:
     def minute_starts(self) -> np.ndarray:
         return self.start + MS_PER_MINUTE * np.arange(self.n_minutes, dtype=np.int64)
 
-    def posture_labels(self, sensor_id: str) -> list[PostureLabel]:
-        return [PostureLabel(int(v)) for v in self.posture_truth[sensor_id]]
-
-    def activity_labels(self) -> list[ActivityLabel]:
-        return [ActivityLabel(int(v)) for v in self.activity_truth]
-
 
 def write_truth_sidecar(truth: GroundTruthTimeline, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:

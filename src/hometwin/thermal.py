@@ -43,26 +43,24 @@ class PixelBaseline:
             frames_seen=celsius.shape[0],
         )
 
-    def update(self, celsius: np.ndarray, alpha: float) -> None:
-        """Exponentially weighted update from one unoccupied frame."""
-        delta = celsius - self.mean
-        self.mean += alpha * delta
-        self.var = (1.0 - alpha) * (self.var + alpha * delta * delta)
-        self.frames_seen += 1
+    def update(self, mean: np.ndarray, weight: float, frames: int) -> None:
+        """Exponentially weighted update from the mean of `frames` unoccupied
+        frames; `weight` is the combined weight of those frames."""
+        delta = mean - self.mean
+        self.mean = self.mean + weight * delta
+        self.var = (1.0 - weight) * (self.var + weight * delta * delta)
+        self.frames_seen += frames
 
 
 def should_calibrate(
     baseline: PixelBaseline,
     ambient_now: float,
-    occupied: bool,
     now: int,
     delta_cal_c: float = 1.5,
     min_recal_interval_min: float = 30.0,
 ) -> bool:
-    """Fire a self-calibration only on a significant ambient shift, with the
-    room unoccupied and the rate limit elapsed."""
-    if occupied:
-        return False
+    """Fire a self-calibration only on a significant ambient shift once the
+    rate limit has elapsed.  The tracker asks only in unoccupied chunks."""
     if abs(ambient_now - baseline.reference_ambient) <= delta_cal_c:
         return False
     return now - baseline.last_calibration >= min_recal_interval_min * MS_PER_MINUTE
@@ -329,22 +327,13 @@ class BaselineTracker:
 
             k = hi - lo
             weight = 1.0 - (1.0 - p.baseline_alpha) ** k
-            chunk_mean = celsius.mean(axis=0)
-            delta = chunk_mean - base.mean
-            base.mean = base.mean + weight * delta
-            base.var = (1.0 - weight) * (base.var + weight * delta * delta)
-            base.frames_seen += k
+            base.update(celsius.mean(axis=0), weight, k)
             if ambient_now is not None and self._ambient_at_mean is not None:
                 self._ambient_at_mean += weight * (ambient_now - self._ambient_at_mean)
             self._calib_ring.extend(celsius)
 
             if self._ambient is not None and should_calibrate(
-                base,
-                self._ambient,
-                False,
-                ts_end,
-                p.delta_cal_c,
-                p.min_recal_interval_min,
+                base, self._ambient, ts_end, p.delta_cal_c, p.min_recal_interval_min
             ):
                 ring = np.stack(self._calib_ring)
                 if apply_calibration(base, ring, self._ambient, ts_end, p.warmup_frames):

@@ -225,3 +225,48 @@ def test_builtin_scenario_runs(workdir, tmp_path):
     )
     assert code == 0
     assert (out / "packets.bin").exists()
+
+
+def test_unknown_builtin_scenario_exits_2(workdir, tmp_path, capsys):
+    _, model_dir = workdir
+    assert main(["simulate", "--scenario", "builtin:nope", "--out", str(tmp_path / "s")]) == 2
+    code = main(
+        [
+            "run",
+            "--scenario", "builtin:nope",
+            "--models", str(model_dir),
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    assert code == 2
+    assert "unknown builtin scenario 'nope'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_without_truth_exits_2_before_running(workdir, tmp_path, capsys):
+    root, model_dir = workdir
+    sim_out = tmp_path / "sim"
+    assert main(
+        [
+            "simulate",
+            "--scenario", str(root / "scenario.json"),
+            "--layout", str(root / "layout.json"),
+            "--out", str(sim_out),
+        ]
+    ) == 0
+    capsys.readouterr()
+    out = tmp_path / "eval"
+    code = main(
+        [
+            "evaluate",
+            "--packets", str(sim_out / "packets.bin"),
+            "--layout", str(root / "layout.json"),
+            "--models", str(model_dir),
+            "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "needs --truth" in err
+    assert "windows" not in err  # the pipeline never ran

@@ -42,3 +42,30 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("[1,2]")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+REMOVED_KEYS = [
+    "layout_path",
+    "scenario_path",
+    "model_dir",
+    "out_dir",
+    "store_path",
+    "sunlight_delta_c",
+    "gap_bridge_min",
+    "report_day_boundary",
+]
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_refused_everywhere(key, tmp_path, capsys):
+    from hometwin.cli import main
+
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig().override(**{key: 1})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: 1}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(path)
+    assert main(["print-config", "--set", f"{key}=1"]) == 2
+    assert main(["print-config"]) == 0
+    assert key not in json.loads(capsys.readouterr().out)

@@ -7,7 +7,6 @@ from hometwin.core import (
     PostureLabel,
     ReadingSeries,
     SensorKind,
-    ThermalFrame,
     format_clock,
     in_clock_window,
     ms_of_day,
@@ -93,9 +92,12 @@ def test_pixel_quantization_round_trips_exactly():
     assert np.array_equal(quantize_pixels(back), centi)
 
 
-def test_thermal_frame_shape_checked():
+def test_frame_block_shape_checked():
+    ts = np.arange(3, dtype=np.int64)
     with pytest.raises(DimensionError):
-        ThermalFrame("s", 0, 4, np.zeros((4, 5), dtype=np.int16))
+        FrameBlock("s", 4, ts, np.zeros((3, 4, 5), dtype=np.int16))
+    with pytest.raises(DimensionError):
+        FrameBlock("s", 4, ts, np.zeros((2, 4, 4), dtype=np.int16))
 
 
 def test_frame_block_slicing():

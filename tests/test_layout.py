@@ -13,7 +13,6 @@ from hometwin.layout import (
     layout_to_dict,
     lite_layout,
     load_layout,
-    room_of_sensor,
     save_layout,
     validate_layout,
 )
@@ -73,16 +72,16 @@ def test_module_composition():
 
 
 def test_room_of_sensor_lookup(layout):
-    assert room_of_sensor(layout, "bedroom/C0/thermal") == "bedroom"
-    assert room_of_sensor(layout, "door/B0/motion") == "door"
+    assert layout.sensor("bedroom/C0/thermal").room_id == "bedroom"
+    assert layout.sensor("door/B0/motion").room_id == "door"
     with pytest.raises(UnknownSensorError):
-        room_of_sensor(layout, "x99")
+        layout.sensor("x99")
 
 
 def test_valid_layout_every_sensor_resolves(layout):
     assert validate_layout(layout) == []
     for spec in layout.sensors():
-        assert room_of_sensor(layout, spec.sensor_id) == spec.room_id
+        assert layout.sensor(spec.sensor_id).room_id == spec.room_id
 
 
 def test_layout_json_round_trip(tmp_path):

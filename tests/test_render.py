@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from hometwin.core import PostureLabel
-from hometwin.layout import ModulePlacement, ModuleType
-from hometwin.simulate.render import (
-    BLOB_PARAMS,
-    OccupantBlob,
-    ResidualPatch,
-    RoomState,
-    blob_images,
-    path_positions,
-    render_thermal_frame,
-    sensor_grid,
+from hometwin.core import (
+    MS_PER_MINUTE,
+    PostureLabel,
+    parse_epoch,
+    pixels_to_celsius,
+    quantize_pixels,
 )
+from hometwin.layout import ModulePlacement, ModuleType, default_layout
+from hometwin.simulate import AmbientProfile, ScenarioScript, SimParams, SunlightPatch, simulate
+from hometwin.simulate.engine import _add_patch, _Patch
+from hometwin.simulate.render import BLOB_PARAMS, blob_images, path_positions, sensor_grid
 
 PLACEMENT = ModulePlacement(ModuleType.C, "room", (2.0, 1.75), fov_half_width=1.0)
+EPOCH = parse_epoch("2024-03-04T10:00:00")
+# a flat 28 C day in every room, so the ambient term is exact
+FLAT = AmbientProfile(temp_base_c=28.0, temp_amp_c=0.0)
 
 
 def pixel_center(row, col, placement=PLACEMENT, res=4):
@@ -24,21 +26,46 @@ def pixel_center(row, col, placement=PLACEMENT, res=4):
     return float(xs[row, col]), float(ys[row, col])
 
 
+def render_bodies(bodies):
+    """One 4x4 frame of 28 C ambient plus a blob per (center, posture), on the
+    wire grid, as the engine renders it."""
+    xs, ys = sensor_grid(PLACEMENT, 4)
+    pixels = np.full((4, 4), 28.0)
+    for (cx, cy), posture in bodies:
+        sx, sy, amp = BLOB_PARAMS[posture]
+        pixels += blob_images(xs, ys, [cx], [cy], sx, sy, [amp])[0]
+    return pixels_to_celsius(quantize_pixels(pixels))
+
+
+def simulate_flat(noise_sigma=0.0, sunlight=None):
+    """One empty minute of the default layout."""
+    layout = default_layout()
+    script = ScenarioScript(
+        EPOCH,
+        1,
+        [],
+        ambient={room.room_id: FLAT for room in layout.rooms},
+        sunlight=sunlight,
+    )
+    return simulate(layout, script, seed=0, params=SimParams(pixel_noise_sigma=noise_sigma))
+
+
+def frames_of(bundle, sensor_id):
+    blocks = bundle.frames_for(sensor_id)
+    return pixels_to_celsius(np.concatenate([b.pixels_centi for b in blocks]))
+
+
 def test_empty_room_is_uniform_ambient():
-    state = RoomState(ambient_c=28.0)
-    frame = render_thermal_frame(state, PLACEMENT, t=0, rng=None, noise_sigma=0.0, resolution=4)
-    assert np.all(frame.celsius() == pytest.approx(28.0))
+    bundle = simulate_flat()
+    assert bundle.frames
+    for block in bundle.frames:
+        assert np.all(pixels_to_celsius(block.pixels_centi) == pytest.approx(28.0))
 
 
 def test_lie_down_blob_peak_and_elongation():
     # blob placed exactly on a pixel center: that pixel reads ambient + amplitude
     cx, cy = pixel_center(2, 1)
-    state = RoomState(
-        ambient_c=28.0,
-        occupants=[OccupantBlob((cx, cy), PostureLabel.LIE_DOWN)],
-    )
-    frame = render_thermal_frame(state, PLACEMENT, 0, rng=None, noise_sigma=0.0, resolution=4)
-    celsius = frame.celsius()
+    celsius = render_bodies([((cx, cy), PostureLabel.LIE_DOWN)])
     assert celsius[2, 1] == pytest.approx(34.0, abs=0.01)
     assert celsius.argmax() == 2 * 4 + 1
 
@@ -58,11 +85,10 @@ def test_lie_down_blob_peak_and_elongation():
 
 def test_stand_hotter_and_tighter_than_sit():
     cx, cy = pixel_center(1, 1)
-    value = {}
-    for posture in (PostureLabel.SIT, PostureLabel.STAND):
-        state = RoomState(28.0, occupants=[OccupantBlob((cx, cy), posture)])
-        frame = render_thermal_frame(state, PLACEMENT, 0, None, 0.0, 4)
-        value[posture] = frame.celsius()
+    value = {
+        posture: render_bodies([((cx, cy), posture)])
+        for posture in (PostureLabel.SIT, PostureLabel.STAND)
+    }
     assert value[PostureLabel.STAND][1, 1] > value[PostureLabel.SIT][1, 1]
     # neighbor ratio: sit spreads more
     sit = value[PostureLabel.SIT]
@@ -71,44 +97,52 @@ def test_stand_hotter_and_tighter_than_sit():
 
 
 def test_occupant_outside_fov_contributes_nothing():
-    state = RoomState(28.0, occupants=[OccupantBlob((80.0, 80.0), PostureLabel.STAND)])
-    frame = render_thermal_frame(state, PLACEMENT, 0, None, 0.0, 4)
-    assert np.all(np.abs(frame.celsius() - 28.0) < 0.005)
+    celsius = render_bodies([((80.0, 80.0), PostureLabel.STAND)])
+    assert np.all(np.abs(celsius - 28.0) < 0.005)
+
+
+def patch_pixels(posture, amplitude_c, ts, tau_ms, row=2, col=1):
+    """The engine's residual-heat term alone, at the pixel under the patch."""
+    xs, ys = sensor_grid(PLACEMENT, 4)
+    pixels = np.zeros((len(ts), 4, 4))
+    patch = _Patch(0, np.array(pixel_center(row, col)), posture, 0.0, amplitude_c)
+    _add_patch(pixels, np.asarray(ts, dtype=np.int64), xs, ys, patch, tau_ms)
+    return pixels[:, row, col]
 
 
 def test_residual_patch_decay_e_fold():
-    cx, cy = pixel_center(2, 1)
     tau_ms = 600_000
-    patch = ResidualPatch((cx, cy), PostureLabel.LIE_DOWN, 0.0, amplitude_c=2.4, t0=0, tau_ms=tau_ms)
-    state = RoomState(28.0, patches=[patch])
-    at_zero = render_thermal_frame(state, PLACEMENT, 0, None, 0.0, 4).celsius()[2, 1]
-    at_tau = render_thermal_frame(state, PLACEMENT, tau_ms, None, 0.0, 4).celsius()[2, 1]
-    assert at_zero - 28.0 == pytest.approx(2.4, abs=0.01)
-    assert at_tau - 28.0 == pytest.approx(2.4 / math.e, abs=0.01)
+    at_zero, at_tau = patch_pixels(PostureLabel.LIE_DOWN, 2.4, [0, tau_ms], tau_ms)
+    assert at_zero == pytest.approx(2.4, abs=0.01)
+    assert at_tau == pytest.approx(2.4 / math.e, abs=0.01)
 
 
 def test_residual_patch_decays_below_tenth_within_five_taus():
-    patch = ResidualPatch((2.0, 1.75), PostureLabel.SIT, 0.0, amplitude_c=3.2, t0=0, tau_ms=600_000)
-    amps = patch.amplitude_at(np.arange(0, 6 * 600_000, 60_000))
-    assert np.all(np.diff(amps) < 0)  # monotone decay
-    assert amps[-1] < 0.1 and patch.amplitude_at(5 * 600_000) < 0.1
+    tau_ms = 600_000
+    ts = np.arange(0, 6 * tau_ms, MS_PER_MINUTE)
+    amps = patch_pixels(PostureLabel.SIT, 3.2, ts, tau_ms)
+    within = ts < 5 * tau_ms
+    assert np.all(np.diff(amps[within]) < 0)  # monotone decay
+    assert amps[within][-1] < 0.1  # already faint when the engine drops the patch
+    assert np.all(amps[~within] == 0.0)
 
 
 def test_sunlight_patch_applied_to_region():
-    state = RoomState(28.0, sunlight_region=(0, 1, 2, 3), sunlight_delta_c=4.0)
-    celsius = render_thermal_frame(state, PLACEMENT, 0, None, 0.0, 4).celsius()
-    assert np.all(celsius[0:2, 1:3] == pytest.approx(32.0))
-    assert celsius[3, 3] == pytest.approx(28.0)
+    sun = SunlightPatch("bedroom", 0, 1, 2, 3, clock_start=0, clock_end=86_399_000, delta_c=4.0)
+    bundle = simulate_flat(sunlight=sun)
+    celsius = frames_of(bundle, "bedroom/C0/thermal")
+    assert np.all(celsius[:, 0:2, 1:3] == pytest.approx(32.0))
+    assert np.all(celsius[:, 3, 3] == pytest.approx(28.0))
+    outside = np.ones((4, 4), dtype=bool)
+    outside[0:2, 1:3] = False
+    assert np.all(celsius[:, outside] == pytest.approx(28.0))
+    # other rooms see no sunlight
+    assert np.all(frames_of(bundle, "dining/C0/thermal") == pytest.approx(28.0))
 
 
 def test_noise_statistics():
-    state = RoomState(28.0)
-    rng = np.random.default_rng(0)
-    frames = [
-        render_thermal_frame(state, PLACEMENT, 0, rng, noise_sigma=0.3, resolution=32).celsius()
-        for _ in range(30)
-    ]
-    stacked = np.stack(frames) - 28.0
+    stacked = frames_of(simulate_flat(noise_sigma=0.3), "living/D0/thermal") - 28.0
+    assert stacked.shape[1:] == (32, 32)
     assert abs(stacked.std() - 0.3) < 0.01
     assert abs(stacked.mean()) < 0.01
 

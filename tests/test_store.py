@@ -1,8 +1,10 @@
+import zlib
+
 import numpy as np
 import pytest
 
 from hometwin.core import FrameBlock, ReadingSeries, SensorKind
-from hometwin.errors import RangeError
+from hometwin.errors import RangeError, WireFormatError
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.store import RecordStore
 
@@ -106,7 +108,7 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_failed_save_leaves_previous_snapshot_whole(tmp_path, monkeypatch):
-    import hometwin.ingestion.store as store_module
+    import hometwin.files as files_module  # the store saves through write_atomic
 
     rng = np.random.default_rng(12)
     before = RecordStore()
@@ -140,7 +142,7 @@ def test_failed_save_leaves_previous_snapshot_whole(tmp_path, monkeypatch):
             return getattr(self.fh, name)
 
     monkeypatch.setattr(
-        store_module, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False
+        files_module, "open", lambda *a, **k: FailingFile(open(*a, **k)), raising=False
     )
     with pytest.raises(OSError):
         after.save(path)
@@ -152,3 +154,76 @@ def test_failed_save_leaves_previous_snapshot_whole(tmp_path, monkeypatch):
         assert loaded.query(sensor_id, 0, 10**12) == before.query(sensor_id, 0, 10**12)
     assert loaded.gaps() == before.gaps()
     assert [p.name for p in tmp_path.iterdir()] == ["store.bin"]
+
+
+def _snapshot_blob(tmp_path) -> bytearray:
+    """A snapshot with one hub, one light series and one 4x4 frame series."""
+    light = ReadingSeries("a/A0/light", SensorKind.LIGHT, np.array([60_000]), np.array([1.5]))
+    frames = FrameBlock(
+        "a/C0/thermal", 4, np.array([60_000]), np.full((1, 4, 4), 2800, dtype=np.int16)
+    )
+    store = RecordStore()
+    store.append(HubPacket("hub0", 0, 60_000, 120_000, [light], [frames]))
+    path = tmp_path / "store.bin"
+    store.save(path)
+    return bytearray(path.read_bytes())
+
+
+def _load_resealed(tmp_path, blob: bytearray) -> RecordStore:
+    """Load a hand-edited snapshot with its crc recomputed, so only the edit is wrong."""
+    blob[9:13] = zlib.crc32(bytes(blob[13:])).to_bytes(4, "little")
+    path = tmp_path / "edited.bin"
+    path.write_bytes(bytes(blob))
+    return RecordStore.load(path)
+
+
+def test_snapshot_blob_loads_as_built(tmp_path):
+    store = _load_resealed(tmp_path, _snapshot_blob(tmp_path))
+    assert store.sensor_ids() == ["a/A0/light", "a/C0/thermal"]
+    assert store.query_readings("a/A0/light", 0, 10**6).kind is SensorKind.LIGHT
+
+
+@pytest.mark.parametrize("index", [4, 5, 6, 255])
+def test_snapshot_bad_reading_kind_index_reports_offset(tmp_path, index):
+    blob = _snapshot_blob(tmp_path)
+    kind_at = blob.index(b"a/A0/light") + len("a/A0/light")
+    assert blob[kind_at] == 1  # SensorKind.LIGHT
+    blob[kind_at] = index
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob)
+    assert err.value.offset == kind_at
+
+
+def test_snapshot_non_utf8_sensor_id_reports_offset(tmp_path):
+    blob = _snapshot_blob(tmp_path)
+    id_at = blob.index(b"a/A0/light")
+    blob[id_at] = 0xFF
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob)
+    assert err.value.offset == id_at
+
+
+def test_snapshot_trailing_bytes_report_offset(tmp_path):
+    blob = _snapshot_blob(tmp_path)
+    size = len(blob)
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob + b"\x00")
+    assert err.value.offset == size
+
+
+@pytest.mark.parametrize("resolution", [0, 8, 16])
+def test_snapshot_bad_resolution_reports_offset(tmp_path, resolution):
+    blob = _snapshot_blob(tmp_path)
+    res_at = blob.index(b"a/C0/thermal") + len("a/C0/thermal")
+    assert blob[res_at] == 4
+    blob[res_at] = resolution
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob)
+    assert err.value.offset == res_at
+
+
+def test_snapshot_truncation_reports_offset(tmp_path):
+    blob = _snapshot_blob(tmp_path)
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob[:-3])
+    assert 13 <= err.value.offset < len(blob) - 3

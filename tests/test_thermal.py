@@ -75,19 +75,35 @@ class TestFilterFrame:
 class TestShouldCalibrate:
     def test_fires_on_significant_drift(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert should_calibrate(base, 30.0, occupied=False, now=31 * 60_000)
+        assert should_calibrate(base, 30.0, now=31 * 60_000)
 
     def test_never_fires_occupied(self):
-        base = flat_baseline(ambient=28.0, at=0)
-        assert not should_calibrate(base, 30.0, occupied=True, now=31 * 60_000)
+        # the tracker asks only in unoccupied chunks: a 2 C ambient shift
+        # recalibrates an empty room after the rate limit, never an occupied one
+        rng = np.random.default_rng(5)
+        n = 35 * 240  # 35 minutes at 4 Hz
+        ts = np.arange(n, dtype=np.int64) * 250
+        ambient_ts = np.arange(0, int(ts[-1]) + 5000, 5000, dtype=np.int64)
+        ambient = np.where(ambient_ts < 60_000, 28.0, 30.0)
+        empty = 2800 + rng.normal(0, 30, size=(n, 4, 4))
+        occupied = empty.copy()
+        occupied[200:, 1, 1] += 600  # a still 6 C body from frame 200 on
+        events = {}
+        for name, frames in (("empty", empty), ("occupied", occupied)):
+            tracker = BaselineTracker(4, TrackerParams(warmup_frames=40))
+            tracker.set_ambient_series(ambient_ts, ambient)
+            tracker.process(ts, frames.astype(np.int16))
+            events[name] = tracker.calibration_events
+        assert events["empty"]
+        assert events["occupied"] == []
 
     def test_below_threshold_no_fire(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert not should_calibrate(base, 28.5, occupied=False, now=31 * 60_000)
+        assert not should_calibrate(base, 28.5, now=31 * 60_000)
 
     def test_rate_limited(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert not should_calibrate(base, 30.0, occupied=False, now=10 * 60_000)
+        assert not should_calibrate(base, 30.0, now=10 * 60_000)
 
 
 class TestApplyCalibration:

@@ -145,3 +145,59 @@ def test_training_releases_step_buffers(small_dataset, monkeypatch):
     logits = net.forward(x[:8], train=True, rng=np.random.default_rng(0))
     assert logits.shape == (8, 5)
     assert net.backward(np.ones_like(logits)).shape == x[:8].shape
+
+
+def _saved_blob(tmp_path, **replace) -> bytearray:
+    """Bytes of a fresh 4x4 model file, with any tensors in `replace` swapped in."""
+    net = PostureNet(config_for_resolution(4))
+    state = {**net.state_dict(), **replace}
+    net.state_dict = lambda: state
+    path = tmp_path / "fresh.htm"
+    save_model(net, path)
+    return bytearray(path.read_bytes())
+
+
+def _load_edited(tmp_path, blob):
+    path = tmp_path / "edited.htm"
+    path.write_bytes(bytes(blob))
+    return load_model(path)
+
+
+def test_model_file_non_utf8_tensor_name_rejected(tmp_path):
+    blob = _saved_blob(tmp_path)
+    name_at = blob.index(b"m0.b")
+    blob[name_at] = 0xFF
+    with pytest.raises(ModelFormatError, match=f"byte {name_at}"):
+        _load_edited(tmp_path, blob)
+
+
+def test_model_file_trailing_bytes_rejected(tmp_path):
+    blob = _saved_blob(tmp_path)
+    _load_edited(tmp_path, blob)  # the file as written loads
+    with pytest.raises(ModelFormatError, match="1 trailing bytes"):
+        _load_edited(tmp_path, blob + b"\x00")
+
+
+def test_model_file_tensor_shape_must_match_config(tmp_path):
+    conv_bias = PostureNet(config_for_resolution(4)).state_dict()["m0.b"]
+    assert conv_bias.shape == (16,)
+    blob = _saved_blob(tmp_path, **{"m0.b": conv_bias[:1]})  # would broadcast
+    with pytest.raises(ModelFormatError, match="m0.b"):
+        _load_edited(tmp_path, blob)
+
+
+def test_failed_model_save_leaves_previous_file_whole(tmp_path, monkeypatch):
+    import hometwin.files as files_module
+
+    path = tmp_path / "fresh.htm"
+    before = bytes(_saved_blob(tmp_path))
+
+    def disk_full(src, dst):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(files_module.os, "replace", disk_full)
+    with pytest.raises(OSError):
+        save_model(PostureNet(config_for_resolution(4)), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["fresh.htm"]
