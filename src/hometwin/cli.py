@@ -155,18 +155,27 @@ def _ingest_packets(path: str | Path) -> tuple[RecordStore, int, int]:
     return store, start, end
 
 
+def _simulate_into_store(layout: HomeLayout, script: ScenarioScript, config: PipelineConfig):
+    """A scenario's packets in a fresh store, with its window and truth.
+
+    The store's frames are views of the simulated ones until its first query
+    consolidates them, so the bundle and its packets are released on return:
+    holding them would keep a second copy of every frame through the pipeline.
+    """
+    bundle = simulate(layout, script, config.seed, SimParams.from_config(config))
+    store = RecordStore()
+    for packet in bundle.to_packets():
+        store.append(packet)
+    return store, bundle.start, bundle.end, bundle.truth
+
+
 def _run(args):
     """Shared run/evaluate front half; returns the pipeline result and context."""
     config = _config_from_args(args)
     if args.scenario:
         # full in-process path: simulate -> packets -> store -> pipeline
         layout, script = _load_inputs(args)
-        bundle = simulate(layout, script, config.seed, SimParams.from_config(config))
-        store = RecordStore()
-        for packet in bundle.to_packets():
-            store.append(packet)
-        start, end = bundle.start, bundle.end
-        truth = bundle.truth
+        store, start, end, truth = _simulate_into_store(layout, script, config)
     elif args.packets:
         if not args.layout:
             raise ConfigError("--layout is required with --packets")
@@ -294,13 +303,12 @@ def cmd_ingest(args) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("timestamp,sensor_id,kind,value\n")
             for sensor_id in store.sensor_ids():
-                series = store.query(sensor_id, start, end)
-                if hasattr(series, "values"):
-                    for i in range(len(series)):
-                        fh.write(
-                            f"{int(series.timestamps[i])},{sensor_id},"
-                            f"{series.kind.value},{series.values[i]:.2f}\n"
-                        )
+                series = store.query_readings(sensor_id, start, end)
+                for i in range(len(series)):
+                    fh.write(
+                        f"{int(series.timestamps[i])},{sensor_id},"
+                        f"{series.kind.value},{series.values[i]:.2f}\n"
+                    )
         _log(f"reading dump -> {args.csv}")
     return EXIT_OK
 

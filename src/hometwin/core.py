@@ -122,11 +122,6 @@ UNKNOWN_ACTIVITY = 7
 ACTIVITY_NAMES = [label.name for label in ActivityLabel] + ["UNKNOWN"]
 
 
-def quantize(value: float) -> float:
-    """Snap a scalar reading onto the 0.01 wire grid (round half to even)."""
-    return float(np.round(value * 100.0) / 100.0)
-
-
 def quantize_pixels(celsius: np.ndarray) -> np.ndarray:
     """Convert float degrees Celsius to the canonical int16 centi-degree grid."""
     return np.clip(np.rint(np.asarray(celsius) * 100.0), -32768, 32767).astype(np.int16)

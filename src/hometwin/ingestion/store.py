@@ -118,11 +118,6 @@ class RecordStore:
         hi = int(np.searchsorted(ts, t1, side="left"))
         return FrameBlock(sensor_id, res, ts[lo:hi], px[lo:hi])
 
-    def query(self, sensor_id: str, t0: int, t1: int) -> ReadingSeries | FrameBlock:
-        if sensor_id in self._frames:
-            return self.query_frames(sensor_id, t0, t1)
-        return self.query_readings(sensor_id, t0, t1)
-
     def sensor_ids(self) -> list[str]:
         return sorted(set(self._readings) | set(self._frames))
 
@@ -208,6 +203,18 @@ class RecordStore:
             code, n = _GROUP_META.unpack_from(data, pos)
             return sid, code, n, pos, at
 
+        def timestamps(sid: str, n: int, at: int) -> np.ndarray:
+            """A series' timestamps; queries binary-search them, so a series
+            out of order is malformed at its first backward step."""
+            ts = np.frombuffer(data, "<i8", n, at).astype(np.int64)
+            back = np.flatnonzero(np.diff(ts) < 0)
+            if len(back):
+                row = int(back[0]) + 1
+                raise WireFormatError(
+                    f"series {sid} timestamps go backwards at row {row}", at + 8 * row
+                )
+            return ts
+
         store = cls()
         n_hubs, pos = count(pos)
         for _ in range(n_hubs):
@@ -224,7 +231,7 @@ class RecordStore:
                     f"reading series {sid} has bad sensor kind index {kind_idx}", kind_at
                 )
             pos = _need(at, 12 * n, end)
-            ts = np.frombuffer(data, "<i8", n, at).astype(np.int64)
+            ts = timestamps(sid, n, at)
             vals = np.frombuffer(data, "<i4", n, at + 8 * n).astype(np.float64) / 100.0
             store._readings[sid] = (_KINDS[kind_idx], [ts], [vals])
 
@@ -234,7 +241,7 @@ class RecordStore:
             if res not in (4, 32):
                 raise WireFormatError(f"frame series {sid} has bad resolution {res}", res_at)
             pos = _need(at, (8 + 2 * res * res) * n, end)
-            ts = np.frombuffer(data, "<i8", n, at).astype(np.int64)
+            ts = timestamps(sid, n, at)
             px = np.frombuffer(data, "<i2", n * res * res, at + 8 * n).astype(np.int16)
             store._frames[sid] = (res, [ts], [px.reshape(n, res, res)])
 

@@ -1,11 +1,11 @@
 """End-to-end batch pipeline: sensor streams -> residuals -> posture windows
 -> minute evidence -> rule cascade -> post-hoc not-at-home -> timeline.
 
-Consumes either a StreamBundle (in memory) or a RecordStore; both reduce to
-per-sensor time-ordered arrays.
+Reads one [start, end) window of a RecordStore: each sensor's readings as
+one time-ordered series and each thermal sensor's frames as one block.
 
-Each thermal frame block passes through as one columnar window stack, with
-no per-window objects: the tracker turns it into residuals, `build_windows`
+The frame block passes through as one columnar window stack, with no
+per-window objects: the tracker turns it into residuals, `build_windows`
 tiles them into 20-frame windows and drops the off-cadence ones,
 `stack_windows` returns the kept windows as a [k, 20, r, r] view (one
 gather when some were dropped), and batched kernels compute the motion
@@ -30,14 +30,12 @@ from .core import (
     SensorKind,
     in_clock_window,
 )
-from .errors import ConfigError
 from .ingestion.store import RecordStore
 from .layout import HomeLayout, RoomRole
 from .posture.net import PostureNet
 from .posture.windows import build_windows, stack_windows
 from .activity.evidence import MinuteEvidence, RoomEvidence
 from .activity.rules import ActivityTimeline, RuleParams, classify_timeline, detect_not_at_home
-from .simulate.engine import StreamBundle
 from .thermal import BaselineTracker, TrackerParams, count_blobs, motion_index
 
 
@@ -93,54 +91,22 @@ class PipelineResult:
     thetas: dict[str, float]  # sensor_id -> activity gate used
     evidence: list[MinuteEvidence]
 
-    def track_for_role(self, role: RoomRole) -> SensorTrack | None:
-        for track in self.tracks.values():
-            if track.room_role == role:
-                return track
-        return None
 
-
+@dataclass
 class StreamSource:
-    """Uniform access to per-sensor series from a bundle or a store."""
+    """The [start, end) window of a record store, per sensor."""
 
-    def __init__(
-        self,
-        layout: HomeLayout,
-        bundle: StreamBundle | None = None,
-        store: RecordStore | None = None,
-        start: int | None = None,
-        end: int | None = None,
-    ):
-        if (bundle is None) == (store is None):
-            raise ConfigError("provide exactly one of bundle or store")
-        self.layout = layout
-        self.bundle = bundle
-        self.store = store
-        if bundle is not None:
-            self.start = bundle.start if start is None else start
-            self.end = bundle.end if end is None else end
-        else:
-            if start is None or end is None:
-                raise ConfigError("store sources need an explicit [start, end) window")
-            self.start = start
-            self.end = end
+    layout: HomeLayout
+    store: RecordStore
+    start: int
+    end: int
 
     def readings(self, sensor_id: str) -> ReadingSeries:
-        if self.bundle is not None:
-            series = self.bundle.readings_for(sensor_id)
-            if series is None:
-                return ReadingSeries(
-                    sensor_id,
-                    self.layout.sensor(sensor_id).kind,
-                    np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64),
-                )
-            return series
         return self.store.query_readings(sensor_id, self.start, self.end)
 
     def frame_blocks(self, sensor_id: str) -> list[FrameBlock]:
-        if self.bundle is not None:
-            return self.bundle.frames_for(sensor_id)
+        """The sensor's frames as a one-block list, the form the sleep
+        analytics take."""
         return [self.store.query_frames(sensor_id, self.start, self.end)]
 
 
@@ -161,11 +127,7 @@ def _process_thermal_sensor(
     model: PostureNet | None,
     config: PipelineConfig,
 ) -> SensorTrack:
-    """Baseline-filter the stream and classify every 5 s window.
-
-    Each frame block becomes one window stack, so a block's residuals are
-    released as soon as its windows are classified.
-    """
+    """Baseline-filter the sensor's frames and classify every 5 s window."""
     spec = source.layout.sensor(sensor_id)
     room = source.layout.room(spec.room_id)
     resolution = spec.kind.resolution
@@ -185,32 +147,27 @@ def _process_thermal_sensor(
     if ambient is not None and len(ambient):
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
 
-    starts, motion, blobs, posture = [], [], [], []
-    dropped = 0
-    for block in source.frame_blocks(sensor_id):
-        if not len(block):
-            continue
+    (block,) = source.frame_blocks(sensor_id)
+    kept = off_cadence = np.empty(0, dtype=np.int64)
+    if len(block):
         residuals = tracker.process(block.timestamps, block.pixels_centi)
         kept, off_cadence = build_windows(
             block.timestamps, residuals, period_ms=config.frame_period_ms
         )
-        dropped += len(off_cadence)
-        if not len(kept):
-            continue
+    start = block.timestamps[kept * WINDOW_FRAMES]
+    motion = np.empty(0, dtype=np.float64)
+    blobs = posture = np.empty(0, dtype=np.int64)
+    if len(kept):
         windows = stack_windows(residuals, kept)
-        starts.append(block.timestamps[kept * WINDOW_FRAMES])
-        motion.append(motion_index(windows))
+        motion = motion_index(windows)
         if resolution == 32:
-            blobs.append(
-                count_blobs(
-                    windows.mean(axis=1), config.blob_threshold_c, config.blob_min_pixels
-                )
+            blobs = count_blobs(
+                windows.mean(axis=1), config.blob_threshold_c, config.blob_min_pixels
             )
         else:
-            blobs.append(np.zeros(len(kept), dtype=np.int64))
-        posture.append(_classify(model, windows))
+            blobs = np.zeros(len(kept), dtype=np.int64)
+        posture = _classify(model, windows)
 
-    start = _concat(starts, np.int64)
     window_ms = config.frame_period_ms * WINDOW_FRAMES
     return SensorTrack(
         sensor_id,
@@ -219,10 +176,10 @@ def _process_thermal_sensor(
         resolution,
         start=start,
         interval_index=np.rint((start - source.start) / window_ms).astype(np.int64),
-        motion_index=_concat(motion, np.float64),
-        blob_count=_concat(blobs, np.int64),
-        posture=_concat(posture, np.int64),
-        dropped_windows=dropped,
+        motion_index=motion,
+        blob_count=blobs,
+        posture=posture,
+        dropped_windows=len(off_cadence),
         calibration_events=list(tracker.calibration_events),
     )
 
@@ -238,10 +195,6 @@ def _classify(model: PostureNet | None, windows: np.ndarray) -> np.ndarray:
             for lo in range(0, len(windows), batch)
         ]
     )
-
-
-def _concat(parts: list[np.ndarray], dtype) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
 
 
 # auto threshold = multiplier x the lower-quartile window index pooled over

@@ -96,22 +96,6 @@ class StreamBundle:
     start: int
     end: int
 
-    def readings_for(self, sensor_id: str) -> ReadingSeries | None:
-        parts = [s for s in self.readings if s.sensor_id == sensor_id]
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        return ReadingSeries(
-            sensor_id,
-            parts[0].kind,
-            np.concatenate([p.timestamps for p in parts]),
-            np.concatenate([p.values for p in parts]),
-        )
-
-    def frames_for(self, sensor_id: str) -> list[FrameBlock]:
-        return [b for b in self.frames if b.sensor_id == sensor_id]
-
     def to_packets(self, hub_id: str = "hub0") -> list[HubPacket]:
         """Batch the whole bundle through a per-minute redirector."""
         window_start = self.start - self.start % MS_PER_MINUTE

@@ -1,5 +1,5 @@
 """Ready-made scenario scripts: the sleep-analysis day, a mixed activity day,
-randomized outing days, and the calibration/sunlight stress scenarios.
+randomized outing days, and the sunlight stress scenario.
 
 All times are scenario-local; layouts come from hometwin.layout.
 """
@@ -12,7 +12,6 @@ from ..core import MS_PER_MINUTE, PostureLabel, parse_clock, parse_epoch
 from ..errors import ConfigError
 from ..layout import HomeLayout, default_layout, lite_layout
 from .scenario import (
-    AmbientProfile,
     LampToggle,
     LeaveHome,
     NoiseBurst,
@@ -172,30 +171,6 @@ def outing_day(seed: int, n_outings: int | None = None) -> tuple[HomeLayout, Sce
         OccupyRoom(start=m(cursor), end=m(duration - 5), room_id="dining", posture=PostureLabel.SIT)
     )
     return layout, ScenarioScript(epoch=epoch, duration_min=duration, events=events)
-
-
-def drift_scenario(occupied: bool = False) -> tuple[HomeLayout, ScenarioScript]:
-    """Ambient rises 2 degrees C per hour for the whole two-hour scenario;
-    run it with zero pixel noise to isolate the calibration behavior."""
-    layout = lite_layout()
-    epoch = parse_epoch("2024-03-06T10:00:00")
-    ambient = {
-        room.room_id: AmbientProfile(temp_amp_c=0.0, temp_ramp_c_per_h=2.0)
-        for room in layout.rooms
-    }
-    events = []
-    if occupied:
-        events.append(
-            OccupyRoom(
-                start=_m(epoch, 2),
-                end=_m(epoch, 118),
-                room_id="dining",
-                posture=PostureLabel.SIT,
-            )
-        )
-    return layout, ScenarioScript(
-        epoch=epoch, duration_min=120, events=events, ambient=ambient
-    )
 
 
 def sunlight_scenario() -> tuple[HomeLayout, ScenarioScript]:

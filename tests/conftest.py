@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from hometwin.core import FrameBlock, ReadingSeries, SensorKind, quantize
+from hometwin.core import FrameBlock, ReadingSeries, SensorKind
 from hometwin.ingestion.packets import HubPacket
+from hometwin.ingestion.store import RecordStore
 from hometwin.layout import default_layout
+from hometwin.pipeline import StreamSource
 
 
 @pytest.fixture
@@ -47,8 +49,9 @@ def random_packet(rng: np.random.Generator, seq: int = 0, hub_id: str = "hub0") 
             "temperature": SensorKind.TEMP_HUMIDITY,
         }[sensor_id.rsplit("/", 1)[1]]
         ts = window_start + np.sort(rng.integers(0, 60_000, size=int(rng.integers(1, 4))))
-        values = [quantize(float(rng.uniform(-100, 500))) for _ in ts]
-        readings.append(ReadingSeries(sensor_id, kind, ts.astype(np.int64), np.array(values)))
+        # on the 0.01 grid, rounding half to even as the wire does
+        values = np.array([np.round(rng.uniform(-100, 500) * 100.0) / 100.0 for _ in ts])
+        readings.append(ReadingSeries(sensor_id, kind, ts.astype(np.int64), values))
     if rng.random() < 0.5:
         ts = window_start + np.sort(rng.integers(0, 60_000, size=3)).astype(np.int64)
         ts = np.unique(ts)
@@ -68,3 +71,40 @@ def random_packet(rng: np.random.Generator, seq: int = 0, hub_id: str = "hub0") 
             )
         )
     return HubPacket(hub_id, seq, window_start, window_start + 60_000, readings, frames)
+
+
+def bundle_readings(bundle, sensor_id: str) -> ReadingSeries | None:
+    """A simulated sensor's readings as one series, or None without any."""
+    parts = [s for s in bundle.readings if s.sensor_id == sensor_id]
+    if not parts:
+        return None
+    return ReadingSeries(
+        sensor_id,
+        parts[0].kind,
+        np.concatenate([p.timestamps for p in parts]),
+        np.concatenate([p.values for p in parts]),
+    )
+
+
+def bundle_frames(bundle, sensor_id: str) -> list[FrameBlock]:
+    """A simulated thermal sensor's frame blocks (one per rendered hour)."""
+    return [b for b in bundle.frames if b.sensor_id == sensor_id]
+
+
+def store_source(layout, bundle, start: int | None = None, end: int | None = None) -> StreamSource:
+    """The bundle's packets in a fresh store, read over [start, end) (by
+    default the bundle's whole span)."""
+    store = RecordStore()
+    for packet in bundle.to_packets():
+        store.append(packet)
+    start = bundle.start if start is None else start
+    end = bundle.end if end is None else end
+    return StreamSource(layout, store=store, start=start, end=end)
+
+
+def store_contents(store) -> list[tuple[str, ReadingSeries, FrameBlock]]:
+    """Every sensor's readings and frames, over all time."""
+    return [
+        (sid, store.query_readings(sid, 0, 10**15), store.query_frames(sid, 0, 10**15))
+        for sid in store.sensor_ids()
+    ]

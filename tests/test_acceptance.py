@@ -15,17 +15,17 @@ from hometwin import analytics
 from hometwin.activity.evaluate import evaluate_timeline
 from hometwin.activity.rules import RuleParams, classify_minute
 from hometwin.config import PipelineConfig
-from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel
+from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, parse_epoch
 from hometwin.ingestion.store import RecordStore
 from hometwin.ingestion.wire import decode_packet, encode_packet
-from hometwin.layout import RoomRole
+from hometwin.layout import HomeLayout, RoomRole, lite_layout
 from hometwin.pipeline import StreamSource, run_pipeline
 from hometwin.posture.data import generate_posture_dataset
 from hometwin.posture.net import config_for_resolution
 from hometwin.posture.train import gradient_check, train
 from hometwin.simulate.engine import SimParams, simulate
+from hometwin.simulate.scenario import AmbientProfile, OccupyRoom, ScenarioScript
 from hometwin.simulate.scripts import (
-    drift_scenario,
     mixed_day,
     outing_day,
     sleep_day,
@@ -33,7 +33,7 @@ from hometwin.simulate.scripts import (
 )
 from hometwin.thermal import BaselineTracker, TrackerParams
 
-from conftest import random_packet
+from conftest import bundle_frames, bundle_readings, random_packet, store_contents, store_source
 
 TRAIN_SEED = 11
 WINDOWS_PER_CLASS = 2000
@@ -122,9 +122,7 @@ def test_criterion_1_wire_round_trip_and_idempotency():
         store = RecordStore()
         for i in order:
             store.append(multiset[i])
-        snapshot = [
-            (sid, store.query(sid, 0, 10**15)) for sid in store.sensor_ids()
-        ]
+        snapshot = store_contents(store)
         if reference is None:
             reference = snapshot
         else:
@@ -162,13 +160,37 @@ def test_criterion_3_posture_accuracy(full_models):
     )
 
 
+def drift_scenario(occupied: bool = False) -> tuple[HomeLayout, ScenarioScript]:
+    """Ambient rises 2 degrees C per hour for the whole two-hour scenario;
+    run it with zero pixel noise to isolate the calibration behavior."""
+    layout = lite_layout()
+    epoch = parse_epoch("2024-03-06T10:00:00")
+    ambient = {
+        room.room_id: AmbientProfile(temp_amp_c=0.0, temp_ramp_c_per_h=2.0)
+        for room in layout.rooms
+    }
+    events = []
+    if occupied:
+        events.append(
+            OccupyRoom(
+                start=epoch + 2 * MS_PER_MINUTE,
+                end=epoch + 118 * MS_PER_MINUTE,
+                room_id="dining",
+                posture=PostureLabel.SIT,
+            )
+        )
+    return layout, ScenarioScript(
+        epoch=epoch, duration_min=120, events=events, ambient=ambient
+    )
+
+
 def test_criterion_4_calibration_drift():
     params = SimParams(pixel_noise_sigma=0.0)
 
     layout, script = drift_scenario(occupied=False)
     bundle = simulate(layout, script, seed=3, params=params)
-    blocks = bundle.frames_for("dining/C0/thermal")
-    ambient = bundle.readings_for("dining/C0/temperature")
+    blocks = bundle_frames(bundle, "dining/C0/thermal")
+    ambient = bundle_readings(bundle, "dining/C0/temperature")
     tracker = BaselineTracker(4, TrackerParams())
     tracker.set_ambient_series(ambient.timestamps, ambient.values)
     residuals = np.concatenate([tracker.process(b.timestamps, b.pixels_centi) for b in blocks])
@@ -183,9 +205,9 @@ def test_criterion_4_calibration_drift():
     layout2, script2 = drift_scenario(occupied=True)
     bundle2 = simulate(layout2, script2, seed=3, params=params)
     tracker2 = BaselineTracker(4, TrackerParams())
-    ambient2 = bundle2.readings_for("dining/C0/temperature")
+    ambient2 = bundle_readings(bundle2, "dining/C0/temperature")
     tracker2.set_ambient_series(ambient2.timestamps, ambient2.values)
-    for b in bundle2.frames_for("dining/C0/thermal"):
+    for b in bundle_frames(bundle2, "dining/C0/thermal"):
         tracker2.process(b.timestamps, b.pixels_centi)
 
     report(
@@ -205,7 +227,7 @@ def test_criterion_5_sunlight_suppression(full_models):
     windows_checked = 0
     for seed in range(10):
         bundle = simulate(layout, script, seed=seed)
-        result = run_pipeline(StreamSource(layout, bundle=bundle), models, config)
+        result = run_pipeline(store_source(layout, bundle), models, config)
         track = result.tracks["dining/C0/thermal"]
         non_not_here += sum(
             1 for rec in track.windows if rec.posture is not PostureLabel.NOT_HERE
@@ -213,10 +235,10 @@ def test_criterion_5_sunlight_suppression(full_models):
         windows_checked += len(track.windows)
 
         tracker = BaselineTracker(4, TrackerParams())
-        ambient = bundle.readings_for("dining/C0/temperature")
+        ambient = bundle_readings(bundle, "dining/C0/temperature")
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
         residuals = np.concatenate(
-            [tracker.process(b.timestamps, b.pixels_centi) for b in bundle.frames_for("dining/C0/thermal")]
+            [tracker.process(b.timestamps, b.pixels_centi) for b in bundle_frames(bundle, "dining/C0/thermal")]
         )
         settled = residuals[240:]  # past warmup
         patch_mean = float(settled[:, 0:2, 1:3].mean())
@@ -236,9 +258,12 @@ def test_criterion_6_activity_accuracy(full_models):
     layout, script = mixed_day()
     config = PipelineConfig()
     bundle = simulate(layout, script, seed=42)
-    result = run_pipeline(StreamSource(layout, bundle=bundle), models, config)
-    evaluation = evaluate_timeline(result.timeline, bundle.truth)
-    covered = {int(v) for v in bundle.truth.activity_truth}
+    source = store_source(layout, bundle)
+    truth = bundle.truth
+    del bundle  # the store holds the day; the simulated frames need not stay alive
+    result = run_pipeline(source, models, config)
+    evaluation = evaluate_timeline(result.timeline, truth)
+    covered = {int(v) for v in truth.activity_truth}
 
     # rule invariants over randomized evidence records
     from test_rules import rng_evidence
@@ -292,7 +317,9 @@ def test_criterion_7_sleep_day_reproduction(sleep_day_run):
 
     # residual bed heat after the final rise (minute 895): the raw posture
     # stream must show the lie-down misclassification (cascade disabled view)
-    bed_track = run["result"].track_for_role(RoomRole.BEDROOM)
+    bed_track = next(
+        t for t in run["result"].tracks.values() if t.room_role is RoomRole.BEDROOM
+    )
     demo_lo, demo_hi = script_minutes(895, 905)
     lie_windows = sum(
         1
@@ -329,7 +356,7 @@ def test_criterion_8_not_at_home_exactness(full_models):
     for seed in range(20):
         layout, script = outing_day(seed)
         bundle = simulate(layout, script, seed=seed)
-        result = run_pipeline(StreamSource(layout, bundle=bundle), models, config)
+        result = run_pipeline(store_source(layout, bundle), models, config)
         expected = script.away_intervals()
         got = result.timeline.away_intervals
         total_expected += len(expected)
@@ -354,7 +381,7 @@ def test_criterion_9_environment_report(sleep_day_run):
     from hometwin.core import SensorKind
 
     series_of = {
-        spec.sensor_id: bundle.readings_for(spec.sensor_id)
+        spec.sensor_id: bundle_readings(bundle, spec.sensor_id)
         for spec in layout.sensors()
         if spec.kind in (SensorKind.TEMP_HUMIDITY, SensorKind.LIGHT, SensorKind.NOISE)
     }

@@ -13,11 +13,11 @@ from hometwin.core import (
     parse_clock,
     parse_epoch,
     pixels_to_celsius,
-    quantize,
     quantize_pixels,
 )
 from hometwin.errors import DimensionError
 from hometwin.ingestion.packets import HubPacket
+from hometwin.ingestion.wire import decode_packet, encode_packet
 
 
 def test_label_enums_are_closed():
@@ -79,9 +79,14 @@ def test_thermal_kind_rejected_in_reading():
 
 
 def test_quantize_round_half_even_grid():
-    assert quantize(1.005) == pytest.approx(1.0)  # banker's rounding at the grid edge
-    assert quantize(27.3349) == pytest.approx(27.33)
-    assert quantize(-3.456) == pytest.approx(-3.46)
+    # the wire carries scalars as int32 centi-units
+    values = np.array([1.005, 27.3349, -3.456])
+    series = ReadingSeries("a/A0/light", SensorKind.LIGHT, np.array([0, 1, 2]), values)
+    packet = decode_packet(encode_packet(HubPacket("h", 0, 0, 60_000, [series])))
+    got = packet.readings[0].values
+    assert got[0] == pytest.approx(1.0)  # banker's rounding at the grid edge
+    assert got[1] == pytest.approx(27.33)
+    assert got[2] == pytest.approx(-3.46)
 
 
 def test_pixel_quantization_round_trips_exactly():

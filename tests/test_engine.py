@@ -20,6 +20,8 @@ from hometwin.simulate import (
 )
 from hometwin.simulate.scripts import restroom_visit
 
+from conftest import bundle_frames, bundle_readings
+
 EPOCH = parse_epoch("2024-03-04T10:00:00")
 
 
@@ -32,7 +34,7 @@ class TestEmptyScenario:
         script = ScenarioScript(EPOCH, 60, [])
         bundle = simulate(layout, script, seed=1)
         # frames are ambient-only plus noise
-        block = bundle.frames_for("dining/C0/thermal")[0]
+        block = bundle_frames(bundle, "dining/C0/thermal")[0]
         celsius = block.pixels_centi / 100.0
         assert abs(celsius.std() - 0.3) < 0.05
         # posture truth all NotHere, activity truth all NotAtHome
@@ -91,8 +93,8 @@ class TestFrameStreams:
             EPOCH, 10, [OccupyRoom(minutes(1), minutes(9), "dining", PostureLabel.SIT)]
         )
         bundle = simulate(layout, script, seed=5)
-        dining = bundle.frames_for("dining/C0/thermal")[0]
-        kitchen = bundle.frames_for("kitchen/C0/thermal")[0]
+        dining = bundle_frames(bundle, "dining/C0/thermal")[0]
+        kitchen = bundle_frames(bundle, "kitchen/C0/thermal")[0]
         mid = len(dining) // 2
         ambient = 28.0
         assert dining.pixels_centi[mid].max() / 100.0 > ambient + 3.0
@@ -118,7 +120,7 @@ class TestMotionSemantics:
             EPOCH, 10, [OccupyRoom(minutes(1), minutes(9), "dining", PostureLabel.SIT)]
         )
         bundle = simulate(layout, script, seed=6)
-        series = bundle.readings_for("dining/C0/motion")
+        series = bundle_readings(bundle, "dining/C0/motion")
         assert np.all(series.values == 0.0)
 
     def test_walking_through_radius_triggers_contiguously(self, layout):
@@ -137,7 +139,7 @@ class TestMotionSemantics:
             ],
         )
         bundle = simulate(layout, script, seed=7)
-        series = bundle.readings_for("dining/C0/motion")
+        series = bundle_readings(bundle, "dining/C0/motion")
         hot = series.values > 0.5
         assert hot.sum() >= 120  # moving the whole four minutes
         # contiguity: triggers form one dense run (allow edge samples)
@@ -148,7 +150,7 @@ class TestMotionSemantics:
         layout = lite_layout()
         script = ScenarioScript(EPOCH, 12, [restroom_visit(EPOCH, 2, 10)])
         bundle = simulate(layout, script, seed=8)
-        series = bundle.readings_for("washroom/B0/motion")
+        series = bundle_readings(bundle, "washroom/B0/motion")
         for minute in range(3, 9):
             lo = np.searchsorted(series.timestamps, minutes(minute))
             hi = np.searchsorted(series.timestamps, minutes(minute + 1))
@@ -169,7 +171,7 @@ class TestDoorway:
         )
         bundle = simulate(layout, script, seed=9)
         assert bundle.truth.away_intervals == [(minutes(10), minutes(100))]
-        series = bundle.readings_for("door/B0/motion")
+        series = bundle_readings(bundle, "door/B0/motion")
         hot_ts = series.timestamps[series.values > 0.5]
         # exactly two clusters: around the leave and the return
         gaps = np.diff(hot_ts)
@@ -206,7 +208,7 @@ class TestEnvironmentChannels:
             EPOCH, 20, [LampToggle(minutes(10), "washroom", True)]
         )
         bundle = simulate(layout, script, seed=10)
-        series = bundle.readings_for("washroom/B0/light")
+        series = bundle_readings(bundle, "washroom/B0/light")
         before = series.values[series.timestamps < minutes(10)][-1]
         after = series.values[series.timestamps >= minutes(10)][0]
         assert after - before > 100.0  # lamp delta 150 minus noise
@@ -219,7 +221,7 @@ class TestEnvironmentChannels:
             EPOCH, 30, [NoiseBurst(minutes(10), minutes(20), "dining", 30.0)]
         )
         bundle = simulate(layout, script, seed=11)
-        series = bundle.readings_for("dining/A0/noise")
+        series = bundle_readings(bundle, "dining/A0/noise")
         inside = series.values[
             (series.timestamps >= minutes(10)) & (series.timestamps < minutes(20))
         ]
@@ -244,7 +246,7 @@ class TestResidualHeat:
         from hometwin.core import FrameBlock
 
         bundle = simulate(layout, script, seed=13, params=SimParams(pixel_noise_sigma=0.0))
-        block = FrameBlock.concat(bundle.frames_for("dining/C0/thermal"))
+        block = FrameBlock.concat(bundle_frames(bundle, "dining/C0/thermal"))
         ts = block.timestamps
         celsius = block.pixels_centi / 100.0
 

@@ -51,7 +51,7 @@ def environment() -> dict:
         blas = config["Build Dependencies"]["blas"]
         blas_name = f"{blas.get('name')} {blas.get('version')}"
         simd = sorted(config["SIMD Extensions"]["found"])
-    except Exception:  # numpy before 1.25 has no dict config
+    except (TypeError, KeyError):  # numpy before 1.25 has no dict config
         blas_name, simd = "unknown", []
     cpu = platform.processor()
     cpuinfo = Path("/proc/cpuinfo")

@@ -15,6 +15,8 @@ from hometwin.simulate import AmbientProfile, ScenarioScript, SimParams, Sunligh
 from hometwin.simulate.engine import _add_patch, _Patch
 from hometwin.simulate.render import BLOB_PARAMS, blob_images, path_positions, sensor_grid
 
+from conftest import bundle_frames
+
 PLACEMENT = ModulePlacement(ModuleType.C, "room", (2.0, 1.75), fov_half_width=1.0)
 EPOCH = parse_epoch("2024-03-04T10:00:00")
 # a flat 28 C day in every room, so the ambient term is exact
@@ -51,7 +53,7 @@ def simulate_flat(noise_sigma=0.0, sunlight=None):
 
 
 def frames_of(bundle, sensor_id):
-    blocks = bundle.frames_for(sensor_id)
+    blocks = bundle_frames(bundle, sensor_id)
     return pixels_to_celsius(np.concatenate([b.pixels_centi for b in blocks]))
 
 

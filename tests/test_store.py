@@ -8,7 +8,7 @@ from hometwin.errors import RangeError, WireFormatError
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.store import RecordStore
 
-from conftest import random_packet
+from conftest import random_packet, store_contents
 
 
 def minute_packet(seq, n_frames=240, hub="hub0"):
@@ -102,8 +102,7 @@ def test_snapshot_round_trip(tmp_path):
     store.save(path)
     loaded = RecordStore.load(path)
     assert loaded.sensor_ids() == store.sensor_ids()
-    for sensor_id in store.sensor_ids():
-        assert loaded.query(sensor_id, 0, 10**12) == store.query(sensor_id, 0, 10**12)
+    assert store_contents(loaded) == store_contents(store)
     assert loaded.gaps() == store.gaps()
 
 
@@ -150,17 +149,21 @@ def test_failed_save_leaves_previous_snapshot_whole(tmp_path, monkeypatch):
 
     loaded = RecordStore.load(path)
     assert loaded.sensor_ids() == before.sensor_ids()
-    for sensor_id in before.sensor_ids():
-        assert loaded.query(sensor_id, 0, 10**12) == before.query(sensor_id, 0, 10**12)
+    assert store_contents(loaded) == store_contents(before)
     assert loaded.gaps() == before.gaps()
     assert [p.name for p in tmp_path.iterdir()] == ["store.bin"]
 
 
-def _snapshot_blob(tmp_path) -> bytearray:
+def _snapshot_blob(tmp_path, light_ts=(60_000,), frame_ts=(60_000,)) -> bytearray:
     """A snapshot with one hub, one light series and one 4x4 frame series."""
-    light = ReadingSeries("a/A0/light", SensorKind.LIGHT, np.array([60_000]), np.array([1.5]))
+    light = ReadingSeries(
+        "a/A0/light", SensorKind.LIGHT, np.array(light_ts), np.full(len(light_ts), 1.5)
+    )
     frames = FrameBlock(
-        "a/C0/thermal", 4, np.array([60_000]), np.full((1, 4, 4), 2800, dtype=np.int16)
+        "a/C0/thermal",
+        4,
+        np.array(frame_ts),
+        np.full((len(frame_ts), 4, 4), 2800, dtype=np.int16),
     )
     store = RecordStore()
     store.append(HubPacket("hub0", 0, 60_000, 120_000, [light], [frames]))
@@ -227,3 +230,24 @@ def test_snapshot_truncation_reports_offset(tmp_path):
     with pytest.raises(WireFormatError) as err:
         _load_resealed(tmp_path, blob[:-3])
     assert 13 <= err.value.offset < len(blob) - 3
+
+
+@pytest.mark.parametrize("section", ["reading", "frame"])
+def test_snapshot_series_out_of_order_reports_offset(tmp_path, section):
+    # queries binary-search each series, so a series edited out of order
+    # would answer range queries with wrong rows
+    light_ts, frame_ts = [61_000, 62_000, 65_000], [61_250, 62_250, 65_250]
+    blob = _snapshot_blob(tmp_path, light_ts, frame_ts)
+    ts = light_ts if section == "reading" else frame_ts
+    ts_at = blob.index(np.array(ts, dtype="<i8").tobytes())
+    blob[ts_at : ts_at + 24] = np.array([ts[2], ts[0], ts[1]], dtype="<i8").tobytes()
+    with pytest.raises(WireFormatError) as err:
+        _load_resealed(tmp_path, blob)
+    assert err.value.offset == ts_at + 8  # the first timestamp below its predecessor
+
+
+def test_snapshot_equal_timestamps_load(tmp_path):
+    blob = _snapshot_blob(tmp_path, [61_000, 61_000, 65_000], [61_250, 65_250, 65_250])
+    store = _load_resealed(tmp_path, blob)
+    assert store.query_readings("a/A0/light", 61_000, 61_001).timestamps.tolist() == [61_000] * 2
+    assert store.query_frames("a/C0/thermal", 65_250, 65_251).timestamps.tolist() == [65_250] * 2

@@ -30,7 +30,6 @@ from hometwin.core import (
     parse_epoch,
 )
 from hometwin.errors import DimensionError, InsufficientDataError, ResolutionError
-from hometwin.ingestion.store import RecordStore
 from hometwin.layout import HomeLayout, ModulePlacement, ModuleType, Room, RoomRole, default_layout
 from hometwin.pipeline import (
     THETA_FALLBACK,
@@ -46,6 +45,8 @@ from hometwin.posture.windows import build_windows, stack_windows
 from hometwin.simulate import OccupyRoom, ScenarioScript, simulate
 from hometwin.simulate.scenario import VisitorEnter, VisitorLeave
 from hometwin.thermal import MOTION_BLOCK_BYTES, BaselineTracker, TrackerParams, count_blobs, motion_index
+
+from conftest import store_source
 
 # -- the per-window oracle -----------------------------------------------------
 
@@ -513,17 +514,6 @@ def visitor_script() -> ScenarioScript:
     )
 
 
-def split_blocks(bundle, cuts=(997, 1433, 2400)):
-    """The same frames in more blocks, cut inside windows."""
-    bundle = copy.copy(bundle)
-    pieces = []
-    for block in bundle.frames:
-        edges = [0] + [c for c in cuts if c < len(block)] + [len(block)]
-        pieces += [block[lo:hi] for lo, hi in zip(edges, edges[1:])]
-    bundle.frames = pieces
-    return bundle
-
-
 def with_gaps(bundle, gaps):
     """Drop frames: {sensor_id: [(first row, end row), ...]}, end exclusive."""
     bundle = copy.copy(bundle)
@@ -555,21 +545,16 @@ def homes():
 
 def sources(homes, case):
     layout, bundle = homes["plain"]
-    if case == "multi_block_bundle":
-        return StreamSource(layout, bundle=split_blocks(bundle)), homes["models"]
     if case == "store":
-        store = RecordStore()
-        for packet in bundle.to_packets():
-            store.append(packet)
-        return StreamSource(layout, store=store, start=bundle.start, end=bundle.end), homes["models"]
+        return store_source(layout, bundle), homes["models"]
     if case == "no_models":
-        return StreamSource(layout, bundle=bundle), {}
+        return store_source(layout, bundle), {}
     if case == "narrow_window":
         start, end = bundle.start + 2 * MS_PER_MINUTE + 2500, bundle.end - MS_PER_MINUTE
-        return StreamSource(layout, bundle=bundle, start=start, end=end), homes["models"]
+        return store_source(layout, bundle, start, end), homes["models"]
     layout, bundle = homes["shared"]
     if case == "shared_role":
-        return StreamSource(layout, bundle=bundle), homes["models"]
+        return store_source(layout, bundle), homes["models"]
     assert case == "cadence_gap"
     gaps = {
         # all of minute 2 of the first bedroom sensor: the guest room's
@@ -578,10 +563,10 @@ def sources(homes, case):
         "living/D0/thermal": [(1210, 1211), (1500, 1540)],
         "dining/C0/thermal": [(133, 134)],
     }
-    return StreamSource(layout, bundle=split_blocks(with_gaps(bundle, gaps))), homes["models"]
+    return store_source(layout, with_gaps(bundle, gaps)), homes["models"]
 
 
-CASES = ["multi_block_bundle", "store", "cadence_gap", "no_models", "shared_role", "narrow_window"]
+CASES = ["store", "cadence_gap", "no_models", "shared_role", "narrow_window"]
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -625,9 +610,49 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     if case in ("shared_role", "cadence_gap"):
         assert max(ev.rooms[RoomRole.LIVING_ROOM].window_count for ev in result.evidence) >= 24
     if case == "narrow_window":
-        assert min(t.interval_index.min() for t in tracks) < 0
+        # only the window's frames are read: every window starts inside it,
+        # and the auto gate pools those windows alone
+        window_ms = 20 * config.frame_period_ms
+        for t in tracks:
+            assert len(t.start) and source.start <= t.start.min() and t.start.max() < source.end
+            assert len(t.start) <= (source.end - source.start) // window_ms
+        for resolution in {t.resolution for t in tracks}:
+            pooled = np.concatenate([t.motion_index for t in tracks if t.resolution == resolution])
+            gate = THETA_MULTIPLIER[resolution] * float(np.percentile(pooled, 25))
+            assert all(result.thetas[t.sensor_id] == gate for t in tracks if t.resolution == resolution)
     if "living/D0/thermal" in result.tracks:
         assert result.tracks["living/D0/thermal"].blob_count.max() >= 2
+
+
+def test_thermal_sensor_without_frames_gives_empty_track(homes):
+    # the layout's 32x32 sensor delivered nothing: the store answers with an
+    # empty block (of the 4x4 default shape), and the sensor's track is empty
+    layout, bundle = homes["plain"]
+    bundle = copy.copy(bundle)
+    bundle.frames = [b for b in bundle.frames if b.sensor_id != "living/D0/thermal"]
+    source = store_source(layout, bundle)
+    assert not len(source.frame_blocks("living/D0/thermal")[0])
+    config = PipelineConfig()
+    result = run_pipeline(source, homes["models"], config)
+    track = result.tracks["living/D0/thermal"]
+    assert track.resolution == 32
+    for column, dtype in (
+        (track.start, np.int64),
+        (track.interval_index, np.int64),
+        (track.motion_index, np.float64),
+        (track.blob_count, np.int64),
+        (track.posture, np.int64),
+    ):
+        assert column.shape == (0,) and column.dtype == dtype
+    assert track.dropped_windows == 0 and track.calibration_events == []
+    assert track.windows == []
+    assert result.thetas["living/D0/thermal"] == THETA_FALLBACK
+    assert all(len(t.start) for sid, t in result.tracks.items() if sid != "living/D0/thermal")
+
+    _, ref_thetas, ref_evidence, ref_timeline = reference_run(source, homes["models"], config)
+    assert repr(result.thetas) == repr(ref_thetas)
+    assert [repr(e) for e in result.evidence] == [repr(e) for e in ref_evidence]
+    assert [repr(e) for e in result.timeline.entries] == [repr(e) for e in ref_timeline.entries]
 
 
 def synthetic_track(rng, sensor_id, role, start, n_minutes) -> SensorTrack:
