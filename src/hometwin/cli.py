@@ -33,7 +33,7 @@ from .posture.train import train
 from .simulate.engine import SimParams, simulate
 from .simulate.scenario import ScenarioScript, load_scenario
 from .simulate.scripts import BUILTIN_SCENARIOS, builtin
-from .simulate.truth import load_truth_sidecar, write_truth_sidecar
+from .simulate.truth import GroundTruthTimeline, load_truth_sidecar, write_truth_sidecar
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -155,7 +155,9 @@ def _ingest_packets(path: str | Path) -> tuple[RecordStore, int, int]:
     return store, start, end
 
 
-def _simulate_into_store(layout: HomeLayout, script: ScenarioScript, config: PipelineConfig):
+def _simulate_into_store(
+    layout: HomeLayout, script: ScenarioScript, config: PipelineConfig
+) -> tuple[RecordStore, int, int, GroundTruthTimeline]:
     """A scenario's packets in a fresh store, with its window and truth.
 
     The store's frames are views of the simulated ones until its first query

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -137,6 +139,43 @@ def test_run_logs_pipeline_health(workdir, capsys):
         # 40 minutes at 12 windows a minute, none off cadence, auto gate
         assert ": 480 windows, 0 dropped, 0 calibrations, theta 0." in line
         assert line.endswith(" (auto)")
+
+
+def test_scenario_run_releases_the_simulated_frames(workdir, monkeypatch):
+    # once the pipeline has read every thermal sensor, the store holds its
+    # own copy of the frames, and nothing keeps the simulated ones alive
+    import hometwin.cli as cli
+
+    root, model_dir = workdir
+    frames = []
+    alive = []
+
+    def simulate_and_watch(*args):
+        bundle = cli_simulate(*args)
+        frames.extend(weakref.ref(block.pixels_centi) for block in bundle.frames)
+        return bundle
+
+    def run_and_check(*args):
+        result = cli_run_pipeline(*args)
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in frames))
+        return result
+
+    cli_simulate, cli_run_pipeline = cli.simulate, cli.run_pipeline
+    monkeypatch.setattr(cli, "simulate", simulate_and_watch)
+    monkeypatch.setattr(cli, "run_pipeline", run_and_check)
+    code = main(
+        [
+            "run",
+            "--scenario", str(root / "scenario.json"),
+            "--layout", str(root / "layout.json"),
+            "--models", str(model_dir),
+            "--seed", "7",
+            "--out", str(root / "run_released"),
+        ]
+    )
+    assert code == 0
+    assert len(frames) == len(lite_layout().thermal_sensors()) and alive == [0]
 
 
 def test_run_from_packet_file(workdir):
