@@ -18,7 +18,8 @@ class RoomEvidence:
     blob_count_max: int = 0
     multi_blob_windows: int = 0  # windows this minute with blob count >= 2
     window_count: int = 0
-    # activity gate for this room's sensor; 0 defers to RuleParams.theta_active
+    # the activity gate the rules compare this room's motion index with; the
+    # pipeline sets it per sensor (see `run_pipeline`)
     theta_active: float = 0.0
 
 

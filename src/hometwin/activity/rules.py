@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..config import PipelineConfig
 from ..core import MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
 from ..layout import RoomRole
 from .evidence import MinuteEvidence
@@ -41,16 +42,6 @@ _ROLE_ACTIVITY = {
     RoomRole.DINING_ROOM: ActivityLabel.DINING_ROOM_ACTIVITY,
     RoomRole.LIVING_ROOM: ActivityLabel.LIVING_ROOM_ACTIVITY,
 }
-
-
-@dataclass
-class RuleParams:
-    k_rest: int = 3
-    theta_active: float = 0.35
-    w_night: float = 2.0
-    s_vis: int = 4
-    min_away_min: int = 5
-    carry_forward_max: int = 1
 
 
 @dataclass
@@ -86,12 +77,15 @@ class ActivityTimeline:
         return "\n".join(rows) + "\n"
 
 
-def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
-    """Pure rule cascade; every carried/unknown decision is recorded."""
+def classify_minute(ev: MinuteEvidence, config: PipelineConfig) -> TimelineEntry:
+    """Pure rule cascade; every carried/unknown decision is recorded.
+
+    Reads k_rest, s_vis and w_night from the config; each room's activity
+    gate is its own `theta_active`."""
     entry = TimelineEntry(ev.minute_start, UNKNOWN_ACTIVITY)
 
     # rule 1: restroom dominance
-    if ev.restroom_triggers >= params.k_rest:
+    if ev.restroom_triggers >= config.k_rest:
         entry.label = ActivityLabel.RESTROOM.value
         entry.winning_room = RoomRole.RESTROOM
         entry.score = float(ev.restroom_triggers)
@@ -99,7 +93,7 @@ def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
 
     # rule 2: sustained multi-blob living room => visitors
     living = ev.rooms.get(RoomRole.LIVING_ROOM)
-    if living is not None and living.multi_blob_windows >= params.s_vis:
+    if living is not None and living.multi_blob_windows >= config.s_vis:
         entry.label = ActivityLabel.VISITORS.value
         entry.winning_room = RoomRole.LIVING_ROOM
         entry.score = float(living.multi_blob_windows)
@@ -113,12 +107,11 @@ def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
             continue
         if room.majority_posture is PostureLabel.NOT_HERE:
             continue
-        theta = room.theta_active if room.theta_active > 0 else params.theta_active
-        if room.mean_motion_index < theta:
+        if room.mean_motion_index < room.theta_active:
             continue
         score = room.mean_motion_index
         if role is RoomRole.BEDROOM and ev.is_night:
-            score *= params.w_night
+            score *= config.w_night
         candidates.append((score, role, room))
     # descending score; _ROLE_ORDER position breaks exact ties deterministically
     candidates.sort(key=lambda c: (-c[0], _ROLE_ORDER.index(c[1])))
@@ -132,15 +125,10 @@ def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
 
     # rule 4: stillness continues sleep
     bedroom = ev.rooms.get(RoomRole.BEDROOM)
-    bed_theta = (
-        bedroom.theta_active
-        if bedroom is not None and bedroom.theta_active > 0
-        else params.theta_active
-    )
     if (
         bedroom is not None
         and bedroom.majority_posture is PostureLabel.LIE_DOWN
-        and bedroom.mean_motion_index < bed_theta
+        and bedroom.mean_motion_index < bedroom.theta_active
         and ev.previous_label == ActivityLabel.SLEEPING.value
     ):
         entry.label = ActivityLabel.SLEEPING.value
@@ -154,7 +142,7 @@ def classify_minute(ev: MinuteEvidence, params: RuleParams) -> TimelineEntry:
 
 
 def classify_timeline(
-    evidence: list[MinuteEvidence], params: RuleParams
+    evidence: list[MinuteEvidence], config: PipelineConfig
 ) -> ActivityTimeline:
     """Sequential classification with single-minute carry-forward."""
     entries: list[TimelineEntry] = []
@@ -162,12 +150,12 @@ def classify_timeline(
     carried_run = 0
     for ev in evidence:
         ev.previous_label = previous
-        entry = classify_minute(ev, params)
+        entry = classify_minute(ev, config)
         if entry.label == UNKNOWN_ACTIVITY:
             if (
                 previous is not None
                 and previous != UNKNOWN_ACTIVITY
-                and carried_run < params.carry_forward_max
+                and carried_run < config.carry_forward_max
             ):
                 entry.label = previous
                 entry.carried = True
@@ -199,7 +187,7 @@ def _trigger_clusters(trigger_ts) -> list[tuple[int, int]]:
 def detect_not_at_home(
     timeline: ActivityTimeline,
     doorway_trigger_ts,
-    params: RuleParams,
+    config: PipelineConfig,
 ) -> ActivityTimeline:
     """Post-hoc relabeling of silent doorway-bracketed stretches.
 
@@ -220,15 +208,14 @@ def detect_not_at_home(
         if ev.doorway_triggers or ev.restroom_triggers or ev.other_motion_triggers:
             return False
         for room in ev.rooms.values():
-            gate = room.theta_active if room.theta_active > 0 else params.theta_active
-            if room.mean_motion_index >= gate:
+            if room.mean_motion_index >= room.theta_active:
                 return False
         return entries[i].label == UNKNOWN_ACTIVITY or entries[i].carried
 
     clusters = _trigger_clusters(doorway_trigger_ts)
     intervals: list[tuple[int, int]] = []
     for (_, leave_last), (return_first, _) in zip(clusters, clusters[1:]):
-        if return_first - leave_last < params.min_away_min * MS_PER_MINUTE:
+        if return_first - leave_last < config.min_away_min * MS_PER_MINUTE:
             continue
         first_interior = (leave_last - start) // MS_PER_MINUTE + 1
         last_interior = (return_first - start) // MS_PER_MINUTE - 1

@@ -72,7 +72,7 @@ class DailyReport:
 
 
 def extract_sleep(
-    timeline: ActivityTimeline, day_start: int, day_end: int, k_rest: int = 3
+    timeline: ActivityTimeline, day_start: int, day_end: int, k_rest: int
 ) -> tuple[list[SleepSegment], float]:
     """Maximal runs of Sleeping minutes inside the day window.
 

@@ -30,7 +30,7 @@ from .posture.data import generate_posture_dataset
 from .posture.model_io import load_model, save_model
 from .posture.net import config_for_resolution
 from .posture.train import train
-from .simulate.engine import SimParams, simulate
+from .simulate.engine import simulate
 from .simulate.scenario import ScenarioScript, load_scenario
 from .simulate.scripts import BUILTIN_SCENARIOS, builtin
 from .simulate.truth import GroundTruthTimeline, load_truth_sidecar, write_truth_sidecar
@@ -59,10 +59,8 @@ def _load_inputs(args) -> tuple[HomeLayout, ScenarioScript]:
 def _config_from_args(args) -> PipelineConfig:
     config = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
     overrides = {}
-    for key in ("seed",):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    if getattr(args, "seed", None) is not None:
+        overrides["seed"] = args.seed
     if getattr(args, "set", None):
         for item in args.set:
             if "=" not in item:
@@ -79,7 +77,7 @@ def _config_from_args(args) -> PipelineConfig:
 def cmd_simulate(args) -> int:
     config = _config_from_args(args)
     layout, script = _load_inputs(args)
-    bundle = simulate(layout, script, config.seed, SimParams.from_config(config))
+    bundle = simulate(layout, script, config.seed, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -164,7 +162,7 @@ def _simulate_into_store(
     consolidates them, so the bundle and its packets are released on return:
     holding them would keep a second copy of every frame through the pipeline.
     """
-    bundle = simulate(layout, script, config.seed, SimParams.from_config(config))
+    bundle = simulate(layout, script, config.seed, config)
     store = RecordStore()
     for packet in bundle.to_packets():
         store.append(packet)

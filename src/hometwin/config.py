@@ -19,17 +19,8 @@ class PipelineConfig:
     seed: int = 0
 
     # --- simulator ---
-    frame_period_ms: int = 250
-    frame_jitter_frac: float = 0.04  # per-frame timestamp jitter, fraction of period
     pixel_noise_sigma: float = 0.3  # degrees C
-    env_period_ms: int = 5000  # light/noise/temp/humidity cadence
-    motion_period_ms: int = 1000
-    motion_epsilon_m: float = 0.05  # displacement per sample that counts as movement
-    residual_tau_min: float = 10.0  # residual-heat decay time constant
-    residual_amplitude_frac: float = 0.4
     lamp_delta: float = 150.0  # light units added by a lamp
-    walk_speed_mps: float = 1.0
-    passage_seconds: float = 3.0  # doorway transit duration on leave/return
 
     # --- thermal processing ---
     delta_cal_c: float = 1.5  # ambient shift that triggers self-calibration
@@ -71,28 +62,36 @@ class PipelineConfig:
     theta_move: float = 0.0  # 0 = auto (3x empty-bed frame-difference median)
 
     def override(self, **kwargs) -> "PipelineConfig":
-        unknown = set(kwargs) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return dataclasses.replace(self, **kwargs)
+        return dataclasses.replace(self, **_checked(kwargs))
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-def config_from_dict(data: dict) -> PipelineConfig:
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - set(fields)
+def _checked(data: dict) -> dict:
+    """Known keys only, each value cast to its field's type.  An int key
+    refuses a number with a fraction, and any key a non-numeric value."""
+    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
+    out = {}
     for key, value in data.items():
-        cast = int if fields[key].type == "int" else float
         try:
-            kwargs[key] = cast(value)
-        except (TypeError, ValueError) as exc:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad value for config key {key!r}: {value!r}") from exc
-    return PipelineConfig(**kwargs)
+        if types[key] == "int":
+            if not number.is_integer():
+                raise ConfigError(f"config key {key!r} takes an integer, got {value!r}")
+            out[key] = value if type(value) is int else int(number)
+        else:
+            out[key] = number
+    return out
+
+
+def config_from_dict(data: dict) -> PipelineConfig:
+    return PipelineConfig(**_checked(data))
 
 
 def load_config(path: str | Path) -> PipelineConfig:

@@ -37,7 +37,12 @@ class RecordStore:
     # -- writes ----------------------------------------------------------
 
     def append(self, packet: HubPacket) -> int:
-        """Materialize a packet; duplicates (same hub id + sequence) add 0."""
+        """Materialize a packet; duplicates (same hub id + sequence) add 0.
+
+        The store keeps the packet's arrays without copying them, so the
+        caller must not mutate them after the append.  Decoded packets own
+        fresh arrays, and a copy here would double the bytes an ingest
+        moves."""
         seqs = self._seen.setdefault(packet.hub_id, set())
         if packet.sequence_number in seqs:
             return 0

@@ -24,6 +24,7 @@ from .config import PipelineConfig
 from .core import (
     MS_PER_MINUTE,
     WINDOW_FRAMES,
+    WINDOW_MS,
     FrameBlock,
     PostureLabel,
     ReadingSeries,
@@ -35,8 +36,8 @@ from .layout import HomeLayout, RoomRole
 from .posture.net import PostureNet
 from .posture.windows import build_windows, stack_windows
 from .activity.evidence import MinuteEvidence, RoomEvidence
-from .activity.rules import ActivityTimeline, RuleParams, classify_timeline, detect_not_at_home
-from .thermal import BaselineTracker, TrackerParams, count_blobs, motion_index
+from .activity.rules import ActivityTimeline, classify_timeline, detect_not_at_home
+from .thermal import BaselineTracker, count_blobs, motion_index
 
 
 @dataclass
@@ -94,7 +95,10 @@ class PipelineResult:
 
 @dataclass
 class StreamSource:
-    """The [start, end) window of a record store, per sensor."""
+    """The [start, end) window of a record store, per sensor.
+
+    A sensor with nothing in the window reads as an empty series or block
+    of the kind and resolution its layout gives it."""
 
     layout: HomeLayout
     store: RecordStore
@@ -102,12 +106,22 @@ class StreamSource:
     end: int
 
     def readings(self, sensor_id: str) -> ReadingSeries:
-        return self.store.query_readings(sensor_id, self.start, self.end)
+        series = self.store.query_readings(sensor_id, self.start, self.end)
+        if len(series):
+            return series
+        kind = self.layout.sensor(sensor_id).kind
+        return ReadingSeries(sensor_id, kind, np.empty(0, dtype=np.int64), np.empty(0))
 
     def frame_blocks(self, sensor_id: str) -> list[FrameBlock]:
         """The sensor's frames as a one-block list, the form the sleep
         analytics take."""
-        return [self.store.query_frames(sensor_id, self.start, self.end)]
+        block = self.store.query_frames(sensor_id, self.start, self.end)
+        if not len(block):
+            res = self.layout.sensor(sensor_id).kind.resolution
+            block = FrameBlock(
+                sensor_id, res, np.empty(0, dtype=np.int64), np.empty((0, res, res), dtype=np.int16)
+            )
+        return [block]
 
 
 def _ambient_lookup(source: StreamSource, room_id: str) -> ReadingSeries | None:
@@ -132,17 +146,7 @@ def _process_thermal_sensor(
     room = source.layout.room(spec.room_id)
     resolution = spec.kind.resolution
 
-    tracker = BaselineTracker(
-        resolution,
-        TrackerParams(
-            warmup_frames=config.warmup_frames,
-            baseline_alpha=config.baseline_alpha,
-            theta_idle=config.theta_idle,
-            presence_max_c=config.presence_max_c,
-            delta_cal_c=config.delta_cal_c,
-            min_recal_interval_min=config.min_recal_interval_min,
-        ),
-    )
+    tracker = BaselineTracker(resolution, config)
     ambient = _ambient_lookup(source, spec.room_id)
     if ambient is not None and len(ambient):
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
@@ -151,9 +155,7 @@ def _process_thermal_sensor(
     kept = off_cadence = np.empty(0, dtype=np.int64)
     if len(block):
         residuals = tracker.process(block.timestamps, block.pixels_centi)
-        kept, off_cadence = build_windows(
-            block.timestamps, residuals, period_ms=config.frame_period_ms
-        )
+        kept, off_cadence = build_windows(block.timestamps, residuals)
     start = block.timestamps[kept * WINDOW_FRAMES]
     motion = np.empty(0, dtype=np.float64)
     blobs = posture = np.empty(0, dtype=np.int64)
@@ -168,14 +170,13 @@ def _process_thermal_sensor(
             blobs = np.zeros(len(kept), dtype=np.int64)
         posture = _classify(model, windows)
 
-    window_ms = config.frame_period_ms * WINDOW_FRAMES
     return SensorTrack(
         sensor_id,
         spec.room_id,
         room.role,
         resolution,
         start=start,
-        interval_index=np.rint((start - source.start) / window_ms).astype(np.int64),
+        interval_index=np.rint((start - source.start) / WINDOW_MS).astype(np.int64),
         motion_index=motion,
         blob_count=blobs,
         posture=posture,
@@ -226,12 +227,12 @@ def auto_theta_active(tracks: dict[str, SensorTrack]) -> dict[int, float]:
 
 def _room_evidence(
     tracks: dict[str, SensorTrack],
-    thetas: dict[str, float],
+    gates: dict[str, float],
     start: int,
     n_minutes: int,
 ) -> list[dict[RoomRole, RoomEvidence]]:
     """Per minute, the evidence of each thermal room role, folded from the
-    track columns.
+    track columns, with each role's activity gate from `gates` (by sensor).
 
     A (minute, role) group keeps the windows in track order (by sensor id),
     then in time order, and its roles are keyed in the order the tracks
@@ -244,7 +245,7 @@ def _room_evidence(
     if not ordered:
         return rooms
     roles = list(RoomRole)
-    theta_of_role = {track.room_role: thetas[sid] for sid, track in tracks.items()}
+    theta_of_role = {track.room_role: gates[sid] for sid, track in tracks.items()}
 
     # one key per window, minute * len(roles) + role; the stable sort keeps
     # track order, then time order, inside each (minute, role) group
@@ -346,7 +347,10 @@ def run_pipeline(
         ok = (minutes >= 0) & (minutes < n_minutes)
         np.maximum.at(light_step, minutes[ok], steps[ok])
 
-    rooms = _room_evidence(tracks, thetas, start, n_minutes)
+    # a sensor whose gate came out 0 is gated at the largest of the others
+    fallback = max(thetas.values()) if thetas else THETA_FALLBACK
+    gates = {sid: theta if theta > 0 else fallback for sid, theta in thetas.items()}
+    rooms = _room_evidence(tracks, gates, start, n_minutes)
     evidence: list[MinuteEvidence] = []
     night_lo, night_hi = layout.night_window
     for m in range(n_minutes):
@@ -365,14 +369,6 @@ def run_pipeline(
             )
         )
 
-    params = RuleParams(
-        k_rest=config.k_rest,
-        theta_active=max(thetas.values()) if thetas else THETA_FALLBACK,
-        w_night=config.w_night,
-        s_vis=config.s_vis,
-        min_away_min=config.min_away_min,
-        carry_forward_max=config.carry_forward_max,
-    )
-    timeline = classify_timeline(evidence, params)
-    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_trigger_ts)), params)
+    timeline = classify_timeline(evidence, config)
+    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_trigger_ts)), config)
     return PipelineResult(timeline, tracks, thetas, evidence)

@@ -7,11 +7,12 @@ import math
 
 import numpy as np
 
-from ..core import WINDOW_FRAMES, PostureLabel
+from ..config import PipelineConfig
+from ..core import FRAME_PERIOD_MS, WINDOW_FRAMES, PostureLabel
 from ..layout import ModulePlacement, ModuleType
 from ..simulate.render import BLOB_PARAMS, blob_images, fidget_offsets, sensor_grid
 
-FRAME_PERIOD_S = 0.25
+FRAME_PERIOD_S = FRAME_PERIOD_MS / 1000.0
 # bodies vary in how warm they read; a lying body under a blanket reads far
 # cooler than an upright one, so its range extends much lower
 AMPLITUDE_SCALE_RANGE = (0.7, 1.15)
@@ -34,7 +35,7 @@ def render_window(
     label: PostureLabel,
     resolution: int,
     rng: np.random.Generator,
-    noise_sigma: float = 0.3,
+    noise_sigma: float = PipelineConfig.pixel_noise_sigma,
 ) -> np.ndarray:
     """One 20-frame residual window [20, r, r] for the given posture."""
     xs, ys, hw = _grid(resolution)
@@ -84,8 +85,8 @@ def render_window(
 def generate_posture_dataset(
     resolution: int,
     windows_per_class: int,
-    seeds: tuple[int, ...] = (0, 1, 2, 3),
-    noise_sigma: float = 0.3,
+    seeds: tuple[int, ...] = tuple(range(PipelineConfig.dataset_seeds)),
+    noise_sigma: float = PipelineConfig.pixel_noise_sigma,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced dataset (x [n, 20, r, r] float32, y [n] uint8).
 

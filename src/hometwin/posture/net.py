@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PipelineConfig
 from ..errors import DimensionError
 
 BN_MOMENTUM = 0.9
@@ -76,7 +77,9 @@ class NetworkConfig:
         )
 
 
-def config_for_resolution(resolution: int, dropout_rate: float = 0.25) -> NetworkConfig:
+def config_for_resolution(
+    resolution: int, dropout_rate: float = PipelineConfig.dropout_rate
+) -> NetworkConfig:
     if resolution == 32:
         layers = (
             LayerSpec("conv", 16, 3, 0), LayerSpec("bn"), LayerSpec("relu"),

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import PipelineConfig
 from ..core import PostureLabel
 from ..errors import StratificationError
 from .net import NetworkConfig, PostureNet, cross_entropy, toy_config
@@ -42,7 +43,7 @@ class TrainReport:
 
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1, beta2, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
         self.m = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params}
         self.v = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params}
@@ -96,12 +97,12 @@ def train(
     y: np.ndarray,
     config: NetworkConfig,
     seed: int,
-    iterations: int = 3000,
-    batch_size: int = 64,
-    learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    val_every: int = 100,
+    iterations: int = PipelineConfig.train_iterations,
+    batch_size: int = PipelineConfig.batch_size,
+    learning_rate: float = PipelineConfig.learning_rate,
+    beta1: float = PipelineConfig.adam_beta1,
+    beta2: float = PipelineConfig.adam_beta2,
+    val_every: int = PipelineConfig.val_every,
 ) -> tuple[PostureNet, TrainReport]:
     """Train a posture classifier; deterministic given the dataset and seed.
 

@@ -4,20 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import WINDOW_FRAMES
+from ..core import FRAME_PERIOD_MS, WINDOW_FRAMES
+
+CADENCE_TOLERANCE = 0.10  # allowed inter-frame spacing error, fraction of the period
 
 
 def build_windows(
     timestamps: np.ndarray,
     residuals: np.ndarray,
-    period_ms: int = 250,
-    tolerance: float = 0.10,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tile the stream into consecutive 20-frame windows.
 
     Returns the indices of the kept and of the dropped tiles.  A tile whose
-    inter-frame spacing strays outside period_ms +/- tolerance (a cadence
-    gap) is dropped.  A trailing partial window is never emitted.
+    inter-frame spacing strays outside FRAME_PERIOD_MS +/- CADENCE_TOLERANCE
+    (a cadence gap) is dropped.  A trailing partial window is never emitted.
     """
     if len(timestamps) != len(residuals):
         raise ValueError(
@@ -25,8 +25,8 @@ def build_windows(
         )
     tiles = len(timestamps) // WINDOW_FRAMES
     spacing = np.diff(timestamps[: tiles * WINDOW_FRAMES].reshape(tiles, WINDOW_FRAMES), axis=1)
-    off_cadence = (spacing.min(axis=1) < period_ms * (1.0 - tolerance)) | (
-        spacing.max(axis=1) > period_ms * (1.0 + tolerance)
+    off_cadence = (spacing.min(axis=1) < FRAME_PERIOD_MS * (1.0 - CADENCE_TOLERANCE)) | (
+        spacing.max(axis=1) > FRAME_PERIOD_MS * (1.0 + CADENCE_TOLERANCE)
     )
     return np.flatnonzero(~off_cadence), np.flatnonzero(off_cadence)
 

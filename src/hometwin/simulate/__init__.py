@@ -1,6 +1,6 @@
 """Deterministic synthetic home: scripted behavior to sensor streams plus oracle labels."""
 
-from .engine import SimParams, StreamBundle, simulate
+from .engine import StreamBundle, simulate
 from .scenario import (
     AmbientProfile,
     LampToggle,
@@ -26,7 +26,6 @@ __all__ = [
     "OccupyRoom",
     "ReturnHome",
     "ScenarioScript",
-    "SimParams",
     "StreamBundle",
     "SunlightPatch",
     "VisitorEnter",

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..config import PipelineConfig
 from ..core import (
+    FRAME_PERIOD_MS,
     MS_PER_MINUTE,
     TEMP_MAX_C,
     TEMP_MIN_C,
@@ -31,6 +32,9 @@ from ..layout import HomeLayout, RoomRole, validate_layout
 from ..ingestion.packets import HubPacket, Redirector
 from .render import (
     BLOB_PARAMS,
+    RESIDUAL_AMPLITUDE_FRAC,
+    RESIDUAL_TAU_MIN,
+    WALK_SPEED_MPS,
     blob_images,
     event_rng,
     fidget_offsets,
@@ -55,37 +59,11 @@ MIN_PATCH_DWELL_MS = 120_000  # occupancy shorter than this leaves no residual h
 PATCH_CUTOFF_TAUS = 5.0
 VISITOR_SLOTS = ((0.9, 0.7), (-0.9, 0.7), (0.9, -0.7), (-0.9, -0.7))
 RENDER_CHUNK_FRAMES = 14_400  # one hour at 4 Hz
-
-
-@dataclass
-class SimParams:
-    frame_period_ms: int = 250
-    frame_jitter_frac: float = 0.04
-    pixel_noise_sigma: float = 0.3
-    env_period_ms: int = 5000
-    motion_period_ms: int = 1000
-    motion_epsilon_m: float = 0.05
-    residual_tau_min: float = 10.0
-    residual_amplitude_frac: float = 0.4
-    lamp_delta: float = 150.0
-    walk_speed_mps: float = 1.0
-    passage_seconds: float = 3.0
-
-    @classmethod
-    def from_config(cls, config: PipelineConfig) -> "SimParams":
-        return cls(
-            frame_period_ms=config.frame_period_ms,
-            frame_jitter_frac=config.frame_jitter_frac,
-            pixel_noise_sigma=config.pixel_noise_sigma,
-            env_period_ms=config.env_period_ms,
-            motion_period_ms=config.motion_period_ms,
-            motion_epsilon_m=config.motion_epsilon_m,
-            residual_tau_min=config.residual_tau_min,
-            residual_amplitude_frac=config.residual_amplitude_frac,
-            lamp_delta=config.lamp_delta,
-            walk_speed_mps=config.walk_speed_mps,
-            passage_seconds=config.passage_seconds,
-        )
+FRAME_JITTER_FRAC = 0.04  # per-frame timestamp jitter, fraction of the frame period
+ENV_PERIOD_MS = 5000  # light/noise/temp/humidity cadence
+MOTION_PERIOD_MS = 1000
+MOTION_EPSILON_M = 0.05  # displacement per sample that counts as movement
+PASSAGE_SECONDS = 3.0  # doorway transit duration on leave/return
 
 
 @dataclass
@@ -121,10 +99,9 @@ class _ResolvedOccupy:
 class _ResidentModel:
     """Macro positions of the resident over time, resolved from the script."""
 
-    def __init__(self, layout: HomeLayout, script: ScenarioScript, seed: int, params: SimParams):
+    def __init__(self, layout: HomeLayout, script: ScenarioScript, seed: int):
         self.layout = layout
         self.script = script
-        self.params = params
         self.resolved: list[_ResolvedOccupy] = []
         for index, ev in enumerate(script.events):
             if not isinstance(ev, OccupyRoom):
@@ -167,9 +144,7 @@ class _ResidentModel:
                 continue
             span = ts[lo:hi]
             if ev.path is not None:
-                out[lo:hi] = path_positions(
-                    ev.path, span - ev.start, self.params.walk_speed_mps
-                )
+                out[lo:hi] = path_positions(ev.path, span - ev.start, WALK_SPEED_MPS)
             else:
                 pos = np.repeat(res.base[None, :], hi - lo, axis=0)
                 if ev.turnovers:
@@ -182,9 +157,7 @@ class _ResidentModel:
     def end_position(self, res: _ResolvedOccupy) -> np.ndarray:
         ev = res.event
         if ev.path is not None:
-            return path_positions(
-                ev.path, np.array([ev.end - ev.start]), self.params.walk_speed_mps
-            )[0]
+            return path_positions(ev.path, np.array([ev.end - ev.start]), WALK_SPEED_MPS)[0]
         pos = res.base.copy()
         if ev.turnovers:
             theta = math.radians(ev.orientation_deg)
@@ -237,16 +210,18 @@ def simulate(
     layout: HomeLayout,
     script: ScenarioScript,
     seed: int,
-    params: SimParams | None = None,
+    config: PipelineConfig | None = None,
 ) -> StreamBundle:
-    """Pure function of (layout, script, seed): same inputs, byte-identical output."""
+    """Pure function of (layout, script, seed, config): same inputs,
+    byte-identical output.  Of the config it reads `pixel_noise_sigma` and
+    `lamp_delta`."""
     violations = validate_layout(layout)
     if violations:
         raise ConfigError(f"invalid layout: {violations}")
     validate_scenario(script, layout)
-    params = params or SimParams()
+    config = config or PipelineConfig()
 
-    resident = _ResidentModel(layout, script, seed, params)
+    resident = _ResidentModel(layout, script, seed)
     visitors = _visitor_tracks(layout, script, seed)
     passages = _collect_passages(layout, script)
 
@@ -256,14 +231,16 @@ def simulate(
     for spec in sorted(layout.sensors(), key=lambda s: s.sensor_id):
         if spec.kind.is_thermal:
             frames.extend(
-                _render_sensor(layout, script, spec, resident, visitors, seed, params)
+                _render_sensor(
+                    layout, script, spec, resident, visitors, seed, config.pixel_noise_sigma
+                )
             )
         elif spec.kind is SensorKind.MOTION:
             readings.append(
-                motion_series(layout, script, spec, resident, passages, seed, params)
+                motion_series(layout, script, spec, resident, passages)
             )
         else:
-            readings.append(environment_series(layout, script, spec, seed, params))
+            readings.append(environment_series(layout, script, spec, seed, config.lamp_delta))
 
     truth = _build_truth(layout, script, resident, visitors)
     return StreamBundle(readings, frames, truth, script.start, script.end)
@@ -280,7 +257,7 @@ def _render_sensor(
     resident: _ResidentModel,
     visitors,
     seed: int,
-    params: SimParams,
+    noise_sigma: float,
 ) -> list[FrameBlock]:
     placement = layout.placement_of(spec.sensor_id)
     resolution = spec.kind.resolution
@@ -288,12 +265,11 @@ def _render_sensor(
     profile = script.profile(spec.room_id)
     tz = layout.tz_offset_min
 
-    n_frames = (script.end - script.start) // params.frame_period_ms
-    nominal = script.start + params.frame_period_ms * np.arange(n_frames, dtype=np.int64)
+    n_frames = (script.end - script.start) // FRAME_PERIOD_MS
+    nominal = script.start + FRAME_PERIOD_MS * np.arange(n_frames, dtype=np.int64)
     jitter_rng = event_rng(seed, spec.sensor_id, 0, 1)
     jitter = np.rint(
-        jitter_rng.uniform(-params.frame_jitter_frac, params.frame_jitter_frac, n_frames)
-        * params.frame_period_ms
+        jitter_rng.uniform(-FRAME_JITTER_FRAC, FRAME_JITTER_FRAC, n_frames) * FRAME_PERIOD_MS
     ).astype(np.int64)
     timestamps = nominal + jitter
     if len(timestamps):
@@ -309,10 +285,10 @@ def _render_sensor(
         if living and living[0].room_id == spec.room_id:
             spans.append(("visitor", (lo, hi, track_idx, base)))
 
-    patches = _patch_schedule(resident, visitors, spec.room_id, layout, params)
+    patches = _patch_schedule(resident, visitors, spec.room_id, layout)
 
     noise_rng = event_rng(seed, spec.sensor_id, 0, 2)
-    tau_ms = params.residual_tau_min * MS_PER_MINUTE
+    tau_ms = RESIDUAL_TAU_MIN * MS_PER_MINUTE
 
     blocks = []
     for lo in range(0, n_frames, RENDER_CHUNK_FRAMES):
@@ -325,12 +301,11 @@ def _render_sensor(
             if kind == "resident":
                 _add_resident_blob(
                     pixels, nominal[lo:hi], ts, xs, ys, payload, resident, seed,
-                    spec.sensor_id, params, script.start,
+                    spec.sensor_id, script.start,
                 )
             else:
                 _add_visitor_blob(
-                    pixels, nominal[lo:hi], xs, ys, payload, seed,
-                    spec.sensor_id, params, script.start,
+                    pixels, nominal[lo:hi], xs, ys, payload, seed, spec.sensor_id, script.start
                 )
 
         for patch in patches:
@@ -344,8 +319,8 @@ def _render_sensor(
             if active.any():
                 pixels[active, sun.row0 : sun.row1, sun.col0 : sun.col1] += sun.delta_c
 
-        if params.pixel_noise_sigma > 0:
-            pixels += noise_rng.normal(0.0, params.pixel_noise_sigma, size=pixels.shape)
+        if noise_sigma > 0:
+            pixels += noise_rng.normal(0.0, noise_sigma, size=pixels.shape)
 
         np.clip(pixels, TEMP_MIN_C, TEMP_MAX_C, out=pixels)
         blocks.append(FrameBlock(spec.sensor_id, resolution, ts.copy(), quantize_pixels(pixels)))
@@ -369,8 +344,7 @@ def _fidget_span(posture, offset: int, n: int, rng) -> tuple[np.ndarray, np.ndar
 
 
 def _add_resident_blob(
-    pixels, nominal, ts, xs, ys, res: _ResolvedOccupy, resident, seed,
-    sensor_id, params, script_start,
+    pixels, nominal, ts, xs, ys, res: _ResolvedOccupy, resident, seed, sensor_id, script_start
 ):
     ev = res.event
     lo, hi = _event_frame_range(nominal, ev.start, ev.end)
@@ -382,8 +356,8 @@ def _add_resident_blob(
     # the fidget stream is indexed by the frame's position within the event
     # (computed on the rigid nominal grid) so chunking cannot shift it
     rng = event_rng(seed, sensor_id, res.index, 3)
-    first_idx = -((ev.start - script_start) // -params.frame_period_ms)  # ceil div
-    offset0 = int((nominal[lo] - script_start) // params.frame_period_ms - first_idx)
+    first_idx = -((ev.start - script_start) // -FRAME_PERIOD_MS)  # ceil div
+    offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
     offsets, flicker = _fidget_span(ev.posture, offset0, len(span), rng)
     centers = centers + offsets
     sx, sy, amp = BLOB_PARAMS[ev.posture]
@@ -393,14 +367,14 @@ def _add_resident_blob(
     )
 
 
-def _add_visitor_blob(pixels, nominal, xs, ys, payload, seed, sensor_id, params, script_start):
+def _add_visitor_blob(pixels, nominal, xs, ys, payload, seed, sensor_id, script_start):
     lo_ms, hi_ms, track_idx, base = payload
     lo, hi = _event_frame_range(nominal, lo_ms, hi_ms)
     if hi <= lo:
         return
     rng = event_rng(seed, sensor_id, track_idx, 4)
-    first_idx = -((lo_ms - script_start) // -params.frame_period_ms)
-    offset0 = int((nominal[lo] - script_start) // params.frame_period_ms - first_idx)
+    first_idx = -((lo_ms - script_start) // -FRAME_PERIOD_MS)
+    offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
     offsets, flicker = _fidget_span(PostureLabel.SIT, offset0, hi - lo, rng)
     centers = base[None, :] + offsets
     sx, sy, amp = BLOB_PARAMS[PostureLabel.SIT]
@@ -416,7 +390,7 @@ class _Patch:
     amplitude_c: float
 
 
-def _patch_schedule(resident, visitors, room_id, layout, params) -> list[_Patch]:
+def _patch_schedule(resident, visitors, room_id, layout) -> list[_Patch]:
     """Residual-heat patches left in this room by seated/lying occupancy."""
     patches = []
     for res in resident.resolved:
@@ -434,7 +408,7 @@ def _patch_schedule(resident, visitors, room_id, layout, params) -> list[_Patch]
                 center=resident.end_position(res),
                 posture=ev.posture,
                 orientation_rad=math.radians(ev.orientation_deg),
-                amplitude_c=params.residual_amplitude_frac * amp,
+                amplitude_c=RESIDUAL_AMPLITUDE_FRAC * amp,
             )
         )
     living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
@@ -444,7 +418,7 @@ def _patch_schedule(resident, visitors, room_id, layout, params) -> list[_Patch]
                 continue
             _, _, amp = BLOB_PARAMS[PostureLabel.SIT]
             patches.append(
-                _Patch(hi, base, PostureLabel.SIT, 0.0, params.residual_amplitude_frac * amp)
+                _Patch(hi, base, PostureLabel.SIT, 0.0, RESIDUAL_AMPLITUDE_FRAC * amp)
             )
     return patches
 
@@ -495,15 +469,13 @@ def motion_series(
     spec,
     resident: _ResidentModel,
     passages: list[_Passage],
-    seed: int,
-    params: SimParams,
 ) -> ReadingSeries:
     placement = layout.placement_of(spec.sensor_id)
     sensor_pos = np.asarray(placement.position)
-    n = (script.end - script.start) // params.motion_period_ms
-    ts = script.start + params.motion_period_ms * np.arange(n, dtype=np.int64)
+    n = (script.end - script.start) // MOTION_PERIOD_MS
+    ts = script.start + MOTION_PERIOD_MS * np.arange(n, dtype=np.int64)
 
-    half_passage_ms = params.passage_seconds * 500.0
+    half_passage_ms = PASSAGE_SECONDS * 500.0
     tracks = [resident.positions_at(ts)]
     for p in passages:
         tracks.append(p.positions_at(ts, half_passage_ms))
@@ -514,7 +486,7 @@ def motion_series(
         inside = dist <= placement.sensing_radius
         step = np.hypot(np.diff(pos[:, 0]), np.diff(pos[:, 1]))
         moved = np.zeros(n, dtype=bool)
-        moved[1:] = step > params.motion_epsilon_m
+        moved[1:] = step > MOTION_EPSILON_M
         triggered |= inside & moved & ~np.isnan(dist)
 
     return ReadingSeries(
@@ -527,12 +499,12 @@ def environment_series(
     script: ScenarioScript,
     spec,
     seed: int,
-    params: SimParams,
+    lamp_delta: float,
 ) -> ReadingSeries:
     profile = script.profile(spec.room_id)
     tz = layout.tz_offset_min
-    n = (script.end - script.start) // params.env_period_ms
-    ts = script.start + params.env_period_ms * np.arange(n, dtype=np.int64)
+    n = (script.end - script.start) // ENV_PERIOD_MS
+    ts = script.start + ENV_PERIOD_MS * np.arange(n, dtype=np.int64)
     rng = event_rng(seed, spec.sensor_id, 0, 5)
 
     if spec.channel == "temperature":
@@ -551,7 +523,7 @@ def environment_series(
         ]
         for at, new_state in sorted(changes):
             lamp[ts >= at] = new_state
-        values = values + lamp * params.lamp_delta + rng.normal(0.0, 1.0, n)
+        values = values + lamp * lamp_delta + rng.normal(0.0, 1.0, n)
         values = np.maximum(values, 0.0)
     elif spec.channel == "noise":
         values = np.asarray(profile.noise(ts, tz), dtype=np.float64)

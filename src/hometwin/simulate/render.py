@@ -19,7 +19,7 @@ import zlib
 
 import numpy as np
 
-from ..core import PostureLabel
+from ..core import FRAME_PERIOD_MS, PostureLabel
 from ..layout import ModulePlacement
 
 # posture -> (sigma_major m, sigma_minor m, amplitude degrees C)
@@ -29,6 +29,11 @@ BLOB_PARAMS: dict[PostureLabel, tuple[float, float, float]] = {
     PostureLabel.STAND: (0.25, 0.25, 8.0),
     PostureLabel.WALK: (0.25, 0.25, 8.0),
 }
+WALK_SPEED_MPS = 1.0
+# the heat a seated or lying body leaves behind: a blob of this fraction of
+# the body's amplitude that decays with this time constant
+RESIDUAL_AMPLITUDE_FRAC = 0.4
+RESIDUAL_TAU_MIN = 10.0
 
 # fidget behaviour per posture: (shift probability per second, shift radius m,
 # amplitude flicker std).  Shifts move the blob; flicker wobbles its whole
@@ -118,7 +123,7 @@ def fidget_offsets(
 
     offsets = np.zeros((n, 2))
     if base[1] > 0.0 or posture is PostureLabel.LIE_DOWN:
-        starts = rng.random(n) < p_shift / 4.0  # 4 frames per second
+        starts = rng.random(n) < p_shift * (FRAME_PERIOD_MS / 1000.0)  # per frame
         target = np.zeros(2)
         current = np.zeros(2)
         ramp_left = 0

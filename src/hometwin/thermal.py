@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .core import MS_PER_MINUTE, pixels_to_celsius
 from .errors import DimensionError, InsufficientDataError, ResolutionError
 
@@ -56,8 +57,8 @@ def should_calibrate(
     baseline: PixelBaseline,
     ambient_now: float,
     now: int,
-    delta_cal_c: float = 1.5,
-    min_recal_interval_min: float = 30.0,
+    delta_cal_c: float,
+    min_recal_interval_min: float,
 ) -> bool:
     """Fire a self-calibration only on a significant ambient shift once the
     rate limit has elapsed.  The tracker asks only in unoccupied chunks."""
@@ -71,7 +72,7 @@ def apply_calibration(
     recent_celsius: np.ndarray,
     ambient_now: float,
     now: int,
-    warmup_frames: int = 120,
+    warmup_frames: int,
 ) -> bool:
     """Reset the baseline from recent unoccupied frames.
 
@@ -124,9 +125,7 @@ def motion_index(windows: np.ndarray) -> np.ndarray:
     return sums / ((n - 1) * rows * cols)
 
 
-def count_blobs(
-    residual_means: np.ndarray, threshold: float = 2.0, min_pixels: int = 3
-) -> np.ndarray:
+def count_blobs(residual_means: np.ndarray, threshold: float, min_pixels: int) -> np.ndarray:
     """Per window of a [k, 32, 32] stack: the number of 4-connected
     components with >= min_pixels pixels above threshold, as int64[k].
 
@@ -182,16 +181,6 @@ def count_blobs(
     return np.bincount(starts[roots] // (side * side), minlength=k).astype(np.int64)
 
 
-@dataclass
-class TrackerParams:
-    warmup_frames: int = 120
-    baseline_alpha: float = 0.01
-    theta_idle: float = 0.6
-    presence_max_c: float = 1.5
-    delta_cal_c: float = 1.5
-    min_recal_interval_min: float = 30.0
-
-
 class BaselineTracker:
     """Streaming baseline maintenance for one thermal sensor.
 
@@ -202,6 +191,9 @@ class BaselineTracker:
     residual stays below presence_max_c -- a still sleeper keeps heat in the
     frame but must never be absorbed into the background.
 
+    The tunables come from the config: warmup_frames, baseline_alpha,
+    theta_idle, presence_max_c, delta_cal_c and min_recal_interval_min.
+
     Frames are processed in ~10 s sub-chunks with one gate decision and one
     weighted baseline update per chunk (weight 1-(1-alpha)^k for k absorbed
     frames), which keeps day-long streams cheap without changing the
@@ -211,9 +203,9 @@ class BaselineTracker:
     CHUNK = 40  # frames per update decision (10 s at 4 Hz)
     AMBIENT_SMOOTH_SAMPLES = 12  # one minute of 5 s thermometer readings
 
-    def __init__(self, resolution: int, params: TrackerParams | None = None):
+    def __init__(self, resolution: int, config: PipelineConfig | None = None):
         self.resolution = resolution
-        self.params = params or TrackerParams()
+        self.config = config or PipelineConfig()
         self.baseline: PixelBaseline | None = None
         self._warmup: list[np.ndarray] = []
         self._warmup_ts: list[int] = []
@@ -277,7 +269,7 @@ class BaselineTracker:
             )
         n = pixels_centi.shape[0]
         residuals = np.zeros((n, self.resolution, self.resolution), dtype=np.float32)
-        p = self.params
+        p = self.config
 
         start = 0
         if self.baseline is None:

@@ -13,7 +13,7 @@ import pytest
 
 from hometwin import analytics
 from hometwin.activity.evaluate import evaluate_timeline
-from hometwin.activity.rules import RuleParams, classify_minute
+from hometwin.activity.rules import classify_minute
 from hometwin.config import PipelineConfig
 from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, parse_epoch
 from hometwin.ingestion.store import RecordStore
@@ -23,7 +23,7 @@ from hometwin.pipeline import StreamSource, run_pipeline
 from hometwin.posture.data import generate_posture_dataset
 from hometwin.posture.net import config_for_resolution
 from hometwin.posture.train import gradient_check, train
-from hometwin.simulate.engine import SimParams, simulate
+from hometwin.simulate.engine import simulate
 from hometwin.simulate.scenario import AmbientProfile, OccupyRoom, ScenarioScript
 from hometwin.simulate.scripts import (
     mixed_day,
@@ -31,7 +31,7 @@ from hometwin.simulate.scripts import (
     sleep_day,
     sunlight_scenario,
 )
-from hometwin.thermal import BaselineTracker, TrackerParams
+from hometwin.thermal import BaselineTracker
 
 from conftest import bundle_frames, bundle_readings, random_packet, store_contents, store_source
 
@@ -185,13 +185,13 @@ def drift_scenario(occupied: bool = False) -> tuple[HomeLayout, ScenarioScript]:
 
 
 def test_criterion_4_calibration_drift():
-    params = SimParams(pixel_noise_sigma=0.0)
+    config = PipelineConfig(pixel_noise_sigma=0.0)
 
     layout, script = drift_scenario(occupied=False)
-    bundle = simulate(layout, script, seed=3, params=params)
+    bundle = simulate(layout, script, seed=3, config=config)
     blocks = bundle_frames(bundle, "dining/C0/thermal")
     ambient = bundle_readings(bundle, "dining/C0/temperature")
-    tracker = BaselineTracker(4, TrackerParams())
+    tracker = BaselineTracker(4, PipelineConfig())
     tracker.set_ambient_series(ambient.timestamps, ambient.values)
     residuals = np.concatenate([tracker.process(b.timestamps, b.pixels_centi) for b in blocks])
     timestamps = np.concatenate([b.timestamps for b in blocks])
@@ -203,8 +203,8 @@ def test_criterion_4_calibration_drift():
     )
 
     layout2, script2 = drift_scenario(occupied=True)
-    bundle2 = simulate(layout2, script2, seed=3, params=params)
-    tracker2 = BaselineTracker(4, TrackerParams())
+    bundle2 = simulate(layout2, script2, seed=3, config=config)
+    tracker2 = BaselineTracker(4, PipelineConfig())
     ambient2 = bundle_readings(bundle2, "dining/C0/temperature")
     tracker2.set_ambient_series(ambient2.timestamps, ambient2.values)
     for b in bundle_frames(bundle2, "dining/C0/thermal"):
@@ -234,7 +234,7 @@ def test_criterion_5_sunlight_suppression(full_models):
         )
         windows_checked += len(track.windows)
 
-        tracker = BaselineTracker(4, TrackerParams())
+        tracker = BaselineTracker(4, PipelineConfig())
         ambient = bundle_readings(bundle, "dining/C0/temperature")
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
         residuals = np.concatenate(
@@ -268,7 +268,7 @@ def test_criterion_6_activity_accuracy(full_models):
     # rule invariants over randomized evidence records
     from test_rules import rng_evidence
 
-    params = RuleParams(theta_active=0.35)
+    params = PipelineConfig()
     rng = np.random.default_rng(99)
     dominance_ok = True
     boost_ok = True

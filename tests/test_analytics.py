@@ -18,6 +18,8 @@ from hometwin.core import (
 from hometwin.errors import CoverageError, InsufficientDataError, WindowMismatchError
 from hometwin.layout import lite_layout
 
+K_REST = PipelineConfig().k_rest
+
 SLEEP = ActivityLabel.SLEEPING.value
 REST = ActivityLabel.RESTROOM.value
 AWAY = ActivityLabel.NOT_AT_HOME.value
@@ -43,30 +45,30 @@ class TestExtractSleep:
     def test_two_segments_kept_separate(self):
         labels = [DINING] * 5 + [SLEEP] * 390 + [REST] * 10 + [SLEEP] * 60 + [DINING] * 5
         timeline = timeline_of(labels)
-        segments, total = analytics.extract_sleep(timeline, 0, len(labels) * MS_PER_MINUTE)
+        segments, total = analytics.extract_sleep(timeline, 0, len(labels) * MS_PER_MINUTE, K_REST)
         assert [s.minutes for s in segments] == [390.0, 60.0]
         assert total == 450.0
 
     def test_no_sleep_empty(self):
         timeline = timeline_of([DINING] * 30)
-        segments, total = analytics.extract_sleep(timeline, 0, 30 * MS_PER_MINUTE)
+        segments, total = analytics.extract_sleep(timeline, 0, 30 * MS_PER_MINUTE, K_REST)
         assert segments == [] and total == 0.0
 
     def test_uninterrupted_block(self):
         timeline = timeline_of([SLEEP] * 480)
-        segments, total = analytics.extract_sleep(timeline, 0, 480 * MS_PER_MINUTE)
+        segments, total = analytics.extract_sleep(timeline, 0, 480 * MS_PER_MINUTE, K_REST)
         assert len(segments) == 1
         assert total == 480.0
 
     def test_window_not_covered(self):
         timeline = timeline_of([SLEEP] * 10)
         with pytest.raises(CoverageError):
-            analytics.extract_sleep(timeline, 0, 20 * MS_PER_MINUTE)
+            analytics.extract_sleep(timeline, 0, 20 * MS_PER_MINUTE, K_REST)
 
     def test_clipped_to_window(self):
         timeline = timeline_of([SLEEP] * 60)
         segments, total = analytics.extract_sleep(
-            timeline, 10 * MS_PER_MINUTE, 20 * MS_PER_MINUTE
+            timeline, 10 * MS_PER_MINUTE, 20 * MS_PER_MINUTE, K_REST
         )
         assert total == 10.0
 

@@ -26,6 +26,34 @@ def test_override_returns_new_config():
     assert base.k_rest == 3
 
 
+def test_override_casts_like_a_config_file():
+    changed = PipelineConfig().override(k_rest=5.0, theta_active=1)
+    assert changed.k_rest == 5 and type(changed.k_rest) is int
+    assert changed.theta_active == 1.0 and type(changed.theta_active) is float
+    assert changed == config_from_dict({"k_rest": 5.0, "theta_active": 1})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k_rest", 2.7), ("warmup_frames", 2.5), ("k_rest", "abc"), ("theta_active", "abc"),
+     ("seed", None), ("k_rest", [3]), ("warmup_frames", float("inf"))],
+)
+def test_bad_value_refused_everywhere(key, value):
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig().override(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: value})
+
+
+def test_bad_set_value_exits_2(capsys):
+    from hometwin.cli import main
+
+    assert main(["print-config", "--set", "k_rest=abc"]) == 2
+    assert main(["print-config", "--set", "warmup_frames=2.5"]) == 2
+    assert main(["print-config", "--set", "k_rest=4"]) == 0
+    assert json.loads(capsys.readouterr().out)["k_rest"] == 4
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"pixel_noise_sigma": 0.1, "train_iterations": 50}')
@@ -53,6 +81,15 @@ REMOVED_KEYS = [
     "sunlight_delta_c",
     "gap_bridge_min",
     "report_day_boundary",
+    "frame_period_ms",
+    "frame_jitter_frac",
+    "env_period_ms",
+    "motion_period_ms",
+    "motion_epsilon_m",
+    "residual_tau_min",
+    "residual_amplitude_frac",
+    "walk_speed_mps",
+    "passage_seconds",
 ]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hometwin.config import PipelineConfig
 from hometwin.core import (
     MS_PER_MINUTE,
     ActivityLabel,
@@ -15,7 +16,6 @@ from hometwin.simulate import (
     OccupyRoom,
     ReturnHome,
     ScenarioScript,
-    SimParams,
     simulate,
 )
 from hometwin.simulate.scripts import restroom_visit
@@ -245,7 +245,7 @@ class TestResidualHeat:
         )
         from hometwin.core import FrameBlock
 
-        bundle = simulate(layout, script, seed=13, params=SimParams(pixel_noise_sigma=0.0))
+        bundle = simulate(layout, script, seed=13, config=PipelineConfig(pixel_noise_sigma=0.0))
         block = FrameBlock.concat(bundle_frames(bundle, "dining/C0/thermal"))
         ts = block.timestamps
         celsius = block.pixels_centi / 100.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hometwin.config import PipelineConfig
 from hometwin.core import (
     MS_PER_MINUTE,
     PostureLabel,
@@ -11,7 +12,7 @@ from hometwin.core import (
     quantize_pixels,
 )
 from hometwin.layout import ModulePlacement, ModuleType, default_layout
-from hometwin.simulate import AmbientProfile, ScenarioScript, SimParams, SunlightPatch, simulate
+from hometwin.simulate import AmbientProfile, ScenarioScript, SunlightPatch, simulate
 from hometwin.simulate.engine import _add_patch, _Patch
 from hometwin.simulate.render import BLOB_PARAMS, blob_images, path_positions, sensor_grid
 
@@ -49,7 +50,7 @@ def simulate_flat(noise_sigma=0.0, sunlight=None):
         ambient={room.room_id: FLAT for room in layout.rooms},
         sunlight=sunlight,
     )
-    return simulate(layout, script, seed=0, params=SimParams(pixel_noise_sigma=noise_sigma))
+    return simulate(layout, script, seed=0, config=PipelineConfig(pixel_noise_sigma=noise_sigma))
 
 
 def frames_of(bundle, sensor_id):

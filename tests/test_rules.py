@@ -1,16 +1,16 @@
 import numpy as np
 
+from hometwin.config import PipelineConfig
 from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
 from hometwin.activity.evidence import MinuteEvidence, RoomEvidence
 from hometwin.activity.rules import (
-    RuleParams,
     classify_minute,
     classify_timeline,
     detect_not_at_home,
 )
 from hometwin.layout import RoomRole
 
-PARAMS = RuleParams(theta_active=0.35)
+PARAMS = PipelineConfig()
 
 
 def room(role, posture=PostureLabel.NOT_HERE, index=0.15, blobs=0, multi=0):
@@ -21,6 +21,7 @@ def room(role, posture=PostureLabel.NOT_HERE, index=0.15, blobs=0, multi=0):
         blob_count_max=blobs,
         multi_blob_windows=multi,
         window_count=12,
+        theta_active=0.35,
     )
 
 

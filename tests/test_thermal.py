@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from hometwin.config import PipelineConfig
 from hometwin.core import pixels_to_celsius, quantize_pixels
 from hometwin.errors import DimensionError, InsufficientDataError, ResolutionError
 from hometwin.thermal import (
     BaselineTracker,
     PixelBaseline,
-    TrackerParams,
     apply_calibration,
     count_blobs,
     motion_index,
     should_calibrate,
 )
+
+CONFIG = PipelineConfig()
+THRESHOLD, MIN_PIXELS = CONFIG.blob_threshold_c, CONFIG.blob_min_pixels
+RECAL = (CONFIG.delta_cal_c, CONFIG.min_recal_interval_min)
 
 
 def flat_baseline(res=4, mean=28.0, ambient=28.0, at=0):
@@ -29,7 +33,7 @@ def filter_frame(celsius, baseline):
     minus baseline mean, clamped at zero (one chunk, no ambient series)."""
     celsius = np.asarray(celsius, dtype=np.float64)
     frames = celsius.reshape((-1,) + celsius.shape[-2:])
-    tracker = BaselineTracker(baseline.resolution, TrackerParams(warmup_frames=1))
+    tracker = BaselineTracker(baseline.resolution, PipelineConfig(warmup_frames=1))
     tracker.baseline = baseline
     residual = tracker.process(
         250 * np.arange(len(frames), dtype=np.int64), quantize_pixels(frames)
@@ -75,7 +79,7 @@ class TestFilterFrame:
 class TestShouldCalibrate:
     def test_fires_on_significant_drift(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert should_calibrate(base, 30.0, now=31 * 60_000)
+        assert should_calibrate(base, 30.0, 31 * 60_000, *RECAL)
 
     def test_never_fires_occupied(self):
         # the tracker asks only in unoccupied chunks: a 2 C ambient shift
@@ -90,7 +94,7 @@ class TestShouldCalibrate:
         occupied[200:, 1, 1] += 600  # a still 6 C body from frame 200 on
         events = {}
         for name, frames in (("empty", empty), ("occupied", occupied)):
-            tracker = BaselineTracker(4, TrackerParams(warmup_frames=40))
+            tracker = BaselineTracker(4, PipelineConfig(warmup_frames=40))
             tracker.set_ambient_series(ambient_ts, ambient)
             tracker.process(ts, frames.astype(np.int16))
             events[name] = tracker.calibration_events
@@ -99,11 +103,11 @@ class TestShouldCalibrate:
 
     def test_below_threshold_no_fire(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert not should_calibrate(base, 28.5, now=31 * 60_000)
+        assert not should_calibrate(base, 28.5, 31 * 60_000, *RECAL)
 
     def test_rate_limited(self):
         base = flat_baseline(ambient=28.0, at=0)
-        assert not should_calibrate(base, 30.0, now=10 * 60_000)
+        assert not should_calibrate(base, 30.0, 10 * 60_000, *RECAL)
 
 
 class TestApplyCalibration:
@@ -163,30 +167,30 @@ class TestCountBlobs:
         return amp * np.exp(-(((yy - center[0]) ** 2 + (xx - center[1]) ** 2) / (2 * radius**2)))
 
     def test_empty_zero(self):
-        assert count_blobs(np.zeros((1, 32, 32)))[0] == 0
+        assert count_blobs(np.zeros((1, 32, 32)), THRESHOLD, MIN_PIXELS)[0] == 0
 
     def test_single_blob(self):
-        assert count_blobs(self.blob((16, 16))[None])[0] == 1
+        assert count_blobs(self.blob((16, 16))[None], THRESHOLD, MIN_PIXELS)[0] == 1
 
     def test_two_separated_blobs(self):
         residual = self.blob((8, 8)) + self.blob((24, 24))
-        assert count_blobs(residual[None])[0] == 2
+        assert count_blobs(residual[None], THRESHOLD, MIN_PIXELS)[0] == 2
 
     def test_min_pixel_filter(self):
         residual = np.zeros((32, 32))
         residual[3, 3] = 9.0  # single-pixel speck
-        assert count_blobs(residual[None], min_pixels=3)[0] == 0
-        assert count_blobs(residual[None], min_pixels=1)[0] == 1
+        assert count_blobs(residual[None], THRESHOLD, 3)[0] == 0
+        assert count_blobs(residual[None], THRESHOLD, 1)[0] == 1
 
     def test_resolution_guard(self):
         with pytest.raises(ResolutionError):
-            count_blobs(np.zeros((1, 4, 4)))
+            count_blobs(np.zeros((1, 4, 4)), THRESHOLD, MIN_PIXELS)
 
     def test_noise_invariance_below_threshold(self):
         base = self.blob((10, 20)) + self.blob((24, 6))
         for seed in range(10):
             noisy = base + np.random.default_rng(seed).normal(0, 0.3, size=(32, 32))
-            assert count_blobs(noisy[None], threshold=2.0, min_pixels=3)[0] == 2
+            assert count_blobs(noisy[None], THRESHOLD, MIN_PIXELS)[0] == 2
 
     def test_four_connectivity_oracle(self):
         # brute-force oracle: label by flood fill on a fixed pattern with a
@@ -195,14 +199,13 @@ class TestCountBlobs:
         residual[5:8, 5:8] = 9.0
         residual[8, 8] = 9.0  # touches (7,7) only diagonally
         residual[9:11, 9:11] = 9.0
-        assert count_blobs(residual[None], min_pixels=1)[0] == 3
+        assert count_blobs(residual[None], THRESHOLD, 1)[0] == 3
 
 
 class TestBaselineTracker:
     def test_warmup_then_tracks(self):
         rng = np.random.default_rng(3)
-        params = TrackerParams(warmup_frames=40)
-        tracker = BaselineTracker(4, params)
+        tracker = BaselineTracker(4, PipelineConfig(warmup_frames=40))
         ts = np.arange(400, dtype=np.int64) * 250
         frames = (2800 + rng.normal(0, 30, size=(400, 4, 4))).astype(np.int16)
         residuals = tracker.process(ts, frames)
@@ -212,8 +215,7 @@ class TestBaselineTracker:
 
     def test_still_occupant_never_absorbed(self):
         rng = np.random.default_rng(4)
-        params = TrackerParams(warmup_frames=40)
-        tracker = BaselineTracker(4, params)
+        tracker = BaselineTracker(4, PipelineConfig(warmup_frames=40))
         n = 4800  # 20 minutes
         frames = 2800 + rng.normal(0, 30, size=(n, 4, 4))
         frames[200:, 1, 1] += 600  # a still 6 C body from frame 200 on

@@ -19,9 +19,10 @@ import numpy as np
 import pytest
 
 from hometwin.activity.evidence import MinuteEvidence, RoomEvidence
-from hometwin.activity.rules import RuleParams, classify_timeline, detect_not_at_home
+from hometwin.activity.rules import classify_timeline, detect_not_at_home
 from hometwin.config import PipelineConfig
 from hometwin.core import (
+    FRAME_PERIOD_MS,
     MS_PER_MINUTE,
     FrameBlock,
     PostureLabel,
@@ -44,7 +45,7 @@ from hometwin.posture.net import PostureNet, config_for_resolution
 from hometwin.posture.windows import build_windows, stack_windows
 from hometwin.simulate import OccupyRoom, ScenarioScript, simulate
 from hometwin.simulate.scenario import VisitorEnter, VisitorLeave
-from hometwin.thermal import MOTION_BLOCK_BYTES, BaselineTracker, TrackerParams, count_blobs, motion_index
+from hometwin.thermal import MOTION_BLOCK_BYTES, BaselineTracker, count_blobs, motion_index
 
 from conftest import store_source
 
@@ -91,7 +92,7 @@ class PostureWindow:
     frames: np.ndarray
 
 
-def reference_build_windows(timestamps, frames, period_ms=250, tolerance=0.10):
+def reference_build_windows(timestamps, frames, period_ms=FRAME_PERIOD_MS, tolerance=0.10):
     """Former `build_windows` (stride 1): one PostureWindow per kept tile."""
     lo_ms = period_ms * (1.0 - tolerance)
     hi_ms = period_ms * (1.0 + tolerance)
@@ -132,28 +133,16 @@ def reference_track(source, sensor_id, model, config) -> ReferenceTrack:
     room = source.layout.room(spec.room_id)
     resolution = spec.kind.resolution
     track = ReferenceTrack(sensor_id, room.role, resolution, [], 0, [])
-    tracker = BaselineTracker(
-        resolution,
-        TrackerParams(
-            warmup_frames=config.warmup_frames,
-            baseline_alpha=config.baseline_alpha,
-            theta_idle=config.theta_idle,
-            presence_max_c=config.presence_max_c,
-            delta_cal_c=config.delta_cal_c,
-            min_recal_interval_min=config.min_recal_interval_min,
-        ),
-    )
+    tracker = BaselineTracker(resolution, config)
     ambient = _ambient_lookup(source, spec.room_id)
     if ambient is not None and len(ambient):
         tracker.set_ambient_series(ambient.timestamps, ambient.values)
-    window_ms = config.frame_period_ms * 20
+    window_ms = FRAME_PERIOD_MS * 20
     for block in source.frame_blocks(sensor_id):
         if not len(block):
             continue
         residuals = tracker.process(block.timestamps, block.pixels_centi)
-        windows, dropped = reference_build_windows(
-            block.timestamps, residuals, period_ms=config.frame_period_ms
-        )
+        windows, dropped = reference_build_windows(block.timestamps, residuals)
         track.dropped_windows += len(dropped)
         records = [
             Record(
@@ -268,7 +257,9 @@ def reference_run(source: StreamSource, models, config: PipelineConfig):
         minutes = ((series.timestamps[1:] - start) // MS_PER_MINUTE).astype(int)
         ok = (minutes >= 0) & (minutes < n_minutes)
         np.maximum.at(light_step, minutes[ok], steps[ok])
-    rooms = reference_fold(tracks, thetas, start, n_minutes)
+    fallback = max(thetas.values()) if thetas else THETA_FALLBACK
+    gates = {sid: theta if theta > 0 else fallback for sid, theta in thetas.items()}
+    rooms = reference_fold(tracks, gates, start, n_minutes)
     night_lo, night_hi = layout.night_window
     evidence = []
     for m in range(n_minutes):
@@ -283,16 +274,8 @@ def reference_run(source: StreamSource, models, config: PipelineConfig):
         )
         ev.rooms.update(rooms[m])
         evidence.append(ev)
-    params = RuleParams(
-        k_rest=config.k_rest,
-        theta_active=max(thetas.values()) if thetas else THETA_FALLBACK,
-        w_night=config.w_night,
-        s_vis=config.s_vis,
-        min_away_min=config.min_away_min,
-        carry_forward_max=config.carry_forward_max,
-    )
-    timeline = classify_timeline(evidence, params)
-    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_ts)), params)
+    timeline = classify_timeline(evidence, config)
+    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_ts)), config)
     return tracks, thetas, evidence, timeline
 
 
@@ -363,22 +346,22 @@ class TestCountBlobs:
         rng = np.random.default_rng(min_pixels)
         stack = np.stack(shapes + [random_stack(rng, 1, 0.5)[0]] + shapes[::-1])
         assert_blobs_match(stack, min_pixels=min_pixels)
-        assert count_blobs(stack[:5], min_pixels=1).tolist() == [1] * 5
+        assert count_blobs(stack[:5], 2.0, 1).tolist() == [1] * 5
 
     def test_spiral_is_one_long_component(self):
         m = spiral()
         assert int((m > 0).sum()) > 400
-        assert count_blobs(m[None], min_pixels=400).tolist() == [1]
+        assert count_blobs(m[None], 2.0, 400).tolist() == [1]
 
     def test_pixels_at_threshold_are_not_hot(self):
         stack = np.full((3, 32, 32), 2.0, dtype=np.float32)
         stack[1, 4:8, 4:8] = np.nextafter(np.float32(2.0), np.float32(9.0))
         stack[2] = 1.5
         stack[2, ::2, ::2] = 2.5  # isolated pixels: 4-connectivity keeps them apart
-        assert count_blobs(stack).tolist() == [0, 1, 0]
-        assert count_blobs(stack, min_pixels=1).tolist() == [0, 1, 256]
+        assert count_blobs(stack, 2.0, 3).tolist() == [0, 1, 0]
+        assert count_blobs(stack, 2.0, 1).tolist() == [0, 1, 256]
         assert_blobs_match(stack, min_pixels=1)
-        assert count_blobs(stack, threshold=1.5, min_pixels=1).tolist() == [1, 1, 256]
+        assert count_blobs(stack, 1.5, 1).tolist() == [1, 1, 256]
 
     def test_blobs_do_not_join_across_windows(self):
         stack = np.zeros((3, 32, 32), dtype=np.float32)
@@ -386,24 +369,24 @@ class TestCountBlobs:
         stack[1, 0, 10:12] = 5.0  # ... above the first row of window 1
         stack[1, 31, :] = 5.0
         stack[2, 0, :] = 5.0
-        assert count_blobs(stack, min_pixels=1).tolist() == [1, 2, 1]
-        assert count_blobs(stack, min_pixels=3).tolist() == [0, 1, 1]
+        assert count_blobs(stack, 2.0, 1).tolist() == [1, 2, 1]
+        assert count_blobs(stack, 2.0, 3).tolist() == [0, 1, 1]
         assert_blobs_match(stack, min_pixels=3)
 
     def test_runs_do_not_wrap_across_rows(self):
         stack = np.zeros((1, 32, 32), dtype=np.float32)
         stack[0, 5, 31] = 5.0  # end of one row ...
         stack[0, 6, 0] = 5.0  # ... and the start of the next are not neighbours
-        assert count_blobs(stack, min_pixels=1).tolist() == [2]
+        assert count_blobs(stack, 2.0, 1).tolist() == [2]
 
     def test_empty_stack(self):
-        got = count_blobs(np.zeros((0, 32, 32), dtype=np.float32))
+        got = count_blobs(np.zeros((0, 32, 32), dtype=np.float32), 2.0, 3)
         assert got.dtype == np.int64 and got.shape == (0,)
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (32, 32), (2, 32, 16)])
     def test_other_resolutions_raise(self, shape):
         with pytest.raises(ResolutionError):
-            count_blobs(np.zeros(shape))
+            count_blobs(np.zeros(shape), 2.0, 3)
 
 
 class TestMotionIndex:
@@ -612,7 +595,7 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     if case == "narrow_window":
         # only the window's frames are read: every window starts inside it,
         # and the auto gate pools those windows alone
-        window_ms = 20 * config.frame_period_ms
+        window_ms = 20 * FRAME_PERIOD_MS
         for t in tracks:
             assert len(t.start) and source.start <= t.start.min() and t.start.max() < source.end
             assert len(t.start) <= (source.end - source.start) // window_ms
@@ -625,13 +608,16 @@ def test_pipeline_matches_per_window_oracle(homes, case):
 
 
 def test_thermal_sensor_without_frames_gives_empty_track(homes):
-    # the layout's 32x32 sensor delivered nothing: the store answers with an
-    # empty block (of the 4x4 default shape), and the sensor's track is empty
+    # the layout's 32x32 sensor delivered nothing: the source answers with an
+    # empty block of the layout's 32x32 shape, and the sensor's track is empty
     layout, bundle = homes["plain"]
     bundle = copy.copy(bundle)
     bundle.frames = [b for b in bundle.frames if b.sensor_id != "living/D0/thermal"]
     source = store_source(layout, bundle)
-    assert not len(source.frame_blocks("living/D0/thermal")[0])
+    (block,) = source.frame_blocks("living/D0/thermal")
+    assert block.resolution == 32
+    assert block.pixels_centi.shape == (0, 32, 32) and block.pixels_centi.dtype == np.int16
+    assert block.timestamps.shape == (0,) and block.timestamps.dtype == np.int64
     config = PipelineConfig()
     result = run_pipeline(source, homes["models"], config)
     track = result.tracks["living/D0/thermal"]
