@@ -158,9 +158,10 @@ def _simulate_into_store(
 ) -> tuple[RecordStore, int, int, GroundTruthTimeline]:
     """A scenario's packets in a fresh store, with its window and truth.
 
-    The store's frames are views of the simulated ones until its first query
-    consolidates them, so the bundle and its packets are released on return:
-    holding them would keep a second copy of every frame through the pipeline.
+    The store holds the simulated arrays until its first query of a sensor
+    copies them into the sensor's column, so the bundle and its packets are
+    released on return: holding them would keep a second copy of every frame
+    through the pipeline.
     """
     bundle = simulate(layout, script, config.seed, config)
     store = RecordStore()

@@ -1,8 +1,14 @@
 """Append-only record store with time-range queries and dedup by packet id.
 
-One writer, many readers: appends are serialized by the caller; queries
-consolidate lazily and always see every fully appended packet.  Missing
-sequence numbers are tracked as gaps, not errors.
+One writer, many readers: appends are serialized by the caller, and a query
+sees every fully appended packet.  Each sensor is one column of sorted
+timestamp and value (or pixel) buffers with spare capacity.  An append only
+lists the packet's arrays; the next read of the sensor folds them in.  Rows
+that extend the column in time order are copied past its end with no sort;
+anything else is merged from its insertion point on by a stable sort into
+fresh arrays, so equal timestamps keep their append order.  A query is two
+binary searches and returns read-only views, and nothing it returned changes
+afterwards.  Missing sequence numbers are tracked as gaps, not errors.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ..core import FrameBlock, ReadingSeries, SensorKind
-from ..errors import RangeError, VersionError, WireFormatError
+from ..errors import DimensionError, RangeError, UnknownSensorError, VersionError, WireFormatError
 from ..files import write_atomic
 from .packets import HubPacket
 from .wire import _GROUP_META, _need, _str_bytes, _string
@@ -23,71 +29,147 @@ _MAGIC = b"HTSTORE1"
 _VERSION = 1
 _KINDS = list(SensorKind)  # a reading series stores its kind as an index here
 _U32 = struct.Struct("<I")
+_GROWTH = 1.5  # capacity factor when a fold outgrows a column's buffers
+
+
+def _regrow(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
+    """A fresh buffer of `capacity` rows that starts with the first n rows of a."""
+    out = np.empty((capacity,) + a.shape[1:], dtype=a.dtype)
+    out[:n] = a[:n]
+    return out
+
+
+class _Column:
+    """One sensor's records: the sorted committed rows `ts[:n]`, `data[:n]`,
+    and the (timestamps, data) chunks appended since the last read.  `meta`
+    is the sensor kind of a reading column, the resolution of a frame column.
+
+    Committed rows are never written again: a fold writes only past `n` or
+    into fresh arrays, so views handed out earlier stay as they were."""
+
+    __slots__ = ("meta", "ts", "data", "n", "pending")
+
+    def __init__(self, meta, ts: np.ndarray, data: np.ndarray):
+        self.meta = meta
+        self.ts, self.data, self.n = ts, data, len(ts)
+        self.pending: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def __len__(self) -> int:
+        return self.n + sum(len(ts) for ts, _ in self.pending)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row, sorted by timestamp, once the pending chunks are in."""
+        if self.pending:
+            self._fold()
+        return self.ts[: self.n], self.data[: self.n]
+
+    def window(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only views of the rows with t0 <= t < t1."""
+        ts, data = self.rows()
+        lo = int(np.searchsorted(ts, t0, side="left"))
+        hi = int(np.searchsorted(ts, t1, side="left"))
+        ts, data = ts[lo:hi], data[lo:hi]
+        ts.flags.writeable = data.flags.writeable = False
+        return ts, data
+
+    def _fold(self) -> None:
+        """Copy the pending chunks past the committed rows, growing the
+        buffers if they are full, and merge if that broke the time order."""
+        chunks, self.pending = self.pending, []
+        n = end = self.n
+        total = n + sum(len(ts) for ts, _ in chunks)
+        if total > len(self.ts):
+            capacity = max(total, int(len(self.ts) * _GROWTH))
+            self.ts, self.data = _regrow(self.ts, n, capacity), _regrow(self.data, n, capacity)
+        for ts, data in chunks:
+            self.ts[end : end + len(ts)] = ts
+            self.data[end : end + len(ts)] = data
+            end += len(ts)
+        joined = self.ts[max(n - 1, 0) : total]
+        if np.count_nonzero(joined[1:] < joined[:-1]):
+            self._merge(n, total)
+        self.n = total
+
+    def _merge(self, n: int, total: int) -> None:
+        """Sort the new rows `n:total`, which are in append order, into the
+        committed ones.  Rows at or before the earliest new timestamp stay;
+        the rest are stably sorted into fresh arrays, so equal timestamps
+        keep their append order and no committed row is overwritten."""
+        at = int(np.searchsorted(self.ts[:n], self.ts[n:total].min(), side="right"))
+        order = np.argsort(self.ts[at:total], kind="stable")
+        ts, data = _regrow(self.ts, at, len(self.ts)), _regrow(self.data, at, len(self.data))
+        ts[at:total] = self.ts[at:total][order]
+        data[at:total] = self.data[at:total][order]
+        self.ts, self.data = ts, data
+
+
+def _add(columns: dict[str, _Column], sensor_id: str, meta, ts: np.ndarray, data: np.ndarray):
+    """List a chunk on its sensor's column, made empty on the sensor's first chunk."""
+    column = columns.get(sensor_id)
+    if column is None:
+        column = columns[sensor_id] = _Column(
+            meta, np.empty(0, ts.dtype), np.empty((0,) + data.shape[1:], data.dtype)
+        )
+    column.pending.append((ts, data))
 
 
 class RecordStore:
     def __init__(self):
         self._seen: dict[str, set[int]] = {}
-        # sensor_id -> (kind, [ts chunks], [value chunks]) for scalar readings
-        self._readings: dict[str, tuple[SensorKind, list[np.ndarray], list[np.ndarray]]] = {}
-        # sensor_id -> (resolution, [ts chunks], [pixel chunks])
-        self._frames: dict[str, tuple[int, list[np.ndarray], list[np.ndarray]]] = {}
-        self._dirty: set[str] = set()
+        self._readings: dict[str, _Column] = {}  # scalar readings; meta is the kind
+        self._frames: dict[str, _Column] = {}  # thermal frames; meta is the resolution
 
     # -- writes ----------------------------------------------------------
 
     def append(self, packet: HubPacket) -> int:
         """Materialize a packet; duplicates (same hub id + sequence) add 0.
 
-        The store keeps the packet's arrays without copying them, so the
-        caller must not mutate them after the append.  Decoded packets own
-        fresh arrays, and a copy here would double the bytes an ingest
-        moves."""
-        seqs = self._seen.setdefault(packet.hub_id, set())
-        if packet.sequence_number in seqs:
+        The store keeps the packet's arrays without copying them until the
+        next read of their sensor copies them in, so the caller must not
+        mutate them after the append.  Decoded packets own fresh arrays, and
+        a copy here would double the bytes an ingest moves.
+
+        A packet that gives a known sensor another resolution raises
+        DimensionError, and one that gives it another kind raises
+        UnknownSensorError; a refused packet changes nothing."""
+        if packet.sequence_number in self._seen.get(packet.hub_id, ()):
             return 0
-        seqs.add(packet.sequence_number)
+        # every group is checked before any state changes; a packet holds one
+        # series per reading sensor, but may hold several blocks of a sensor
+        for series in packet.readings:
+            column = self._readings.get(series.sensor_id)
+            if column is not None and column.meta is not series.kind:
+                raise UnknownSensorError(
+                    f"sensor {series.sensor_id} changes kind from {column.meta} to {series.kind}"
+                )
+        resolutions: dict[str, int] = {}
+        for block in packet.frames:
+            if len(block.timestamps):
+                column = self._frames.get(block.sensor_id)
+                held = resolutions.setdefault(
+                    block.sensor_id, block.resolution if column is None else column.meta
+                )
+                if block.resolution != held:
+                    raise DimensionError(
+                        f"sensor {block.sensor_id} changes resolution from {held} "
+                        f"to {block.resolution}"
+                    )
+        self._seen.setdefault(packet.hub_id, set()).add(packet.sequence_number)
 
         count = 0
         for series in packet.readings:
-            kind, ts_chunks, val_chunks = self._readings.setdefault(
-                series.sensor_id, (series.kind, [], [])
-            )
-            ts_chunks.append(series.timestamps)
-            val_chunks.append(series.values)
-            self._dirty.add(series.sensor_id)
-            count += len(series)
-
+            ts = series.timestamps
+            _add(self._readings, series.sensor_id, series.kind, ts, series.values)
+            count += len(ts)
         for block in packet.frames:
-            if not len(block):
-                continue
-            res, ts_chunks, px_chunks = self._frames.setdefault(
-                block.sensor_id, (block.resolution, [], [])
-            )
-            ts_chunks.append(np.asarray(block.timestamps, dtype=np.int64))
-            px_chunks.append(np.asarray(block.pixels_centi, dtype=np.int16))
-            self._dirty.add(block.sensor_id)
-            count += len(block)
+            ts = np.asarray(block.timestamps, dtype=np.int64)
+            if len(ts):
+                px = np.asarray(block.pixels_centi, dtype=np.int16)
+                _add(self._frames, block.sensor_id, block.resolution, ts, px)
+                count += len(ts)
         return count
 
     # -- reads -----------------------------------------------------------
-
-    def _consolidate(self, sensor_id: str) -> None:
-        if sensor_id not in self._dirty:
-            return
-        if sensor_id in self._readings:
-            kind, ts_chunks, val_chunks = self._readings[sensor_id]
-            ts = np.concatenate(ts_chunks)
-            vals = np.concatenate(val_chunks)
-            order = np.argsort(ts, kind="stable")
-            self._readings[sensor_id] = (kind, [ts[order]], [vals[order]])
-        if sensor_id in self._frames:
-            res, ts_chunks, px_chunks = self._frames[sensor_id]
-            ts = np.concatenate(ts_chunks)
-            px = np.concatenate(px_chunks)
-            order = np.argsort(ts, kind="stable")
-            self._frames[sensor_id] = (res, [ts[order]], [px[order]])
-        self._dirty.discard(sensor_id)
 
     @staticmethod
     def _check_range(t0: int, t1: int) -> None:
@@ -104,11 +186,8 @@ class RecordStore:
                 np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.float64),
             )
-        self._consolidate(sensor_id)
-        kind, (ts,), (vals,) = self._readings[sensor_id]
-        lo = int(np.searchsorted(ts, t0, side="left"))
-        hi = int(np.searchsorted(ts, t1, side="left"))
-        return ReadingSeries(sensor_id, kind, ts[lo:hi], vals[lo:hi])
+        column = self._readings[sensor_id]
+        return ReadingSeries(sensor_id, column.meta, *column.window(t0, t1))
 
     def query_frames(self, sensor_id: str, t0: int, t1: int) -> FrameBlock:
         """Frames with t0 <= t < t1, sorted by timestamp."""
@@ -117,24 +196,14 @@ class RecordStore:
             return FrameBlock(
                 sensor_id, 4, np.empty(0, dtype=np.int64), np.empty((0, 4, 4), dtype=np.int16)
             )
-        self._consolidate(sensor_id)
-        res, (ts,), (px,) = self._frames[sensor_id]
-        lo = int(np.searchsorted(ts, t0, side="left"))
-        hi = int(np.searchsorted(ts, t1, side="left"))
-        return FrameBlock(sensor_id, res, ts[lo:hi], px[lo:hi])
+        column = self._frames[sensor_id]
+        return FrameBlock(sensor_id, column.meta, *column.window(t0, t1))
 
     def sensor_ids(self) -> list[str]:
         return sorted(set(self._readings) | set(self._frames))
 
     def record_count(self) -> int:
-        total = 0
-        for sid in set(self._readings) | set(self._frames):
-            self._consolidate(sid)
-        for _, ts_chunks, _ in self._readings.values():
-            total += sum(len(c) for c in ts_chunks)
-        for _, ts_chunks, _ in self._frames.values():
-            total += sum(len(c) for c in ts_chunks)
-        return total
+        return sum(map(len, self._readings.values())) + sum(map(len, self._frames.values()))
 
     def gaps(self) -> list[tuple[str, int, int]]:
         """Missing sequence ranges per hub as (hub_id, first_missing, last_missing)."""
@@ -160,20 +229,20 @@ class RecordStore:
         reading_ids = sorted(self._readings)
         body += _U32.pack(len(reading_ids))
         for sid in reading_ids:
-            self._consolidate(sid)
-            kind, (ts,), (vals,) = self._readings[sid]
+            column = self._readings[sid]
+            ts, vals = column.rows()
             body += _str_bytes(sid)
-            body += _GROUP_META.pack(_KINDS.index(kind), len(ts))
+            body += _GROUP_META.pack(_KINDS.index(column.meta), len(ts))
             body += ts.astype("<i8").tobytes()
             body += np.round(vals * 100.0).astype("<i4").tobytes()
 
         frame_ids = sorted(self._frames)
         body += _U32.pack(len(frame_ids))
         for sid in frame_ids:
-            self._consolidate(sid)
-            res, (ts,), (px,) = self._frames[sid]
+            column = self._frames[sid]
+            ts, px = column.rows()
             body += _str_bytes(sid)
-            body += _GROUP_META.pack(res, len(ts))
+            body += _GROUP_META.pack(column.meta, len(ts))
             body += ts.astype("<i8").tobytes()
             body += px.astype("<i2").tobytes()
 
@@ -238,7 +307,7 @@ class RecordStore:
             pos = _need(at, 12 * n, end)
             ts = timestamps(sid, n, at)
             vals = np.frombuffer(data, "<i4", n, at + 8 * n).astype(np.float64) / 100.0
-            store._readings[sid] = (_KINDS[kind_idx], [ts], [vals])
+            store._readings[sid] = _Column(_KINDS[kind_idx], ts, vals)
 
         n_series, pos = count(pos)
         for _ in range(n_series):
@@ -248,7 +317,7 @@ class RecordStore:
             pos = _need(at, (8 + 2 * res * res) * n, end)
             ts = timestamps(sid, n, at)
             px = np.frombuffer(data, "<i2", n * res * res, at + 8 * n).astype(np.int16)
-            store._frames[sid] = (res, [ts], [px.reshape(n, res, res)])
+            store._frames[sid] = _Column(res, ts, px.reshape(n, res, res))
 
         if pos != end:
             raise WireFormatError(f"{end - pos} trailing bytes after store snapshot", pos)

@@ -251,6 +251,28 @@ def test_ingest_dumps_csv_and_snapshot(workdir):
     assert store.record_count() > 0
 
 
+def test_ingest_of_a_sensor_changing_resolution_exits_3(tmp_path):
+    import numpy as np
+
+    from hometwin.core import FrameBlock
+    from hometwin.ingestion.packets import HubPacket
+    from hometwin.ingestion.wire import encode_packet
+
+    def packet(seq, resolution):
+        start = seq * MS_PER_MINUTE
+        ts = start + 250 * np.arange(4, dtype=np.int64)
+        pixels = np.full((4, resolution, resolution), 2800, dtype=np.int16)
+        block = FrameBlock("bed/C0/thermal", resolution, ts, pixels)
+        return HubPacket("hub0", seq, start, start + MS_PER_MINUTE, [], [block])
+
+    packets = tmp_path / "packets.bin"
+    packets.write_bytes(encode_packet(packet(0, 4)) + encode_packet(packet(1, 32)))
+    snapshot = tmp_path / "store.bin"
+    code = main(["ingest", "--packets", str(packets), "--snapshot", str(snapshot)])
+    assert code == 3
+    assert not snapshot.exists()
+
+
 def test_builtin_scenario_runs(workdir, tmp_path):
     _, model_dir = workdir
     out = tmp_path / "builtin"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hometwin.core import FrameBlock, ReadingSeries, SensorKind
-from hometwin.errors import RangeError, WireFormatError
+from hometwin.errors import DimensionError, RangeError, UnknownSensorError, WireFormatError
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.store import RecordStore
 
@@ -90,6 +90,43 @@ def test_gap_detection():
     for seq in (0, 1, 4, 7):
         store.append(minute_packet(seq))
     assert store.gaps() == [("hub0", 2, 3), ("hub0", 5, 6)]
+
+
+def _refused_packet(case: str) -> HubPacket:
+    """Minute 1 of hub0, giving a sensor of minute_packet another resolution
+    or kind: the block, or the last of two, is 32x32; motion becomes light."""
+    start = 60_000
+    ts = start + 250 * np.arange(4, dtype=np.int64)
+    small = FrameBlock("bed/C0/thermal", 4, ts, np.full((4, 4, 4), 2800, dtype=np.int16))
+    big = FrameBlock("bed/C0/thermal", 32, ts, np.full((4, 32, 32), 2800, dtype=np.int16))
+    light = ReadingSeries("bed/C0/motion", SensorKind.LIGHT, ts, np.full(4, 1.5))
+    frames = {"resolution": [big], "resolution in packet": [small, big], "kind": [small]}[case]
+    readings = [light] if case == "kind" else []
+    return HubPacket("hub0", 1, start, start + 60_000, readings, frames)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("resolution", DimensionError),
+        ("resolution in packet", DimensionError),
+        ("kind", UnknownSensorError),
+    ],
+)
+def test_sensor_changing_resolution_or_kind_is_refused(tmp_path, case, error):
+    store, untouched = RecordStore(), RecordStore()
+    for s in (store, untouched):
+        s.append(minute_packet(0))
+        s.query_frames("bed/C0/thermal", 0, 60_000)
+    with pytest.raises(error):
+        store.append(_refused_packet(case))
+    # nothing of the packet was kept: not its sequence number, not a chunk
+    assert store.record_count() == untouched.record_count() == 300
+    assert store_contents(store) == store_contents(untouched)
+    store.save(tmp_path / "a.bin")
+    untouched.save(tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    assert store.append(minute_packet(1)) == 300  # sequence 1 is still free
 
 
 def test_snapshot_round_trip(tmp_path):
