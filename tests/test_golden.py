@@ -146,21 +146,42 @@ def criterion_10_outputs(work: Path) -> dict[str, str]:
     }
 
 
-def mixed_day_outputs() -> dict[str, str]:
+def mixed_day_outputs(work: Path) -> dict[str, str]:
     """The mixed_day 19:40-20:20 report of the benchmark's day workload,
-    with its small fixed-seed 4x4 and 32x32 models."""
+    with its small fixed-seed 4x4 and 32x32 models, and each model's file,
+    training report and curve."""
+    from hometwin.posture.model_io import save_model
+
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        from hbench import day
+        from hbench import day, inputs
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
-    rep = day.report(day.setup(MIXED_DAY_SEED))
-    return {
+    trained = {}
+    train = inputs.ptrain.train
+
+    def kept(x, y, config, **kwargs):  # the set-up's training, with its report kept
+        trained[config.resolution] = train(x, y, config, **kwargs)
+        return trained[config.resolution]
+
+    inputs.ptrain.train = kept
+    try:
+        rep = day.report(day.setup(MIXED_DAY_SEED))
+    finally:
+        inputs.ptrain.train = train
+    out = {
         "mixed_day_1940_2020/timeline.csv": _sha(rep.result.timeline.to_csv()),
         "mixed_day_1940_2020/report.txt": _sha(rep.text),
         "mixed_day_1940_2020/report.json": _sha(rep.json_text),
         "mixed_day_1940_2020/environment.csv": _sha(rep.csv),
     }
+    for resolution, (net, report) in sorted(trained.items()):
+        path = work / f"day_posture_{resolution}.htm"
+        save_model(net, path)
+        out[f"day_models/posture_{resolution}.htm"] = _sha(path.read_bytes())
+        out[f"day_models/training_report_{resolution}.txt"] = _sha(report.to_text())
+        out[f"day_models/training_curve_{resolution}.csv"] = _sha(report.curve_csv())
+    return out
 
 
 def compute() -> dict:
@@ -169,9 +190,10 @@ def compute() -> dict:
         work = Path(tmp)
         portable = portable_outputs(work)
         c10 = criterion_10_outputs(work / "criterion_10")
+        day_outputs = mixed_day_outputs(work)
     env_bound = {k: v for k, v in c10.items() if k.split("/", 1)[1] in CRITERION_10_ENVIRONMENT}
     portable.update((k, v) for k, v in c10.items() if k not in env_bound)
-    env_bound.update(mixed_day_outputs())
+    env_bound.update(day_outputs)
     return {"portable": portable, "environment": env_bound}
 
 
