@@ -29,14 +29,16 @@ _MAGIC = b"HTSTORE1"
 _VERSION = 1
 _KINDS = list(SensorKind)  # a reading series stores its kind as an index here
 _U32 = struct.Struct("<I")
-_GROWTH = 1.5  # capacity factor when a fold outgrows a column's buffers
+_GROWTH = 1.5  # capacity per row held when a fold outgrows a column's buffers
 
 
-def _regrow(a: np.ndarray, n: int, capacity: int) -> np.ndarray:
-    """A fresh buffer of `capacity` rows that starts with the first n rows of a."""
-    out = np.empty((capacity,) + a.shape[1:], dtype=a.dtype)
-    out[:n] = a[:n]
-    return out
+def _regrow(column: _Column, n: int, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh timestamp and data buffers of `capacity` rows that start with
+    the column's first n rows."""
+    ts = np.empty(capacity, dtype=column.ts.dtype)
+    data = np.empty((capacity,) + column.data.shape[1:], dtype=column.data.dtype)
+    ts[:n], data[:n] = column.ts[:n], column.data[:n]
+    return ts, data
 
 
 class _Column:
@@ -78,9 +80,11 @@ class _Column:
         chunks, self.pending = self.pending, []
         n = end = self.n
         total = n + sum(len(ts) for ts, _ in chunks)
-        if total > len(self.ts):
-            capacity = max(total, int(len(self.ts) * _GROWTH))
-            self.ts, self.data = _regrow(self.ts, n, capacity), _regrow(self.data, n, capacity)
+        if total > len(self.ts) and not n:  # the first fold reserves exactly
+            self.ts = np.empty(total, self.ts.dtype)
+            self.data = np.empty((total,) + self.data.shape[1:], self.data.dtype)
+        elif total > len(self.ts):  # later growth is sized from the rows held
+            self.ts, self.data = _regrow(self, n, int(total * _GROWTH))
         for ts, data in chunks:
             self.ts[end : end + len(ts)] = ts
             self.data[end : end + len(ts)] = data
@@ -97,7 +101,7 @@ class _Column:
         keep their append order and no committed row is overwritten."""
         at = int(np.searchsorted(self.ts[:n], self.ts[n:total].min(), side="right"))
         order = np.argsort(self.ts[at:total], kind="stable")
-        ts, data = _regrow(self.ts, at, len(self.ts)), _regrow(self.data, at, len(self.data))
+        ts, data = _regrow(self, at, len(self.ts))
         ts[at:total] = self.ts[at:total][order]
         data[at:total] = self.data[at:total][order]
         self.ts, self.data = ts, data

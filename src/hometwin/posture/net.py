@@ -6,7 +6,8 @@ grid.  Every convolutional layer is followed by batch normalization, ReLU,
 softmax over the five posture classes.
 
 Training runs the modules below: batch statistics, inverted dropout, and
-caches for backpropagation.  Inference is a separate plain path that folds
+caches for backpropagation, which forms parameter gradients only (nothing
+w.r.t. the input windows).  Inference is a separate plain path that folds
 each batch norm's running statistics into the conv or dense layer before it,
 drops dropout, and runs the batch in cache-sized blocks of windows; it writes
 nothing to the model, so repeated inference on the same input is
@@ -173,13 +174,19 @@ class _Conv:
         self._cache = (cols, x.shape, (ho, wo))
         return out.reshape(x.shape[0], -1, ho, wo)
 
-    def backward(self, dout):
-        cols, x_shape, (ho, wo) = self._cache
-        n, o = dout.shape[0], dout.shape[1]
-        f = self.w.size // o
-        dmat = dout.reshape(n, o, ho * wo)
+    def param_grads(self, dout):
+        """dw and db only; returns the (n, out, ho*wo) view of dout."""
+        cols = self._cache[0]
+        dmat = dout.reshape(dout.shape[0], dout.shape[1], -1)
         self.dw = np.matmul(dmat, cols.transpose(0, 2, 1)).sum(axis=0).reshape(self.w.shape)
         self.db = dmat.sum(axis=(0, 2))
+        return dmat
+
+    def backward(self, dout):
+        dmat = self.param_grads(dout)
+        _, x_shape, (ho, wo) = self._cache
+        n, o = dmat.shape[:2]
+        f = self.w.size // o
         # one big GEMM for the patch gradient: (f, o) @ (o, n*l)
         dflat = np.ascontiguousarray(dmat.transpose(1, 0, 2)).reshape(o, -1)
         dcols = (self.w.reshape(o, f).T @ dflat).reshape(f, n, ho * wo).transpose(1, 0, 2)
@@ -258,29 +265,45 @@ class _ReLU:
 
 
 class _MaxPool2:
-    """2x2 max pooling, stride 2, floor semantics (odd edges dropped)."""
+    """2x2 max pooling, stride 2, floor semantics (odd edges dropped).
+
+    The output is the max of the four strided slices of the tiles.  Each
+    tile's gradient goes to its first maximum in the order (0,0), (0,1),
+    (1,0), (1,1), as argmax would pick it; the rest of the input gradient,
+    odd edges included, is +0.0.  np.maximum returns its second operand
+    for two zeros of either sign, so the earlier slot goes second, and
+    where +0.0 ties -0.0 the output keeps the earlier one's sign, as argmax
+    does (tests/test_train_oracle.py checks every such tie).
+
+    NaN: the output is NaN wherever a tile holds one, but NaN equals
+    nothing, so such a tile sends its gradient to (1,1), where argmax would
+    pick its first NaN.  A NaN that reaches a pool in training has already
+    spread over its whole channel through the batch norm before it.
+    """
+
+    _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
     def __init__(self):
         self._cache = None
 
     def forward(self, x, rng):
-        n, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
-        x = x[:, :, : h2 * 2, : w2 * 2]
-        tiles = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-        arg = tiles.argmax(axis=-1)
-        out = np.take_along_axis(tiles, arg[..., None], axis=-1)[..., 0]
-        self._cache = (arg, (n, c, h, w), (h2, w2))
+        he, we = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2
+        a, b, c, d = (x[:, :, i:he:2, j:we:2] for i, j in self._SLOTS)
+        out = np.maximum(np.maximum(d, c), np.maximum(b, a))
+        first_a = a == out
+        first_b = (b == out) & ~first_a
+        rest = ~(first_a | first_b)
+        first_c = (c == out) & rest
+        self._cache = ((first_a, first_b, first_c, rest & ~first_c), x.shape)
         return out
 
     def backward(self, dout):
-        arg, (n, c, h, w), (h2, w2) = self._cache
-        dtiles = np.zeros((n, c, h2, w2, 4), dtype=dout.dtype)
-        np.put_along_axis(dtiles, arg[..., None], dout[..., None], axis=-1)
-        dx = np.zeros((n, c, h, w), dtype=dout.dtype)
-        dx[:, :, : h2 * 2, : w2 * 2] = (
-            dtiles.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2 * 2, w2 * 2)
-        )
+        masks, shape = self._cache
+        he, we = shape[2] // 2 * 2, shape[3] // 2 * 2
+        dx = np.zeros(shape, dtype=dout.dtype)
+        zero = dout.dtype.type(0)
+        for (i, j), mask in zip(self._SLOTS, masks):
+            dx[:, :, i:he:2, j:we:2] = np.where(mask, dout, zero)
         return dx
 
 
@@ -537,11 +560,21 @@ class PostureNet:
             out[lo : lo + self._block_rows] = h
         return out
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Parameter gradients (`named_grads`) of the last training forward,
+        given the loss gradient w.r.t. its logits.
+
+        No gradient w.r.t. the input is formed: a first conv computes dw
+        and db only, with no patch-gradient GEMM and no col2im scatter.
+        """
         dout = dlogits.astype(self.dtype)
-        for m in reversed(self.modules):
+        for m in reversed(self.modules[1:]):
             dout = m.backward(dout)
-        return dout
+        first = self.modules[0]
+        if isinstance(first, _Conv):
+            first.param_grads(dout)
+        else:
+            first.backward(dout)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode class probabilities (deterministic)."""

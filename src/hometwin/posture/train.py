@@ -75,21 +75,15 @@ def stratified_split(
     return np.sort(np.concatenate(first)), np.sort(np.concatenate(second))
 
 
-def _accuracy(net: PostureNet, x: np.ndarray, y: np.ndarray, batch: int = 128) -> float:
-    hits = 0
-    for lo in range(0, len(x), batch):
-        probs = net.predict_proba(x[lo : lo + batch])
-        hits += int((probs.argmax(axis=1) == y[lo : lo + batch]).sum())
-    return hits / len(x)
+def _predict(net: PostureNet, x: np.ndarray, batch: int = 128) -> np.ndarray:
+    """Predicted class of each window, inferred in batches of `batch`."""
+    return np.concatenate(
+        [net.predict_proba(x[lo : lo + batch]).argmax(axis=1) for lo in range(0, len(x), batch)]
+    )
 
 
-def _confusion(net: PostureNet, x: np.ndarray, y: np.ndarray, batch: int = 128) -> np.ndarray:
-    matrix = np.zeros((5, 5), dtype=np.int64)
-    for lo in range(0, len(x), batch):
-        pred = net.predict_proba(x[lo : lo + batch]).argmax(axis=1)
-        for t, p in zip(y[lo : lo + batch], pred):
-            matrix[int(t), int(p)] += 1
-    return matrix
+def _accuracy(pred: np.ndarray, y: np.ndarray) -> float:
+    return int(np.count_nonzero(pred == y)) / len(y)
 
 
 def train(
@@ -144,7 +138,7 @@ def train(
         running_loss += loss
 
         if it % val_every == 0 or it == iterations:
-            val_acc = _accuracy(net, x_val, y_val)
+            val_acc = _accuracy(_predict(net, x_val), y_val)
             curve.append((it, running_loss / min(val_every, it), val_acc))
             running_loss = 0.0
             if val_acc > best_val:
@@ -153,10 +147,13 @@ def train(
 
     net.load_state_dict(best_state)
     net.release_step_buffers()
+    pred = _predict(net, x_test)
+    classes = len(PostureLabel)
+    confusion = np.bincount(y_test.astype(np.intp) * classes + pred, minlength=classes * classes)
     report = TrainReport(
-        test_accuracy=_accuracy(net, x_test, y_test),
+        test_accuracy=_accuracy(pred, y_test),
         best_val_accuracy=best_val,
-        confusion=_confusion(net, x_test, y_test),
+        confusion=confusion.reshape(classes, classes),
         curve=curve,
         n_train=len(train_idx),
         n_val=len(val_idx),

@@ -288,3 +288,25 @@ def test_snapshot_equal_timestamps_load(tmp_path):
     store = _load_resealed(tmp_path, blob)
     assert store.query_readings("a/A0/light", 61_000, 61_001).timestamps.tolist() == [61_000] * 2
     assert store.query_frames("a/C0/thermal", 65_250, 65_251).timestamps.tolist() == [65_250] * 2
+
+
+def test_reads_of_a_short_history_rarely_regrow(monkeypatch):
+    # a dashboard read after every 5th packet: growth sized from the rows
+    # held stays ahead of the folds, where 1.5x the old capacity did not
+    import hometwin.ingestion.store as store_module
+
+    regrow = store_module._regrow
+    grown = []
+    monkeypatch.setattr(
+        store_module, "_regrow", lambda column, n, capacity: grown.append(capacity) or regrow(column, n, capacity)
+    )
+    store = RecordStore()
+    for seq in range(36):
+        p = minute_packet(seq)
+        store.append(HubPacket(p.hub_id, seq, p.window_start, p.window_end, [], p.frames))
+        if seq % 5 == 4:
+            ts = store.query_frames("bed/C0/thermal", 0, 10**9).timestamps
+            assert len(ts) == 240 * (seq + 1) and np.all(np.diff(ts) > 0)
+            if seq == 4:  # the first fold reserves exactly what it holds
+                assert len(store._frames["bed/C0/thermal"].ts) == 1200
+    assert len(grown) <= 3

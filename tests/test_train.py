@@ -144,7 +144,10 @@ def test_training_releases_step_buffers(small_dataset, monkeypatch):
     # the released net still trains; this moves its batch-norm running stats
     logits = net.forward(x[:8], train=True, rng=np.random.default_rng(0))
     assert logits.shape == (8, 5)
-    assert net.backward(np.ones_like(logits)).shape == x[:8].shape
+    net.backward(np.ones_like(logits))
+    grads, params = net.named_grads(), net.named_params()
+    assert [name for name, _ in grads] == [name for name, _ in params]
+    assert all(g is not None and g.shape == p.shape for (_, g), (_, p) in zip(grads, params))
 
 
 def _saved_blob(tmp_path, **replace) -> bytearray:
