@@ -67,12 +67,13 @@ def floor_minute(ts: int) -> int:
     return ts - ts % MS_PER_MINUTE
 
 
-def in_clock_window(ts: int, start_ms: int, end_ms: int, tz_offset_min: int = 0) -> bool:
-    """True if the timestamp's clock position lies in [start, end), wrapping midnight."""
+def in_clock_window(ts, start_ms: int, end_ms: int, tz_offset_min: int = 0):
+    """True if the timestamp's clock position lies in [start, end), wrapping
+    midnight; for an int64 array of timestamps, a bool array."""
     t = ms_of_day(ts, tz_offset_min)
     if start_ms <= end_ms:
-        return start_ms <= t < end_ms
-    return t >= start_ms or t < end_ms
+        return (start_ms <= t) & (t < end_ms)
+    return (t >= start_ms) | (t < end_ms)
 
 
 class SensorKind(Enum):

@@ -312,6 +312,15 @@ def layout_from_dict(data: dict) -> HomeLayout:
             for p in data["placements"]
         ]
         night = data.get("night_window", ["21:00", "08:00"])
+        if not (
+            isinstance(night, (list, tuple))
+            and len(night) == 2
+            and all(isinstance(t, str) for t in night)
+        ):
+            raise ConfigError(
+                f"bad layout config: night_window must be two clock times [start, end], "
+                f"got {night!r}"
+            )
         return HomeLayout(
             rooms,
             placements,

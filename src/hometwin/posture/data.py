@@ -3,6 +3,7 @@ simulator uses so training matches the pipeline's residual distribution."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from ..config import PipelineConfig
 from ..core import FRAME_PERIOD_MS, WINDOW_FRAMES, PostureLabel
 from ..layout import ModulePlacement, ModuleType
-from ..simulate.render import BLOB_PARAMS, blob_images, fidget_offsets, sensor_grid
+from ..simulate.render import BLOB_PARAMS, add_blobs, fidget_offsets, sensor_grid
 
 FRAME_PERIOD_S = FRAME_PERIOD_MS / 1000.0
 # bodies vary in how warm they read; a lying body under a blanket reads far
@@ -19,7 +20,9 @@ AMPLITUDE_SCALE_RANGE = (0.7, 1.15)
 LIE_DOWN_SCALE_RANGE = (0.25, 1.15)
 
 
+@functools.cache
 def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The pixel grid of a training window, made once per resolution."""
     hw = 2.0 if resolution == 32 else 1.0
     placement = ModulePlacement(
         ModuleType.D if resolution == 32 else ModuleType.C,
@@ -28,6 +31,7 @@ def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, float]:
         fov_half_width=hw,
     )
     xs, ys = sensor_grid(placement, resolution)
+    xs.flags.writeable = ys.flags.writeable = False
     return xs, ys, hw
 
 
@@ -54,7 +58,7 @@ def render_window(
             t = (np.arange(WINDOW_FRAMES) - WINDOW_FRAMES / 2.0) * FRAME_PERIOD_S
             cx = crossing[0] + speed * t * math.cos(theta)
             cy = crossing[1] + speed * t * math.sin(theta)
-            residual += blob_images(xs, ys, cx, cy, sx, sy, np.full(WINDOW_FRAMES, amp * scale))
+            add_blobs(residual, xs, ys, cx, cy, sx, sy, np.full(WINDOW_FRAMES, amp * scale))
         else:
             sx, sy, amp = BLOB_PARAMS[label]
             # covers bodies close to the FOV edge (beds often sit there)
@@ -65,7 +69,8 @@ def render_window(
             phase = int(rng.integers(0, 480)) if label is PostureLabel.LIE_DOWN else 0
             offsets, flicker = fidget_offsets(label, phase + WINDOW_FRAMES, rng)
             offsets, flicker = offsets[phase:], flicker[phase:]
-            residual += blob_images(
+            add_blobs(
+                residual,
                 xs,
                 ys,
                 center[0] + offsets[:, 0],

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ModelFormatError
+from ..errors import DimensionError, ModelFormatError
 from ..files import write_atomic
 from .net import NetworkConfig, PostureNet
 
@@ -45,6 +45,27 @@ def save_model(net: PostureNet, path: str | Path) -> None:
     write_atomic(path, blob)
 
 
+def _network_config(block) -> NetworkConfig:
+    """The config block as a NetworkConfig, refused (ValueError or TypeError)
+    unless every size a net is built from is in range."""
+    if not isinstance(block, dict):
+        raise TypeError(f"expected an object, got {type(block).__name__}")
+    if not isinstance(block.get("layers"), list) or not all(
+        isinstance(spec, dict) for spec in block["layers"]
+    ):
+        raise TypeError("'layers' must be a list of objects")
+    config = NetworkConfig.from_dict(block)
+    for name in ("resolution", "in_channels", "n_classes"):
+        if getattr(config, name) < 1:
+            raise ValueError(f"{name} must be positive, got {getattr(config, name)}")
+    for i, spec in enumerate(config.layers):
+        if spec.kind in ("conv", "fc") and spec.out < 1:
+            raise ValueError(f"layer {i} ({spec.kind}) needs a positive out, got {spec.out}")
+        if spec.kind == "conv" and (spec.kernel < 1 or spec.pad < 0):
+            raise ValueError(f"layer {i} (conv) has kernel {spec.kernel} and pad {spec.pad}")
+    return config
+
+
 def load_model(path: str | Path) -> PostureNet:
     data = Path(path).read_bytes()
     if data[: len(_MAGIC)] != _MAGIC:
@@ -64,8 +85,8 @@ def load_model(path: str | Path) -> PostureNet:
         raise ModelFormatError(f"unsupported model file version {version}")
     (config_len,) = struct.unpack("<I", take(4))
     try:
-        config = NetworkConfig.from_dict(json.loads(take(config_len)))
-    except (json.JSONDecodeError, KeyError, ValueError) as exc:
+        config = _network_config(json.loads(take(config_len)))
+    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ModelFormatError(f"bad model config block: {exc}") from exc
 
     (n_tensors,) = struct.unpack("<H", take(2))
@@ -87,7 +108,10 @@ def load_model(path: str | Path) -> PostureNet:
     if pos != len(data):
         raise ModelFormatError(f"{path} has {len(data) - pos} trailing bytes")
 
-    net = PostureNet(config)
+    try:
+        net = PostureNet(config)
+    except DimensionError as exc:  # an unknown layer kind, or fc before flatten
+        raise ModelFormatError(f"bad model config block: {exc}") from exc
     for name, want in net.state_dict().items():
         if name not in state:
             raise ModelFormatError(f"model file missing tensor {name!r}")

@@ -2,8 +2,11 @@
 plus the ground-truth label timeline.
 
 Determinism: every random stream is keyed by (seed, sensor id, event index,
-purpose), so output is byte-identical for the same inputs regardless of how
-rendering is chunked internally.
+purpose), so output is byte-identical for the same inputs.  The hour-long
+render chunk (`RENDER_CHUNK_FRAMES`) is part of the output: an event's fidget
+is drawn anew for each chunk it spans (see `_fidget_span`).  The cache-sized
+blocks within a chunk are not: every block draws the next values of the
+chunk's streams.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from .render import (
     RESIDUAL_AMPLITUDE_FRAC,
     RESIDUAL_TAU_MIN,
     WALK_SPEED_MPS,
-    blob_images,
+    add_blobs,
+    block_frames,
     event_rng,
     fidget_offsets,
     path_positions,
@@ -275,56 +279,68 @@ def _render_sensor(
     if len(timestamps):
         timestamps[0] = max(timestamps[0], script.start)  # never precede the scenario
 
-    # occupancy spans seen by this sensor
-    spans = []
-    for res in resident.resolved:
-        if res.room_id == spec.room_id:
-            spans.append(("resident", res))
-    for track_idx, (lo, hi, slot, base) in enumerate(visitors):
-        living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
-        if living and living[0].room_id == spec.room_id:
-            spans.append(("visitor", (lo, hi, track_idx, base)))
-
+    # the bodies this sensor sees: the resident's occupancies, then visitors
+    residents = [res for res in resident.resolved if res.room_id == spec.room_id]
+    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
+    guests = visitors if living and living[0].room_id == spec.room_id else []
     patches = _patch_schedule(resident, visitors, spec.room_id, layout)
 
     noise_rng = event_rng(seed, spec.sensor_id, 0, 2)
     tau_ms = RESIDUAL_TAU_MIN * MS_PER_MINUTE
+    sun = script.sunlight
+    if sun is not None and sun.room_id != spec.room_id:
+        sun = None
+    step = block_frames(resolution)
+    buffer = np.empty((2, min(step, n_frames), resolution, resolution))
 
     blocks = []
     for lo in range(0, n_frames, RENDER_CHUNK_FRAMES):
         hi = min(lo + RENDER_CHUNK_FRAMES, n_frames)
         ts = timestamps[lo:hi]
-        pixels = np.empty((hi - lo, resolution, resolution), dtype=np.float64)
-        pixels[:] = np.asarray(profile.temperature(ts, script.start, tz))[:, None, None]
+        ambient = np.asarray(profile.temperature(ts, script.start, tz))
+        nom = nominal[lo:hi]
+        tracks = [
+            *(_resident_track(nom, ts, res, resident, seed, spec.sensor_id, script.start)
+              for res in residents),
+            *(_visitor_track(nom, idx, guest, seed, spec.sensor_id, script.start)
+              for idx, guest in enumerate(guests)),
+            *(_patch_track(ts, patch, tau_ms) for patch in patches),
+        ]
+        tracks = [track for track in tracks if track is not None]
+        sunny = None
+        if sun is not None:
+            sunny = in_clock_window(ts, sun.clock_start, sun.clock_end, tz)
 
-        for kind, payload in spans:
-            if kind == "resident":
-                _add_resident_blob(
-                    pixels, nominal[lo:hi], ts, xs, ys, payload, resident, seed,
-                    spec.sensor_id, script.start,
-                )
-            else:
-                _add_visitor_blob(
-                    pixels, nominal[lo:hi], xs, ys, payload, seed, spec.sensor_id, script.start
-                )
-
-        for patch in patches:
-            _add_patch(pixels, ts, xs, ys, patch, tau_ms)
-
-        sun = script.sunlight
-        if sun is not None and sun.room_id == spec.room_id:
-            active = np.array(
-                [in_clock_window(int(t), sun.clock_start, sun.clock_end, tz) for t in ts]
-            )
-            if active.any():
-                pixels[active, sun.row0 : sun.row1, sun.col0 : sun.col1] += sun.delta_c
-
-        if noise_sigma > 0:
-            pixels += noise_rng.normal(0.0, noise_sigma, size=pixels.shape)
-
-        np.clip(pixels, TEMP_MIN_C, TEMP_MAX_C, out=pixels)
-        blocks.append(FrameBlock(spec.sensor_id, resolution, ts.copy(), quantize_pixels(pixels)))
+        # each block takes every term in the order of the whole-chunk sum:
+        # ambient, bodies, patches, sunlight, noise; then clip and quantize
+        centi = np.empty((hi - lo, resolution, resolution), dtype=np.int16)
+        for b0 in range(0, hi - lo, step):
+            b1 = min(b0 + step, hi - lo)
+            pixels, noise = buffer[:, : b1 - b0]
+            pixels[:] = ambient[b0:b1, None, None]
+            for track in tracks:
+                track.add_to(pixels, b0, b1, xs, ys)
+            if sunny is not None:
+                pixels[sunny[b0:b1], sun.row0 : sun.row1, sun.col0 : sun.col1] += sun.delta_c
+            _finish_block(pixels, noise, noise_rng, noise_sigma, centi[b0:b1])
+        blocks.append(FrameBlock(spec.sensor_id, resolution, ts.copy(), centi))
     return blocks
+
+
+def _finish_block(pixels, noise, noise_rng, noise_sigma: float, out) -> None:
+    """Add the pixel noise to a block, clip it and quantize it into `out`.
+
+    The noise is the block's share of the chunk's normal(0, sigma) stream:
+    standard_normal fills the same variates in the same order, and normal's
+    loc + scale * z differs from scale * z only in the sign of a zero, which
+    the int16 grid does not keep.
+    """
+    if noise_sigma > 0:
+        noise_rng.standard_normal(out=noise)
+        np.multiply(noise, noise_sigma, out=noise)
+        np.add(pixels, noise, out=pixels)
+    np.clip(pixels, TEMP_MIN_C, TEMP_MAX_C, out=pixels)
+    out[:] = quantize_pixels(pixels)
 
 
 def _event_frame_range(nominal: np.ndarray, start: int, end: int) -> tuple[int, int]:
@@ -333,28 +349,59 @@ def _event_frame_range(nominal: np.ndarray, start: int, end: int) -> tuple[int, 
     return lo, hi
 
 
-def _fidget_span(posture, offset: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Fidget samples [offset, offset+n) of an event's deterministic stream.
+@dataclass
+class _BlobTrack:
+    """One body's (or patch's) blob over frames [lo, hi) of a render chunk."""
 
-    The rng is freshly keyed per call, so drawing offset+n samples and slicing
-    keeps results identical regardless of render chunk boundaries.
+    lo: int
+    hi: int
+    cx: np.ndarray
+    cy: np.ndarray
+    amplitude: np.ndarray
+    sigma_major: float
+    sigma_minor: float
+    orientation_rad: float = 0.0
+
+    def add_to(self, pixels, b0: int, b1: int, xs, ys) -> None:
+        """Add the track's part of chunk frames [b0, b1) into `pixels`."""
+        lo, hi = max(self.lo, b0), min(self.hi, b1)
+        if hi <= lo:
+            return
+        part = slice(lo - self.lo, hi - self.lo)
+        add_blobs(
+            pixels[lo - b0 : hi - b0], xs, ys, self.cx[part], self.cy[part],
+            self.sigma_major, self.sigma_minor, self.amplitude[part], self.orientation_rad,
+        )
+
+
+def _fidget_span(posture, offset: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Fidget samples [offset, offset+n) of an event's stream in this chunk.
+
+    The rng is freshly keyed per call and offset+n samples are drawn, so a
+    chunk that starts inside an event continues its frame count, but not its
+    values: `fidget_offsets` takes all of its start draws before any shift,
+    jitter or flicker draw, so a longer draw gives its first frames other
+    variates (`fidget_offsets(SIT, 100, rng)[:60]` is not
+    `fidget_offsets(SIT, 60, rng)` for the same key).  Where an event crosses
+    a chunk boundary, `RENDER_CHUNK_FRAMES` is therefore part of the output.
     """
     offsets, flicker = fidget_offsets(posture, offset + n, rng)
     return offsets[offset:], flicker[offset:]
 
 
-def _add_resident_blob(
-    pixels, nominal, ts, xs, ys, res: _ResolvedOccupy, resident, seed, sensor_id, script_start
-):
+def _resident_track(
+    nominal, ts, res: _ResolvedOccupy, resident, seed, sensor_id, script_start
+) -> _BlobTrack | None:
     ev = res.event
     lo, hi = _event_frame_range(nominal, ev.start, ev.end)
     if hi <= lo:
-        return
+        return None
     # clamp jittered timestamps into the event so boundary frames keep a position
     span = np.clip(ts[lo:hi], ev.start, ev.end - 1)
     centers = resident.positions_at(span)
     # the fidget stream is indexed by the frame's position within the event
-    # (computed on the rigid nominal grid) so chunking cannot shift it
+    # (computed on the rigid nominal grid); a chunk boundary inside the event
+    # redraws it (see _fidget_span)
     rng = event_rng(seed, sensor_id, res.index, 3)
     first_idx = -((ev.start - script_start) // -FRAME_PERIOD_MS)  # ceil div
     offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
@@ -362,23 +409,23 @@ def _add_resident_blob(
     centers = centers + offsets
     sx, sy, amp = BLOB_PARAMS[ev.posture]
     theta = math.radians(ev.orientation_deg)
-    pixels[lo:hi] += blob_images(
-        xs, ys, centers[:, 0], centers[:, 1], sx, sy, amp * flicker, theta
-    )
+    return _BlobTrack(lo, hi, centers[:, 0], centers[:, 1], amp * flicker, sx, sy, theta)
 
 
-def _add_visitor_blob(pixels, nominal, xs, ys, payload, seed, sensor_id, script_start):
-    lo_ms, hi_ms, track_idx, base = payload
+def _visitor_track(
+    nominal, track_idx, visitor, seed, sensor_id, script_start
+) -> _BlobTrack | None:
+    lo_ms, hi_ms, _, base = visitor
     lo, hi = _event_frame_range(nominal, lo_ms, hi_ms)
     if hi <= lo:
-        return
+        return None
     rng = event_rng(seed, sensor_id, track_idx, 4)
     first_idx = -((lo_ms - script_start) // -FRAME_PERIOD_MS)
     offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
     offsets, flicker = _fidget_span(PostureLabel.SIT, offset0, hi - lo, rng)
     centers = base[None, :] + offsets
     sx, sy, amp = BLOB_PARAMS[PostureLabel.SIT]
-    pixels[lo:hi] += blob_images(xs, ys, centers[:, 0], centers[:, 1], sx, sy, amp * flicker)
+    return _BlobTrack(lo, hi, centers[:, 0], centers[:, 1], amp * flicker, sx, sy)
 
 
 @dataclass
@@ -423,18 +470,17 @@ def _patch_schedule(resident, visitors, room_id, layout) -> list[_Patch]:
     return patches
 
 
-def _add_patch(pixels, ts, xs, ys, patch: _Patch, tau_ms: float):
+def _patch_track(ts, patch: _Patch, tau_ms: float) -> _BlobTrack | None:
     cutoff = patch.t0 + PATCH_CUTOFF_TAUS * tau_ms
     lo = int(np.searchsorted(ts, patch.t0, side="left"))
     hi = int(np.searchsorted(ts, cutoff, side="left"))
     if hi <= lo:
-        return
-    span = ts[lo:hi]
-    amp = patch.amplitude_c * np.exp(-(span - patch.t0) / tau_ms)
+        return None
+    amp = patch.amplitude_c * np.exp(-(ts[lo:hi] - patch.t0) / tau_ms)
     sx, sy, _ = BLOB_PARAMS[patch.posture]
-    centers = np.repeat(patch.center[None, :], hi - lo, axis=0)
-    pixels[lo:hi] += blob_images(
-        xs, ys, centers[:, 0], centers[:, 1], sx, sy, amp, patch.orientation_rad
+    return _BlobTrack(
+        lo, hi, np.full(hi - lo, patch.center[0]), np.full(hi - lo, patch.center[1]),
+        amp, sx, sy, patch.orientation_rad,
     )
 
 

@@ -94,6 +94,26 @@ def test_missing_scenario_file_exits_3(workdir):
     assert code == 3
 
 
+@pytest.mark.parametrize("night", [["21:00"], "21:00", ["21:00", "08:00", "09:00"], [21, 8]])
+def test_bad_night_window_exits_2(workdir, tmp_path, capsys, night):
+    root, _ = workdir
+    layout = json.loads((root / "layout.json").read_text())
+    layout["night_window"] = night
+    bad = tmp_path / "layout.json"
+    bad.write_text(json.dumps(layout))
+    code = main(
+        [
+            "simulate",
+            "--scenario", str(root / "scenario.json"),
+            "--layout", str(bad),
+            "--out", str(tmp_path / "s"),
+        ]
+    )
+    assert code == 2
+    assert "night_window" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
 def test_run_produces_timeline_and_report(workdir):
     root, model_dir = workdir
     out = root / "run"

@@ -60,6 +60,11 @@ def test_night_window_wraps_midnight():
     assert not in_clock_window(day + parse_clock("08:00"), *night)  # end exclusive
     # timezone offset shifts the clock
     assert in_clock_window(day + parse_clock("12:00"), *night, tz_offset_min=600)
+    # an int64 array gives each timestamp's answer
+    ts = day + np.arange(0, 2 * 86_400_000, 250_007, dtype=np.int64)
+    for window in (night, (parse_clock("08:00"), parse_clock("21:00"))):
+        mask = in_clock_window(ts, *window, tz_offset_min=-90)
+        assert mask.tolist() == [in_clock_window(int(t), *window, -90) for t in ts]
 
 
 def _reading_packet(sensor_id, kind, value):

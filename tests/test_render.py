@@ -13,8 +13,8 @@ from hometwin.core import (
 )
 from hometwin.layout import ModulePlacement, ModuleType, default_layout
 from hometwin.simulate import AmbientProfile, ScenarioScript, SunlightPatch, simulate
-from hometwin.simulate.engine import _add_patch, _Patch
-from hometwin.simulate.render import BLOB_PARAMS, blob_images, path_positions, sensor_grid
+from hometwin.simulate.engine import _Patch, _patch_track
+from hometwin.simulate.render import BLOB_PARAMS, add_blobs, path_positions, sensor_grid
 
 from conftest import bundle_frames
 
@@ -36,7 +36,7 @@ def render_bodies(bodies):
     pixels = np.full((4, 4), 28.0)
     for (cx, cy), posture in bodies:
         sx, sy, amp = BLOB_PARAMS[posture]
-        pixels += blob_images(xs, ys, [cx], [cy], sx, sy, [amp])[0]
+        add_blobs(pixels[None], xs, ys, [cx], [cy], sx, sy, [amp])
     return pixels_to_celsius(quantize_pixels(pixels))
 
 
@@ -109,7 +109,8 @@ def patch_pixels(posture, amplitude_c, ts, tau_ms, row=2, col=1):
     xs, ys = sensor_grid(PLACEMENT, 4)
     pixels = np.zeros((len(ts), 4, 4))
     patch = _Patch(0, np.array(pixel_center(row, col)), posture, 0.0, amplitude_c)
-    _add_patch(pixels, np.asarray(ts, dtype=np.int64), xs, ys, patch, tau_ms)
+    track = _patch_track(np.asarray(ts, dtype=np.int64), patch, tau_ms)
+    track.add_to(pixels, 0, len(ts), xs, ys)
     return pixels[:, row, col]
 
 
@@ -164,7 +165,9 @@ def test_blob_images_vectorized_matches_scalar():
     cx = np.array([1.6, 2.0, 2.4])
     cy = np.array([1.5, 1.75, 2.0])
     amp = np.array([7.0, 6.5, 8.0])
-    batch = blob_images(xs, ys, cx, cy, 0.35, 0.35, amp)
+    batch = np.zeros((3, 4, 4))
+    add_blobs(batch, xs, ys, cx, cy, 0.35, 0.35, amp)
     for i in range(3):
-        single = blob_images(xs, ys, cx[i : i + 1], cy[i : i + 1], 0.35, 0.35, amp[i : i + 1])[0]
-        assert np.allclose(batch[i], single)
+        single = np.zeros((1, 4, 4))
+        add_blobs(single, xs, ys, cx[i : i + 1], cy[i : i + 1], 0.35, 0.35, amp[i : i + 1])
+        assert np.array_equal(batch[i], single[0])

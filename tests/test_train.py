@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -187,6 +190,40 @@ def test_model_file_tensor_shape_must_match_config(tmp_path):
     blob = _saved_blob(tmp_path, **{"m0.b": conv_bias[:1]})  # would broadcast
     with pytest.raises(ModelFormatError, match="m0.b"):
         _load_edited(tmp_path, blob)
+
+
+def _with_config_block(blob: bytearray, block) -> bytearray:
+    """The model file with its JSON config block replaced by `block`."""
+    (length,) = struct.unpack("<I", blob[6:10])
+    raw = json.dumps(block).encode("utf-8")
+    return blob[:6] + struct.pack("<I", len(raw)) + raw + blob[10 + length :]
+
+
+def _config_block(blob: bytearray) -> dict:
+    (length,) = struct.unpack("<I", blob[6:10])
+    return json.loads(blob[10 : 10 + length])
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda c: dict(c, resolution=0), "resolution must be positive"),
+        (lambda c: [], "expected an object, got list"),
+        (lambda c: 3, "expected an object, got int"),
+        (lambda c: None, "expected an object, got NoneType"),
+        (lambda c: dict(c, layers="x"), "'layers' must be a list"),
+        (lambda c: dict(c, layers=[[1]]), "'layers' must be a list"),
+        (lambda c: dict(c, in_channels=0), "in_channels must be positive"),
+        (lambda c: dict(c, layers=[dict(c["layers"][0], kernel=0)] + c["layers"][1:]), "kernel 0"),
+        (lambda c: dict(c, layers=[dict(c["layers"][0], out=-1)] + c["layers"][1:]), "positive out"),
+        (lambda c: dict(c, layers=[dict(c["layers"][0], kind="zz")]), "'zz'"),
+    ],
+)
+def test_model_file_bad_config_block_is_a_format_error(tmp_path, edit, message):
+    blob = _saved_blob(tmp_path)
+    edited = _with_config_block(blob, edit(_config_block(blob)))
+    with pytest.raises(ModelFormatError, match=message):
+        _load_edited(tmp_path, edited)
 
 
 def test_failed_model_save_leaves_previous_file_whole(tmp_path, monkeypatch):
