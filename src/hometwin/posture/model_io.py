@@ -8,6 +8,7 @@ u8 dtype code (0=f32, 1=f64), u8 ndim, u32 dims, raw bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -21,6 +22,7 @@ _MAGIC = b"HTNET"
 _VERSION = 1
 _DTYPES = {0: "<f4", 1: "<f8"}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
 def save_model(net: PostureNet, path: str | Path) -> None:
@@ -101,9 +103,16 @@ def load_model(path: str | Path) -> PostureNet:
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise ModelFormatError(f"unknown tensor dtype code {code}")
+        if ndim > _MAX_NDIM:
+            raise ModelFormatError(f"tensor {name!r} has {ndim} dims, above {_MAX_NDIM}")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(count * np.dtype(_DTYPES[code]).itemsize), dtype=_DTYPES[code])
+        nbytes = math.prod(shape) * np.dtype(_DTYPES[code]).itemsize
+        if nbytes > len(data) - pos:
+            raise ModelFormatError(
+                f"tensor {name!r} of shape {shape} needs {nbytes} bytes, "
+                f"{len(data) - pos} are left"
+            )
+        arr = np.frombuffer(take(nbytes), dtype=_DTYPES[code])
         state[name] = arr.reshape(shape).copy()
     if pos != len(data):
         raise ModelFormatError(f"{path} has {len(data) - pos} trailing bytes")

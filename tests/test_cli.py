@@ -230,6 +230,28 @@ def test_missing_model_exits_4(workdir, tmp_path):
     assert code == 4
 
 
+def test_model_with_a_bad_tensor_header_exits_4(workdir, tmp_path):
+    root, model_dir = workdir
+    models = tmp_path / "models"
+    models.mkdir()
+    for path in model_dir.glob("posture_*.htm"):
+        (models / path.name).write_bytes(path.read_bytes())
+    blob = bytearray((models / "posture_4.htm").read_bytes())
+    at = blob.index(b"\x04\x00m0.w") + 6  # the tensor's dtype byte, then ndim
+    blob[at + 1] = 65
+    (models / "posture_4.htm").write_bytes(bytes(blob))
+    code = main(
+        [
+            "run",
+            "--scenario", str(root / "scenario.json"),
+            "--layout", str(root / "layout.json"),
+            "--models", str(models),
+            "--out", str(root / "bad_model"),
+        ]
+    )
+    assert code == 4
+
+
 def test_evaluate_prints_accuracy(workdir, capsys):
     root, model_dir = workdir
     code = main(

@@ -213,6 +213,11 @@ class TestBaselineTracker:
         assert tracker.baseline is not None
         assert np.abs(tracker.baseline.mean - 28.0).max() < 0.2
 
+    def test_frames_must_be_int16(self):
+        tracker = BaselineTracker(4, PipelineConfig(warmup_frames=1))
+        with pytest.raises(DimensionError, match="int16"):
+            tracker.process(np.zeros(3, dtype=np.int64), np.full((3, 4, 4), 2800.5))
+
     def test_still_occupant_never_absorbed(self):
         rng = np.random.default_rng(4)
         tracker = BaselineTracker(4, PipelineConfig(warmup_frames=40))

@@ -192,6 +192,34 @@ def test_model_file_tensor_shape_must_match_config(tmp_path):
         _load_edited(tmp_path, blob)
 
 
+def _tensor_header(blob: bytearray, name: str) -> int:
+    """Offset of tensor `name`'s dtype byte; its ndim byte and u32 dims follow."""
+    raw = name.encode("utf-8")
+    return blob.index(struct.pack("<H", len(raw)) + raw) + 2 + len(raw)
+
+
+def test_model_file_tensor_with_too_many_dims_is_a_format_error(tmp_path):
+    blob = _saved_blob(tmp_path)
+    at = _tensor_header(blob, "m0.w")
+    assert blob[at + 1] == 4
+    blob[at + 1] = 65  # numpy refuses arrays above 64 dims
+    with pytest.raises(ModelFormatError, match="'m0.w' has 65 dims, above 64"):
+        _load_edited(tmp_path, blob)
+
+
+def test_model_file_tensor_larger_than_the_file_is_a_format_error(tmp_path):
+    blob = _saved_blob(tmp_path)
+    dims = _tensor_header(blob, "m5.w") + 2
+    assert struct.unpack("<II", blob[dims : dims + 8]) == (64, 256)
+    # the element count wraps around in a fixed-width product
+    blob[dims : dims + 8] = struct.pack("<II", 0xFFFFFFFF, 0xFFFFFFFF)
+    with pytest.raises(ModelFormatError, match=r"'m5.w' of shape \(4294967295, 4294967295\)"):
+        _load_edited(tmp_path, blob)
+    blob[dims : dims + 8] = struct.pack("<II", 64, 512)  # past the file's end
+    with pytest.raises(ModelFormatError, match="'m5.w'"):
+        _load_edited(tmp_path, blob)
+
+
 def _with_config_block(blob: bytearray, block) -> bytearray:
     """The model file with its JSON config block replaced by `block`."""
     (length,) = struct.unpack("<I", blob[6:10])
