@@ -13,6 +13,18 @@ from pathlib import Path
 
 from .errors import ConfigError
 
+# counts that the pipeline or training divides by, indexes with or loops
+# over, and so cannot be 0
+_AT_LEAST_ONE = (
+    "warmup_frames",
+    "blob_min_pixels",
+    "train_iterations",
+    "batch_size",
+    "val_every",
+    "windows_per_class",
+    "dataset_seeds",
+)
+
 
 @dataclass
 class PipelineConfig:
@@ -60,6 +72,12 @@ class PipelineConfig:
     sleep_low_h: float = 5.0
     sleep_high_h: float = 10.0
     theta_move: float = 0.0  # 0 = auto (3x empty-bed frame-difference median)
+
+    def __post_init__(self):
+        for key in _AT_LEAST_ONE:
+            value = getattr(self, key)
+            if value < 1:
+                raise ConfigError(f"config key {key!r} must be at least 1, got {value}")
 
     def override(self, **kwargs) -> "PipelineConfig":
         return dataclasses.replace(self, **_checked(kwargs))

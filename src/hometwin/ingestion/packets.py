@@ -48,9 +48,14 @@ def _canonical_readings(readings: list[ReadingSeries]) -> list[ReadingSeries]:
 class HubPacket:
     """One minute of buffered sensor data from one hub.
 
-    Contents are kept in canonical order (one reading series per sensor, by
-    sensor id, each sorted by timestamp; frame blocks by sensor id) so that
-    decode(encode(p)) == p.
+    Contents are kept in canonical form so that decode(encode(p)) == p:
+    the window spans exactly one minute and holds every sample; one
+    non-empty reading series per sensor, in strictly increasing sensor id
+    order, each stably sorted by timestamp, with motion values 0 or 1;
+    frame blocks stably sorted by sensor id.  The constructor brings any
+    contents into that form, or raises ValueError if it cannot.  `trusted`
+    builds a packet whose contents are already canonical without checking
+    them again; the wire decoder uses it once it has proven the form.
     """
 
     hub_id: str
@@ -80,6 +85,23 @@ class HubPacket:
                     f"samples of {sensor_id} outside window "
                     f"[{self.window_start}, {self.window_end})"
                 )
+
+    @classmethod
+    def trusted(
+        cls,
+        hub_id: str,
+        sequence_number: int,
+        window_start: int,
+        window_end: int,
+        readings: list[ReadingSeries],
+        frames: list[FrameBlock],
+    ) -> "HubPacket":
+        """A packet of contents already in canonical form, kept as given."""
+        packet = object.__new__(cls)
+        packet.hub_id, packet.sequence_number = hub_id, sequence_number
+        packet.window_start, packet.window_end = window_start, window_end
+        packet.readings, packet.frames = readings, frames
+        return packet
 
     @property
     def item_count(self) -> int:

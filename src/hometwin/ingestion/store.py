@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -117,9 +118,60 @@ def _add(columns: dict[str, _Column], sensor_id: str, meta, ts: np.ndarray, data
     column.pending.append((ts, data))
 
 
+class _Sequences:
+    """One hub's seen sequence numbers as sorted runs of consecutive numbers,
+    `starts[i]` through `ends[i]`: a lookup is one binary search, and the
+    gaps are the spaces between runs, with no sort."""
+
+    __slots__ = ("starts", "ends")
+
+    def __init__(self, seqs=()):
+        self.starts: list[int] = []
+        self.ends: list[int] = []
+        for seq in sorted(set(seqs)):
+            if self.ends and self.ends[-1] == seq - 1:
+                self.ends[-1] = seq
+            else:
+                self.starts.append(seq)
+                self.ends.append(seq)
+
+    def __contains__(self, seq: int) -> bool:
+        i = bisect_right(self.starts, seq)
+        return i > 0 and self.ends[i - 1] >= seq
+
+    def __len__(self) -> int:
+        return sum(self.ends) - sum(self.starts) + len(self.starts)
+
+    def add(self, seq: int) -> None:
+        """Record a sequence number not seen before."""
+        i = bisect_right(self.starts, seq)
+        joins_left = i > 0 and self.ends[i - 1] == seq - 1
+        joins_right = i < len(self.starts) and self.starts[i] == seq + 1
+        if joins_left and joins_right:
+            self.ends[i - 1] = self.ends.pop(i)
+            del self.starts[i]
+        elif joins_left:
+            self.ends[i - 1] = seq
+        elif joins_right:
+            self.starts[i] = seq
+        else:
+            self.starts.insert(i, seq)
+            self.ends.insert(i, seq)
+
+    def gaps(self) -> list[tuple[int, int]]:
+        return [(end + 1, start - 1) for end, start in zip(self.ends, self.starts[1:])]
+
+    def to_bytes(self) -> bytes:
+        """Every number, ascending, as u64."""
+        return b"".join(
+            (np.arange(end - start + 1, dtype="<u8") + np.uint64(start)).tobytes()
+            for start, end in zip(self.starts, self.ends)
+        )
+
+
 class RecordStore:
     def __init__(self):
-        self._seen: dict[str, set[int]] = {}
+        self._seen: dict[str, _Sequences] = {}
         self._readings: dict[str, _Column] = {}  # scalar readings; meta is the kind
         self._frames: dict[str, _Column] = {}  # thermal frames; meta is the resolution
 
@@ -136,7 +188,8 @@ class RecordStore:
         A packet that gives a known sensor another resolution raises
         DimensionError, and one that gives it another kind raises
         UnknownSensorError; a refused packet changes nothing."""
-        if packet.sequence_number in self._seen.get(packet.hub_id, ()):
+        seen = self._seen.get(packet.hub_id)
+        if seen is not None and packet.sequence_number in seen:
             return 0
         # every group is checked before any state changes; a packet holds one
         # series per reading sensor, but may hold several blocks of a sensor
@@ -158,7 +211,9 @@ class RecordStore:
                         f"sensor {block.sensor_id} changes resolution from {held} "
                         f"to {block.resolution}"
                     )
-        self._seen.setdefault(packet.hub_id, set()).add(packet.sequence_number)
+        if seen is None:
+            seen = self._seen[packet.hub_id] = _Sequences()
+        seen.add(packet.sequence_number)
 
         count = 0
         for series in packet.readings:
@@ -211,13 +266,11 @@ class RecordStore:
 
     def gaps(self) -> list[tuple[str, int, int]]:
         """Missing sequence ranges per hub as (hub_id, first_missing, last_missing)."""
-        out = []
-        for hub_id in sorted(self._seen):
-            seqs = sorted(self._seen[hub_id])
-            for prev, cur in zip(seqs, seqs[1:]):
-                if cur > prev + 1:
-                    out.append((hub_id, prev + 1, cur - 1))
-        return out
+        return [
+            (hub_id, first, last)
+            for hub_id in sorted(self._seen)
+            for first, last in self._seen[hub_id].gaps()
+        ]
 
     # -- snapshot persistence ---------------------------------------------
 
@@ -226,9 +279,8 @@ class RecordStore:
         body += _U32.pack(len(self._seen))
         for hub_id in sorted(self._seen):
             body += _str_bytes(hub_id)
-            seqs = sorted(self._seen[hub_id])
-            body += _U32.pack(len(seqs))
-            body += np.array(seqs, dtype="<u8").tobytes()
+            body += _U32.pack(len(self._seen[hub_id]))
+            body += self._seen[hub_id].to_bytes()
 
         reading_ids = sorted(self._readings)
         body += _U32.pack(len(reading_ids))
@@ -299,7 +351,7 @@ class RecordStore:
             hub_id, pos = _string(data, pos, end)
             n_seqs, pos = count(pos)
             at, pos = pos, _need(pos, 8 * n_seqs, end)
-            store._seen[hub_id] = set(np.frombuffer(data, "<u8", n_seqs, at).tolist())
+            store._seen[hub_id] = _Sequences(np.frombuffer(data, "<u8", n_seqs, at).tolist())
 
         n_series, pos = count(pos)
         for _ in range(n_series):

@@ -24,8 +24,22 @@ Layout, all little-endian::
 
 Temperatures ride as int16 centi-degrees and scalar values as int32
 centi-units, so decoding reproduces the original values exactly.  A reading
-group is one `ReadingSeries` and a frame group one `FrameBlock`; each column
-is written with one `tobytes` and read with one `frombuffer`.
+group is one `ReadingSeries` and a frame group one `FrameBlock`.  Encode
+sizes the packet and fills one buffer.
+
+The encoder writes a `HubPacket` in canonical form (see its docstring): the
+window is one minute and holds every sample; reading groups are non-empty,
+in strictly increasing sensor id order, each sorted by timestamp, with
+motion values 0 or 1; frame groups are in sensor id order.  Decode walks
+the group headers once, reads the timestamps and values of the whole packet
+with one `frombuffer` per column (and each block's pixels with one), and
+proves that form with a few whole-packet checks; such a
+body becomes a packet as read, with nothing checked again.  A body that is
+well formed but not canonical (for example one edited by hand and its CRC
+re-sealed) goes through the `HubPacket` constructor as before: it is
+silently brought into canonical form, or refused with WireFormatError at
+the body's offset when the constructor cannot.  A motion value above 1 is
+refused at its group's offset.
 """
 
 from __future__ import annotations
@@ -35,7 +49,7 @@ import zlib
 
 import numpy as np
 
-from ..core import FrameBlock, ReadingSeries, SensorKind
+from ..core import MS_PER_MINUTE, FrameBlock, ReadingSeries, SensorKind
 from ..errors import VersionError, WireFormatError
 from .packets import HubPacket
 
@@ -51,6 +65,7 @@ _KIND_CODES = {
 }
 # reading groups carry scalar kinds only; thermal samples travel as frame groups
 _READING_KINDS = {code: k for k, code in _KIND_CODES.items() if not k.is_thermal}
+_MOTION = SensorKind.MOTION
 
 _HEAD = struct.Struct("<BI")
 _U16 = struct.Struct("<H")
@@ -65,42 +80,85 @@ def _str_bytes(text: str) -> bytes:
     return _U16.pack(len(raw)) + raw
 
 
-def _centi_values(series: ReadingSeries) -> np.ndarray:
-    """Scalar values as int32 centi-units; NaN and values past int32 are refused."""
-    centi = np.rint(series.values * 100.0)
-    if not (centi.min() >= _I32_MIN and centi.max() <= _I32_MAX):
-        raise ValueError(
-            f"readings of {series.sensor_id} do not fit int32 centi-units on the wire"
-        )
-    return centi.astype("<i4")
+def _centi_column(scalars: list[ReadingSeries]) -> bytes:
+    """The values of the scalar series, one after another, as int32
+    centi-units; NaN and values past int32 are refused."""
+    values = scalars[0].values if len(scalars) == 1 else np.concatenate([s.values for s in scalars])
+    centi = np.rint(values * 100.0)
+    if not (np.minimum.reduce(centi) >= _I32_MIN and np.maximum.reduce(centi) <= _I32_MAX):
+        row = int(np.argmin((centi >= _I32_MIN) & (centi <= _I32_MAX)))
+        for series in scalars:
+            if row < len(series.values):
+                raise ValueError(
+                    f"readings of {series.sensor_id} do not fit int32 centi-units on the wire"
+                )
+            row -= len(series.values)
+    return centi.astype("<i4").tobytes()
+
+
+def _put(buf: memoryview, pos: int, raw) -> int:
+    """Write bytes at pos and return the offset past them; ValueError if
+    they overrun the buffer."""
+    stop = pos + len(raw)
+    buf[pos:stop] = raw
+    return stop
+
+
+def _put_str(buf: memoryview, pos: int, raw: bytes) -> int:
+    _U16.pack_into(buf, pos, len(raw))
+    return _put(buf, pos + 2, raw)
+
+
+def _put_column(buf: memoryview, pos: int, column: np.ndarray, dtype: str) -> int:
+    return _put(buf, pos, column.astype(dtype, copy=False).tobytes())
 
 
 def encode_packet(packet: HubPacket) -> bytes:
-    parts = [
-        _str_bytes(packet.hub_id),
-        _PACKET_META.pack(
-            packet.sequence_number, packet.window_start, packet.window_end, len(packet.readings)
-        ),
-    ]
+    """The packet's wire bytes: the packet is sized from its sample counts,
+    then written into one buffer."""
+    hub = packet.hub_id.encode("utf-8")
+    readings = [(s.sensor_id.encode("utf-8"), s) for s in packet.readings]
+    frames = [(b.sensor_id.encode("utf-8"), b) for b in packet.frames]
+    scalars = [s for _, s in readings if s.kind is not _MOTION]
+    centi = _centi_column(scalars) if scalars else b""
+    size = _HEAD.size + 2 + len(hub) + _PACKET_META.size + 2 + _U32.size + len(centi)
+    for raw, series in readings:
+        n = len(series.timestamps)
+        size += 2 + len(raw) + _GROUP_META.size + (9 * n if series.kind is _MOTION else 8 * n)
+    for raw, block in frames:
+        n, r = len(block.timestamps), block.resolution
+        size += 2 + len(raw) + _GROUP_META.size + n * (8 + 2 * r * r)
+
+    out = bytearray(size)
+    buf = memoryview(out)
+    _HEAD.pack_into(buf, 0, WIRE_VERSION, size - _HEAD.size - _U32.size)
+    pos = _put_str(buf, _HEAD.size, hub)
+    _PACKET_META.pack_into(
+        buf, pos, packet.sequence_number, packet.window_start, packet.window_end, len(readings)
+    )
+    pos += _PACKET_META.size
     # one group per sensor: the packet keeps one series per sensor id
-    for series in packet.readings:
-        parts.append(_str_bytes(series.sensor_id))
-        parts.append(_GROUP_META.pack(_KIND_CODES[series.kind], len(series)))
-        parts.append(series.timestamps.astype("<i8", copy=False).tobytes())
-        if series.kind is SensorKind.MOTION:
-            parts.append(series.values.astype(np.uint8).tobytes())
+    at = 0
+    for raw, series in readings:
+        n = len(series.timestamps)
+        pos = _put_str(buf, pos, raw)
+        _GROUP_META.pack_into(buf, pos, _KIND_CODES[series.kind], n)
+        pos = _put_column(buf, pos + _GROUP_META.size, series.timestamps, "<i8")
+        if series.kind is _MOTION:
+            pos = _put_column(buf, pos, series.values, "u1")
         else:
-            parts.append(_centi_values(series).tobytes())
-
-    parts.append(_U16.pack(len(packet.frames)))
-    for block in packet.frames:
-        parts.append(_str_bytes(block.sensor_id))
-        parts.append(_GROUP_META.pack(block.resolution, len(block)))
-        parts.append(block.timestamps.astype("<i8", copy=False).tobytes())
-        parts.append(block.pixels_centi.astype("<i2", copy=False).tobytes())
-
-    body = b"".join(parts)
-    return _HEAD.pack(WIRE_VERSION, len(body)) + body + _U32.pack(zlib.crc32(body))
+            at, pos = at + 4 * n, _put(buf, pos, centi[at : at + 4 * n])
+    _U16.pack_into(buf, pos, len(frames))
+    pos += 2
+    for raw, block in frames:
+        pos = _put_str(buf, pos, raw)
+        _GROUP_META.pack_into(buf, pos, block.resolution, len(block.timestamps))
+        pos = _put_column(buf, pos + _GROUP_META.size, block.timestamps, "<i8")
+        pos = _put_column(buf, pos, block.pixels_centi, "<i2")
+    if pos != size - _U32.size:
+        raise ValueError("packet columns do not match their sample counts")
+    _U32.pack_into(buf, pos, zlib.crc32(buf[_HEAD.size : pos]))
+    return bytes(out)
 
 
 def _need(pos: int, n: int, end: int) -> int:
@@ -120,58 +178,171 @@ def _string(data: bytes, pos: int, end: int) -> tuple[str, int]:
         raise WireFormatError(f"bad utf-8 string: {exc}", at)
 
 
-def _decode_body(data: bytes, start: int, end: int) -> HubPacket:
-    """Decode the body at data[start:end]: one frombuffer per column, each
-    copied once by its conversion to the in-memory dtype."""
-    hub_id, pos = _string(data, start, end)
-    at, pos = pos, _need(pos, _PACKET_META.size, end)
-    seq, w0, w1, n_groups = _PACKET_META.unpack_from(data, at)
-
-    readings: list[ReadingSeries] = []
-    for _ in range(n_groups):
-        group_at = pos
-        sensor_id, pos = _string(data, pos, end)
-        ts_at = _need(pos, _GROUP_META.size, end)
-        kind_code, n = _GROUP_META.unpack_from(data, pos)
-        kind = _READING_KINDS.get(kind_code)
-        if kind is None:
+def _check_motion(motion: list[tuple[int, memoryview]]) -> None:
+    """WireFormatError at the first (group offset, value bytes) whose
+    values are not all 0 or 1."""
+    for group_at, raw in motion:
+        values = np.frombuffer(raw, "u1")
+        if np.count_nonzero(values > 1):
             raise WireFormatError(
-                f"reading group of {sensor_id} has bad sensor kind code {kind_code}",
-                group_at,
+                f"motion value must be 0 or 1, got {int(values.max())}", group_at
             )
-        value_size = 1 if kind is SensorKind.MOTION else 4
-        pos = _need(ts_at, n * (8 + value_size), end)
-        ts = np.frombuffer(data, "<i8", n, ts_at).astype(np.int64)
-        if kind is SensorKind.MOTION:
-            raw = np.frombuffer(data, "u1", n, ts_at + 8 * n)
-            if np.count_nonzero(raw > 1):
+
+
+def _column(parts: list, dtype: str) -> np.ndarray:
+    """The byte slices joined into one fresh, writable array."""
+    return np.frombuffer(bytearray().join(parts), dtype)
+
+
+class _Walk:
+    """What one pass over a body's group headers finds: (sensor id, kind,
+    sample count) per reading group and (sensor id, resolution, frame count)
+    per frame group; each column's byte slices; the rows before each reading
+    group after the first (`seams`); and whether the headers are canonical.
+    Malformed bytes raise WireFormatError in the order a reader meets them."""
+
+    __slots__ = (
+        "hub_id", "seq", "w0", "w1", "groups", "blocks", "ts_parts", "scalar_parts",
+        "motion", "motion_bytes", "pixel_parts", "seams", "rows", "canonical",
+    )  # fmt: skip
+
+    def __init__(self, data: bytes, start: int, end: int):
+        self.hub_id, pos = _string(data, start, end)
+        at, pos = pos, _need(pos, _PACKET_META.size, end)
+        self.seq, self.w0, self.w1, n_groups = _PACKET_META.unpack_from(data, at)
+        self.groups: list[tuple[str, SensorKind, int]] = []
+        self.blocks: list[tuple[str, int, int]] = []
+        self.ts_parts: list[memoryview] = []
+        self.scalar_parts: list[memoryview] = []
+        self.motion: list[tuple[int, memoryview]] = []  # (group offset, values)
+        self.pixel_parts: list[memoryview] = []
+        self.seams: list[int] = []
+        self.rows = 0
+        self.canonical = self.w1 - self.w0 == MS_PER_MINUTE
+        view = memoryview(data)
+        try:
+            pos = self._reading_groups(data, view, pos, end, n_groups)
+            pos = self._frame_groups(data, view, pos, end)
+        except WireFormatError:
+            _check_motion(self.motion)  # a bad motion group comes first in the body
+            raise
+        self.motion_bytes = None  # every motion value, read and checked at once
+        if self.motion:
+            self.motion_bytes = _column([raw for _, raw in self.motion], "u1")
+            if np.count_nonzero(self.motion_bytes > 1):
+                _check_motion(self.motion)
+        if pos != end:
+            raise WireFormatError(f"{end - pos} unconsumed bytes after packet body", pos)
+
+    def _reading_groups(self, data, view, pos: int, end: int, n_groups: int) -> int:
+        last_id = None
+        for _ in range(n_groups):
+            group_at = pos
+            sensor_id, pos = _string(data, pos, end)
+            ts_at = _need(pos, _GROUP_META.size, end)
+            kind_code, n = _GROUP_META.unpack_from(data, pos)
+            kind = _READING_KINDS.get(kind_code)
+            if kind is None:
                 raise WireFormatError(
-                    f"motion value must be 0 or 1, got {int(raw.max())}", group_at
+                    f"reading group of {sensor_id} has bad sensor kind code {kind_code}",
+                    group_at,
                 )
-            values = raw.astype(np.float64)
+            values_at = ts_at + 8 * n
+            if kind is _MOTION:
+                pos = _need(ts_at, 9 * n, end)
+                self.motion.append((group_at, view[values_at:pos]))
+            else:
+                pos = _need(ts_at, 12 * n, end)
+                self.scalar_parts.append(view[values_at:pos])
+            self.ts_parts.append(view[ts_at:values_at])
+            self.groups.append((sensor_id, kind, n))
+            if not n or (last_id is not None and last_id >= sensor_id):
+                self.canonical = False
+            last_id = sensor_id
+            if self.rows:
+                self.seams.append(self.rows - 1)
+            self.rows += n
+        return pos
+
+    def _frame_groups(self, data, view, pos: int, end: int) -> int:
+        at, pos = pos, _need(pos, 2, end)
+        (n_groups,) = _U16.unpack_from(data, at)
+        last_id = None
+        for _ in range(n_groups):
+            sensor_id, pos = _string(data, pos, end)
+            ts_at = _need(pos, _GROUP_META.size, end)
+            resolution, n = _GROUP_META.unpack_from(data, pos)
+            if resolution not in (4, 32):
+                raise WireFormatError(f"bad thermal resolution {resolution}", pos)
+            pixels_at = ts_at + 8 * n
+            pos = _need(ts_at, n * (8 + 2 * resolution * resolution), end)
+            self.ts_parts.append(view[ts_at:pixels_at])
+            self.pixel_parts.append(view[pixels_at:pos])
+            self.blocks.append((sensor_id, resolution, n))
+            if last_id is not None and last_id > sensor_id:
+                self.canonical = False
+            last_id = sensor_id
+        return pos
+
+
+def _read_columns(walk: _Walk) -> tuple[tuple, bool]:
+    """The packet's (timestamps, scalar values, motion values), each read
+    with one frombuffer, and whether the body is in canonical form: each
+    reading group sorted apart from the seams between groups, and every
+    sample inside the window."""
+    timestamps = _column(walk.ts_parts, "<i8")
+    canonical, rows = walk.canonical, walk.rows
+    if canonical and rows > 1:
+        backwards = timestamps[1:rows] < timestamps[: rows - 1]
+        steps = np.count_nonzero(backwards)
+        canonical = not steps or steps == np.count_nonzero(backwards[walk.seams])
+    if canonical and len(timestamps):
+        first, last = np.minimum.reduce(timestamps), np.maximum.reduce(timestamps)
+        canonical = walk.w0 <= first and last < walk.w1
+    # a packet often lacks the scalar values; they are not read then
+    scalars = _column(walk.scalar_parts, "<i4") / 100.0 if walk.scalar_parts else None
+    motion = None if walk.motion_bytes is None else walk.motion_bytes.astype(np.float64)
+    return (timestamps, scalars, motion), canonical
+
+
+def _build(walk: _Walk, columns: tuple, canonical: bool) -> tuple:
+    """The packet's fields, built without checks when the body is canonical.
+    Each series is a view of the columns.  Each block's pixels are copied
+    out on their own, so that a store which copies one sensor's frames in
+    frees them: the pixels are most of a packet's bytes."""
+    timestamps, scalars, motion = columns
+    series = ReadingSeries.trusted if canonical else ReadingSeries
+    readings = []
+    row = scalar_row = motion_row = 0
+    for sensor_id, kind, n in walk.groups:
+        if kind is _MOTION:
+            values, motion_row = motion[motion_row : motion_row + n], motion_row + n
         else:
-            values = np.frombuffer(data, "<i4", n, ts_at + 8 * n) / 100.0
-        readings.append(ReadingSeries(sensor_id, kind, ts, values))
+            values, scalar_row = scalars[scalar_row : scalar_row + n], scalar_row + n
+        readings.append(series(sensor_id, kind, timestamps[row : row + n], values))
+        row += n
+    block = FrameBlock.trusted if canonical else FrameBlock
+    frames = []
+    for (sensor_id, resolution, n), raw in zip(walk.blocks, walk.pixel_parts):
+        px = np.frombuffer(raw, "<i2").reshape(n, resolution, resolution).copy()
+        frames.append(block(sensor_id, resolution, timestamps[row : row + n], px))
+        row += n
+    return walk.hub_id, walk.seq, walk.w0, walk.w1, readings, frames
 
-    at, pos = pos, _need(pos, 2, end)
-    (n_groups,) = _U16.unpack_from(data, at)
-    frames: list[FrameBlock] = []
-    for _ in range(n_groups):
-        sensor_id, pos = _string(data, pos, end)
-        ts_at = _need(pos, _GROUP_META.size, end)
-        resolution, n = _GROUP_META.unpack_from(data, pos)
-        if resolution not in (4, 32):
-            raise WireFormatError(f"bad thermal resolution {resolution}", pos)
-        pos = _need(ts_at, n * (8 + 2 * resolution * resolution), end)
-        ts = np.frombuffer(data, "<i8", n, ts_at).astype(np.int64)
-        px = np.frombuffer(data, "<i2", n * resolution * resolution, ts_at + 8 * n)
-        px = px.astype(np.int16).reshape(n, resolution, resolution)
-        frames.append(FrameBlock(sensor_id, resolution, ts, px))
 
-    if pos != end:
-        raise WireFormatError(f"{end - pos} unconsumed bytes after packet body", pos)
+def _decode_body(data: bytes, start: int, end: int) -> HubPacket:
+    """Decode the body at data[start:end]: one walk over the group headers,
+    one frombuffer per column for the whole packet (per block for pixels),
+    and a fixed number of array checks that prove canonical form.  A canonical body becomes its
+    packet as read; any other goes through the `HubPacket` constructor,
+    which canonicalizes it or refuses it."""
+    walk = _Walk(data, start, end)
+    columns, canonical = _read_columns(walk)
+    fields = _build(walk, columns, canonical)
+    if canonical:
+        return HubPacket.trusted(*fields)
     try:
-        return HubPacket(hub_id, seq, w0, w1, readings, frames)
+        return HubPacket(*fields)
     except ValueError as exc:
         raise WireFormatError(f"invalid packet contents: {exc}", start)
 

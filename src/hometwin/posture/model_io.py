@@ -100,6 +100,8 @@ def load_model(path: str | Path) -> PostureNet:
             name = take(name_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"bad tensor name at byte {name_at}: {exc}") from exc
+        if name in state:
+            raise ModelFormatError(f"tensor {name!r} appears twice in {path}")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise ModelFormatError(f"unknown tensor dtype code {code}")
@@ -121,7 +123,11 @@ def load_model(path: str | Path) -> PostureNet:
         net = PostureNet(config)
     except DimensionError as exc:  # an unknown layer kind, or fc before flatten
         raise ModelFormatError(f"bad model config block: {exc}") from exc
-    for name, want in net.state_dict().items():
+    wanted = net.state_dict()
+    unknown = sorted(state.keys() - wanted.keys())
+    if unknown:
+        raise ModelFormatError(f"tensor {unknown[0]!r} is not one the model config uses")
+    for name, want in wanted.items():
         if name not in state:
             raise ModelFormatError(f"model file missing tensor {name!r}")
         if state[name].shape != want.shape:

@@ -46,6 +46,11 @@ def test_unknown_config_key_exits_2(capsys):
     assert main(["print-config", "--set", "not_a_key=1"]) == 2
 
 
+def test_zero_warmup_frames_exits_2(capsys):
+    assert main(["print-config", "--set", "warmup_frames=0"]) == 2
+    assert "'warmup_frames' must be at least 1" in capsys.readouterr().err
+
+
 def test_simulate_writes_packets_and_truth(workdir):
     root, _ = workdir
     out = root / "sim"

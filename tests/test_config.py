@@ -106,3 +106,20 @@ def test_removed_key_refused_everywhere(key, tmp_path, capsys):
     assert main(["print-config", "--set", f"{key}=1"]) == 2
     assert main(["print-config"]) == 0
     assert key not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["warmup_frames", "blob_min_pixels", "train_iterations", "batch_size", "val_every",
+     "windows_per_class", "dataset_seeds"],
+)
+@pytest.mark.parametrize("value", [0, -5])
+def test_count_below_one_refused_everywhere(key, value):
+    with pytest.raises(ConfigError, match=f"'{key}' must be at least 1"):
+        PipelineConfig(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        PipelineConfig().override(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({key: value})
+    assert getattr(PipelineConfig().override(**{key: 1}), key) == 1
+

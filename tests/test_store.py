@@ -1,3 +1,4 @@
+import struct
 import zlib
 
 import numpy as np
@@ -90,6 +91,79 @@ def test_gap_detection():
     for seq in (0, 1, 4, 7):
         store.append(minute_packet(seq))
     assert store.gaps() == [("hub0", 2, 3), ("hub0", 5, 6)]
+
+
+class SeenOracle:
+    """The former sequence bookkeeping: a set per hub, sorted whole for
+    every gaps() call and every snapshot."""
+
+    def __init__(self):
+        self.seen: dict[str, set[int]] = {}
+
+    def add(self, hub_id: str, seq: int) -> bool:
+        seqs = self.seen.setdefault(hub_id, set())
+        new = seq not in seqs
+        seqs.add(seq)
+        return new
+
+    def gaps(self) -> list[tuple[str, int, int]]:
+        out = []
+        for hub_id in sorted(self.seen):
+            seqs = sorted(self.seen[hub_id])
+            for prev, cur in zip(seqs, seqs[1:]):
+                if cur > prev + 1:
+                    out.append((hub_id, prev + 1, cur - 1))
+        return out
+
+    def snapshot_prefix(self) -> bytes:
+        """The snapshot body's sequence section."""
+        body = struct.pack("<I", len(self.seen))
+        for hub_id in sorted(self.seen):
+            raw = hub_id.encode("utf-8")
+            seqs = sorted(self.seen[hub_id])
+            body += struct.pack("<H", len(raw)) + raw + struct.pack("<I", len(seqs))
+            body += np.array(seqs, dtype="<u8").tobytes()
+        return body
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gaps_match_the_sorted_set_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    store, oracle = RecordStore(), SeenOracle()
+    hubs = [f"hub{h}" for h in range(int(rng.integers(1, 5)))]
+    top = 2**64 - 1
+    for i in range(400):
+        hub = hubs[int(rng.integers(len(hubs)))]
+        if rng.random() < 0.05:  # the ends of the u64 range
+            seq = [0, 1, top - 1, top][int(rng.integers(4))]
+        else:  # clustered, so runs join up, split and repeat
+            seq = int(rng.integers(0, 60 if seed % 2 else 400))
+        empty = HubPacket(hub, seq, 0, 60_000)
+        got = store.append(empty)
+        assert got == 0
+        oracle.add(hub, seq)
+        if i % 7 == 0 or i == 399:
+            assert store.gaps() == oracle.gaps()
+            path = tmp_path / "store.bin"
+            store.save(path)
+            prefix = oracle.snapshot_prefix()
+            assert path.read_bytes()[13 : 13 + len(prefix)] == prefix
+            loaded = RecordStore.load(path)
+            assert loaded.gaps() == oracle.gaps()
+            loaded.save(tmp_path / "again.bin")
+            assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_duplicate_check_follows_the_sequence_runs():
+    store = RecordStore()
+    for seq in (5, 3, 4, 9, 7, 8, 1):  # runs join from the left, right and both sides
+        assert store.append(minute_packet(seq)) > 0
+    assert store.gaps() == [("hub0", 2, 2), ("hub0", 6, 6)]
+    for seq in (1, 3, 4, 5, 7, 8, 9):
+        assert store.append(minute_packet(seq)) == 0
+    for seq in (2, 6):
+        assert store.append(minute_packet(seq)) > 0
+    assert store.gaps() == []
 
 
 def _refused_packet(case: str) -> HubPacket:

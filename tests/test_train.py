@@ -192,6 +192,38 @@ def test_model_file_tensor_shape_must_match_config(tmp_path):
         _load_edited(tmp_path, blob)
 
 
+def _with_extra_record(blob: bytearray, name: str, values: np.ndarray) -> bytearray:
+    """The model file with one more float32 tensor record at its end, the
+    tensor count raised to match."""
+    (length,) = struct.unpack("<I", blob[6:10])
+    count_at = 10 + length
+    (count,) = struct.unpack("<H", blob[count_at : count_at + 2])
+    raw = name.encode("utf-8")
+    record = struct.pack("<H", len(raw)) + raw + struct.pack("<BB", 0, values.ndim)
+    record += b"".join(struct.pack("<I", dim) for dim in values.shape)
+    record += values.astype("<f4").tobytes()
+    edited = bytearray(blob)
+    edited[count_at : count_at + 2] = struct.pack("<H", count + 1)
+    return edited + record
+
+
+def test_model_file_tensor_named_twice_is_a_format_error(tmp_path):
+    blob = _saved_blob(tmp_path)
+    edited = _with_extra_record(blob, "m6.b", np.full(5, 7.0))
+    with pytest.raises(ModelFormatError, match="'m6.b' appears twice"):
+        _load_edited(tmp_path, edited)
+
+
+def test_model_file_tensor_the_config_does_not_use_is_a_format_error(tmp_path):
+    blob = _saved_blob(tmp_path)
+    with pytest.raises(ModelFormatError, match="'m9.b' is not one the model config uses"):
+        _load_edited(tmp_path, _with_extra_record(blob, "m9.b", np.zeros(5)))
+    # written by save_model itself, among the tensors the net does use
+    blob = _saved_blob(tmp_path, **{"m2.w": np.zeros((2, 2), np.float32)})
+    with pytest.raises(ModelFormatError, match="'m2.w'"):
+        _load_edited(tmp_path, blob)
+
+
 def _tensor_header(blob: bytearray, name: str) -> int:
     """Offset of tensor `name`'s dtype byte; its ndim byte and u32 dims follow."""
     raw = name.encode("utf-8")
