@@ -158,15 +158,6 @@ class FrameBlock:
                 f"{n} frames at resolution {self.resolution}"
             )
 
-    @classmethod
-    def trusted(cls, sensor_id: str, resolution: int, timestamps, pixels_centi) -> "FrameBlock":
-        """A block built without the shape check, for a caller that has
-        already shaped `pixels_centi` as [len(timestamps), res, res]."""
-        block = object.__new__(cls)
-        block.sensor_id, block.resolution = sensor_id, resolution
-        block.timestamps, block.pixels_centi = timestamps, pixels_centi
-        return block
-
     def __len__(self) -> int:
         return len(self.timestamps)
 
@@ -218,15 +209,6 @@ class ReadingSeries:
                 f"series {self.sensor_id} needs 1-D timestamps and values of one length, "
                 f"got {ts.shape} and {self.values.shape}"
             )
-
-    @classmethod
-    def trusted(cls, sensor_id: str, kind: SensorKind, timestamps, values) -> "ReadingSeries":
-        """A series built without the shape check, for a caller that has
-        already made `timestamps` and `values` 1-D columns of one length."""
-        series = object.__new__(cls)
-        series.sensor_id, series.kind = sensor_id, kind
-        series.timestamps, series.values = timestamps, values
-        return series
 
     def __len__(self) -> int:
         return len(self.timestamps)

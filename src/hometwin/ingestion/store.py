@@ -182,8 +182,12 @@ class RecordStore:
 
         The store keeps the packet's arrays without copying them until the
         next read of their sensor copies them in, so the caller must not
-        mutate them after the append.  Decoded packets own fresh arrays, and
-        a copy here would double the bytes an ingest moves.
+        mutate them after the append.  A decoded packet's series and block
+        timestamps are views of one timestamp column of the whole packet,
+        and its series values views of packet-wide value columns (each
+        block's pixels are its own), so a pending chunk keeps those columns
+        alive until its sensor is folded; a copy here would double the bytes
+        an ingest moves.
 
         A packet that gives a known sensor another resolution raises
         DimensionError, and one that gives it another kind raises

@@ -25,7 +25,7 @@ Layout, all little-endian::
 Temperatures ride as int16 centi-degrees and scalar values as int32
 centi-units, so decoding reproduces the original values exactly.  A reading
 group is one `ReadingSeries` and a frame group one `FrameBlock`.  Encode
-sizes the packet and fills one buffer.
+brings the scalar values of a whole packet to centi-units at once.
 
 The encoder writes a `HubPacket` in canonical form (see its docstring): the
 window is one minute and holds every sample; reading groups are non-empty,
@@ -33,8 +33,8 @@ in strictly increasing sensor id order, each sorted by timestamp, with
 motion values 0 or 1; frame groups are in sensor id order.  Decode walks
 the group headers once, reads the timestamps and values of the whole packet
 with one `frombuffer` per column (and each block's pixels with one), and
-proves that form with a few whole-packet checks; such a
-body becomes a packet as read, with nothing checked again.  A body that is
+proves that form with a few whole-packet checks; such a body becomes a
+packet as read, with nothing canonicalized or checked again.  A body that is
 well formed but not canonical (for example one edited by hand and its CRC
 re-sealed) goes through the `HubPacket` constructor as before: it is
 silently brought into canonical form, or refused with WireFormatError at
@@ -96,69 +96,39 @@ def _centi_column(scalars: list[ReadingSeries]) -> bytes:
     return centi.astype("<i4").tobytes()
 
 
-def _put(buf: memoryview, pos: int, raw) -> int:
-    """Write bytes at pos and return the offset past them; ValueError if
-    they overrun the buffer."""
-    stop = pos + len(raw)
-    buf[pos:stop] = raw
-    return stop
-
-
-def _put_str(buf: memoryview, pos: int, raw: bytes) -> int:
-    _U16.pack_into(buf, pos, len(raw))
-    return _put(buf, pos + 2, raw)
-
-
-def _put_column(buf: memoryview, pos: int, column: np.ndarray, dtype: str) -> int:
-    return _put(buf, pos, column.astype(dtype, copy=False).tobytes())
-
-
 def encode_packet(packet: HubPacket) -> bytes:
-    """The packet's wire bytes: the packet is sized from its sample counts,
-    then written into one buffer."""
-    hub = packet.hub_id.encode("utf-8")
-    readings = [(s.sensor_id.encode("utf-8"), s) for s in packet.readings]
-    frames = [(b.sensor_id.encode("utf-8"), b) for b in packet.frames]
-    scalars = [s for _, s in readings if s.kind is not _MOTION]
+    """The packet's wire bytes."""
+    readings = packet.readings
+    scalars = [s for s in readings if s.kind is not _MOTION]
     centi = _centi_column(scalars) if scalars else b""
-    size = _HEAD.size + 2 + len(hub) + _PACKET_META.size + 2 + _U32.size + len(centi)
-    for raw, series in readings:
-        n = len(series.timestamps)
-        size += 2 + len(raw) + _GROUP_META.size + (9 * n if series.kind is _MOTION else 8 * n)
-    for raw, block in frames:
-        n, r = len(block.timestamps), block.resolution
-        size += 2 + len(raw) + _GROUP_META.size + n * (8 + 2 * r * r)
-
-    out = bytearray(size)
-    buf = memoryview(out)
-    _HEAD.pack_into(buf, 0, WIRE_VERSION, size - _HEAD.size - _U32.size)
-    pos = _put_str(buf, _HEAD.size, hub)
-    _PACKET_META.pack_into(
-        buf, pos, packet.sequence_number, packet.window_start, packet.window_end, len(readings)
-    )
-    pos += _PACKET_META.size
+    parts = [
+        _str_bytes(packet.hub_id),
+        _PACKET_META.pack(
+            packet.sequence_number, packet.window_start, packet.window_end, len(readings)
+        ),
+    ]
     # one group per sensor: the packet keeps one series per sensor id
     at = 0
-    for raw, series in readings:
+    for series in readings:
         n = len(series.timestamps)
-        pos = _put_str(buf, pos, raw)
-        _GROUP_META.pack_into(buf, pos, _KIND_CODES[series.kind], n)
-        pos = _put_column(buf, pos + _GROUP_META.size, series.timestamps, "<i8")
+        parts.append(_str_bytes(series.sensor_id))
+        parts.append(_GROUP_META.pack(_KIND_CODES[series.kind], n))
+        parts.append(series.timestamps.astype("<i8", copy=False).tobytes())
         if series.kind is _MOTION:
-            pos = _put_column(buf, pos, series.values, "u1")
+            parts.append(series.values.astype(np.uint8).tobytes())
         else:
-            at, pos = at + 4 * n, _put(buf, pos, centi[at : at + 4 * n])
-    _U16.pack_into(buf, pos, len(frames))
-    pos += 2
-    for raw, block in frames:
-        pos = _put_str(buf, pos, raw)
-        _GROUP_META.pack_into(buf, pos, block.resolution, len(block.timestamps))
-        pos = _put_column(buf, pos + _GROUP_META.size, block.timestamps, "<i8")
-        pos = _put_column(buf, pos, block.pixels_centi, "<i2")
-    if pos != size - _U32.size:
-        raise ValueError("packet columns do not match their sample counts")
-    _U32.pack_into(buf, pos, zlib.crc32(buf[_HEAD.size : pos]))
-    return bytes(out)
+            parts.append(centi[at : at + 4 * n])
+            at += 4 * n
+
+    parts.append(_U16.pack(len(packet.frames)))
+    for block in packet.frames:
+        parts.append(_str_bytes(block.sensor_id))
+        parts.append(_GROUP_META.pack(block.resolution, len(block)))
+        parts.append(block.timestamps.astype("<i8", copy=False).tobytes())
+        parts.append(block.pixels_centi.astype("<i2", copy=False).tobytes())
+
+    body = b"".join(parts)
+    return b"".join((_HEAD.pack(WIRE_VERSION, len(body)), body, _U32.pack(zlib.crc32(body))))
 
 
 def _need(pos: int, n: int, end: int) -> int:
@@ -305,13 +275,12 @@ def _read_columns(walk: _Walk) -> tuple[tuple, bool]:
     return (timestamps, scalars, motion), canonical
 
 
-def _build(walk: _Walk, columns: tuple, canonical: bool) -> tuple:
-    """The packet's fields, built without checks when the body is canonical.
-    Each series is a view of the columns.  Each block's pixels are copied
-    out on their own, so that a store which copies one sensor's frames in
-    frees them: the pixels are most of a packet's bytes."""
+def _build(walk: _Walk, columns: tuple) -> tuple:
+    """The packet's fields.  Each series is a view of the columns.  Each
+    block's pixels are copied out on their own, so that a store which copies
+    one sensor's frames in frees them: the pixels are most of a packet's
+    bytes."""
     timestamps, scalars, motion = columns
-    series = ReadingSeries.trusted if canonical else ReadingSeries
     readings = []
     row = scalar_row = motion_row = 0
     for sensor_id, kind, n in walk.groups:
@@ -319,13 +288,12 @@ def _build(walk: _Walk, columns: tuple, canonical: bool) -> tuple:
             values, motion_row = motion[motion_row : motion_row + n], motion_row + n
         else:
             values, scalar_row = scalars[scalar_row : scalar_row + n], scalar_row + n
-        readings.append(series(sensor_id, kind, timestamps[row : row + n], values))
+        readings.append(ReadingSeries(sensor_id, kind, timestamps[row : row + n], values))
         row += n
-    block = FrameBlock.trusted if canonical else FrameBlock
     frames = []
     for (sensor_id, resolution, n), raw in zip(walk.blocks, walk.pixel_parts):
         px = np.frombuffer(raw, "<i2").reshape(n, resolution, resolution).copy()
-        frames.append(block(sensor_id, resolution, timestamps[row : row + n], px))
+        frames.append(FrameBlock(sensor_id, resolution, timestamps[row : row + n], px))
         row += n
     return walk.hub_id, walk.seq, walk.w0, walk.w1, readings, frames
 
@@ -333,12 +301,12 @@ def _build(walk: _Walk, columns: tuple, canonical: bool) -> tuple:
 def _decode_body(data: bytes, start: int, end: int) -> HubPacket:
     """Decode the body at data[start:end]: one walk over the group headers,
     one frombuffer per column for the whole packet (per block for pixels),
-    and a fixed number of array checks that prove canonical form.  A canonical body becomes its
-    packet as read; any other goes through the `HubPacket` constructor,
-    which canonicalizes it or refuses it."""
+    and a fixed number of array checks that prove canonical form.  A
+    canonical body becomes its packet as read; any other goes through the
+    `HubPacket` constructor, which canonicalizes it or refuses it."""
     walk = _Walk(data, start, end)
     columns, canonical = _read_columns(walk)
-    fields = _build(walk, columns, canonical)
+    fields = _build(walk, columns)
     if canonical:
         return HubPacket.trusted(*fields)
     try:

@@ -67,7 +67,7 @@ def phases(blobs: list[bytes]) -> dict[str, float]:
         t3 = time.perf_counter()
         columns, canonical = wire._read_columns(walk)
         t4 = time.perf_counter()
-        HubPacket.trusted(*wire._build(walk, columns, canonical))
+        HubPacket.trusted(*wire._build(walk, columns))
         t5 = time.perf_counter()
         wire.encode_packet(packet)
         t6 = time.perf_counter()
