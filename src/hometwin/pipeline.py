@@ -12,6 +12,12 @@ gather when some were dropped), and batched kernels compute the motion
 indices, the blob counts of the 32x32 window means and the postures
 (256-window inference batches).  A `SensorTrack` keeps one array per
 column, and the per-minute room evidence is folded from those arrays.
+
+Inference uses a second core when BLAS runs one thread and more than one
+core is usable (`OPENBLAS_NUM_THREADS=1 hometwin run ...`): each batch's
+blocks are split between the caller and one helper thread, with the same
+logits as serially.  Under a BLAS that runs a thread per core (no thread
+count set) inference stays serial; see `posture.net`.
 """
 
 from __future__ import annotations
@@ -189,6 +195,9 @@ def _classify(model: PostureNet | None, windows: np.ndarray) -> np.ndarray:
     """PostureLabel values of a window stack, in 256-window batches."""
     if model is None:
         return np.full(len(windows), PostureLabel.NOT_HERE.value, dtype=np.int64)
+    # Keep the batches: each call starts its own block grid
+    # (PostureNet._block_rows), and a dense layer's GEMM rounds by its
+    # block's row count, so other batch sizes can give other logit bits.
     batch = 256
     return np.concatenate(
         [

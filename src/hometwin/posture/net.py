@@ -12,10 +12,23 @@ each batch norm's running statistics into the conv or dense layer before it,
 drops dropout, and runs the batch in cache-sized blocks of windows; it writes
 nothing to the model, so repeated inference on the same input is
 bit-identical.
+
+A call of two or more blocks is split between the caller and one helper
+thread when more than one core is usable and BLAS runs one thread (see
+`blas_threads`; `OPENBLAS_NUM_THREADS=1 hometwin run ...` gets it): the
+caller runs the first half of the blocks and the helper the rest.  numpy
+releases the interpreter lock in BLAS calls and array copies, so the halves
+run at once, and each block is computed exactly as in the serial loop, so
+the logits are the same bits.  With a BLAS that runs a thread per core, the
+two would compete for the same cores, so inference stays serial.  The helper
+is made on the first split call and dropped in a forked child.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +43,56 @@ BN_EPS = 1e-5
 INFER_BLOCK_BYTES = 2 << 20
 # module fields a training forward fills for the backward pass that follows
 STEP_BUFFERS = ("_cache", "_mask", "_x")
+# where OpenBLAS reads its thread count from, in the order it reads them
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, read as OpenBLAS reads it:
+    the first of BLAS_THREAD_VARS that holds a positive integer, or None
+    when none does (BLAS then runs one thread per core)."""
+    for var in BLAS_THREAD_VARS:
+        try:
+            count = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if count > 0:
+            return count
+    return None
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# the one helper thread of split inference (a ThreadPoolExecutor), made on
+# first use so that a process that never infers never starts it
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _inference_helper():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="posture-infer")
+        return _helper
+
+
+def _drop_helper() -> None:
+    """In a forked child: the helper's thread did not survive the fork, and
+    a task submitted to the inherited executor would wait forever."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_helper)
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +446,41 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits / n
 
 
+def _infer_blocks(
+    layers: list[tuple], x: np.ndarray, out: np.ndarray, lo: int, hi: int, rows: int
+) -> None:
+    """Run windows lo:hi of `x` through the folded `layers` in blocks of
+    `rows` windows (lo on the block grid) and write their logits to `out`."""
+    for start in range(lo, hi, rows):
+        h = x[start : min(start + rows, hi)]
+        owned = False  # h may be written in place once it is not the caller's
+        for kind, *p in layers:
+            if kind == "conv":
+                w, b, k, pad = p
+                cols, (ho, wo) = _im2col(h, k, pad)
+                h = np.matmul(w, cols)
+                h += b[:, None]
+                h = h.reshape(h.shape[0], -1, ho, wo)
+            elif kind == "fc":
+                w, b = p
+                h = h @ w.T
+                h += b
+            elif kind == "affine":
+                shape = (1, -1, 1, 1) if h.ndim == 4 else (1, -1)
+                h = h * p[0].reshape(shape) + p[1].reshape(shape)
+            elif kind == "relu":
+                h = np.maximum(h, 0, out=h if owned else None)
+            elif kind == "pool":  # 2x2, stride 2, odd edges dropped
+                he, we = h.shape[2] // 2 * 2, h.shape[3] // 2 * 2
+                top = np.maximum(h[:, :, 0:he:2, 0:we:2], h[:, :, 0:he:2, 1:we:2])
+                h = np.maximum(h[:, :, 1:he:2, 0:we:2], h[:, :, 1:he:2, 1:we:2])
+                np.maximum(h, top, out=h)
+            else:  # flatten
+                h = h.reshape(h.shape[0], -1)
+            owned = kind != "flatten" or owned
+        out[start : start + len(h)] = h
+
+
 class PostureNet:
     def __init__(self, config: NetworkConfig, seed: int = 0, dtype=np.float32):
         self.config = config
@@ -527,37 +625,28 @@ class PostureNet:
 
         A block's largest im2col matrix stays within INFER_BLOCK_BYTES, so
         each conv's patches are still in cache when its GEMM reads them.
+        With two or more blocks, two usable cores and a one-thread BLAS, the
+        helper thread runs the second half of the blocks while the caller
+        runs the first (the module docstring says why).
         """
         layers = self._folded_layers()
-        out = np.empty((x.shape[0],) + self._out_shape, dtype=self.dtype)
-        for lo in range(0, x.shape[0], self._block_rows):
-            h = x[lo : lo + self._block_rows]
-            owned = False  # h may be written in place once it is not the caller's
-            for kind, *p in layers:
-                if kind == "conv":
-                    w, b, k, pad = p
-                    cols, (ho, wo) = _im2col(h, k, pad)
-                    h = np.matmul(w, cols)
-                    h += b[:, None]
-                    h = h.reshape(h.shape[0], -1, ho, wo)
-                elif kind == "fc":
-                    w, b = p
-                    h = h @ w.T
-                    h += b
-                elif kind == "affine":
-                    shape = (1, -1, 1, 1) if h.ndim == 4 else (1, -1)
-                    h = h * p[0].reshape(shape) + p[1].reshape(shape)
-                elif kind == "relu":
-                    h = np.maximum(h, 0, out=h if owned else None)
-                elif kind == "pool":  # 2x2, stride 2, odd edges dropped
-                    he, we = h.shape[2] // 2 * 2, h.shape[3] // 2 * 2
-                    top = np.maximum(h[:, :, 0:he:2, 0:we:2], h[:, :, 0:he:2, 1:we:2])
-                    h = np.maximum(h[:, :, 1:he:2, 0:we:2], h[:, :, 1:he:2, 1:we:2])
-                    np.maximum(h, top, out=h)
-                else:  # flatten
-                    h = h.reshape(h.shape[0], -1)
-                owned = kind != "flatten" or owned
-            out[lo : lo + self._block_rows] = h
+        n, rows = x.shape[0], self._block_rows
+        out = np.empty((n,) + self._out_shape, dtype=self.dtype)
+        blocks = -(-n // rows)
+        if blocks < 2 or blas_threads() != 1 or _usable_cores() < 2:
+            _infer_blocks(layers, x, out, 0, n, rows)
+            return out
+        cut = (blocks + 1) // 2 * rows
+        # the caller's context carries its numpy error state to the helper
+        half = _inference_helper().submit(
+            contextvars.copy_context().run, _infer_blocks, layers, x, out, cut, n, rows
+        )
+        try:
+            _infer_blocks(layers, x, out, 0, cut, rows)
+        except BaseException:
+            half.exception()  # the helper writes into `out`: let it finish first
+            raise
+        half.result()
         return out
 
     def backward(self, dlogits: np.ndarray) -> None:

@@ -77,6 +77,10 @@ def stratified_split(
 
 def _predict(net: PostureNet, x: np.ndarray, batch: int = 128) -> np.ndarray:
     """Predicted class of each window, inferred in batches of `batch`."""
+    # Keep the batches: each call starts its own block grid
+    # (PostureNet._block_rows), and a dense layer's GEMM rounds by its
+    # block's row count, so other batch sizes can give other logit bits,
+    # which would move snapshot selection and so the model's bytes.
     return np.concatenate(
         [net.predict_proba(x[lo : lo + batch]).argmax(axis=1) for lo in range(0, len(x), batch)]
     )

@@ -12,8 +12,12 @@ Two sets of outputs are pinned:
   they are compared on every machine.
 - "environment": model files and everything computed after a float32 GEMM
   (training reports, timelines and reports made with a posture model).
-  Their bytes depend on the numpy build, the BLAS library and the CPU, so
-  they are compared only where `environment()` equals the recorded one.
+  Their bytes depend on the numpy build, the BLAS library, its thread
+  count and the CPU, so they are compared only where `environment()`
+  equals the recorded one.  The thread count matters: the first conv's
+  weight-gradient GEMM at 32x32 ((16, 900) @ (900, 180) per window) rounds
+  differently with one BLAS thread than with two, so a run under
+  `OPENBLAS_NUM_THREADS=1` trains other 32x32 model bytes.
 
 The test prints which outputs it compared and which it skipped.
 """
@@ -34,6 +38,7 @@ from hometwin.config import PipelineConfig
 from hometwin.ingestion.store import RecordStore
 from hometwin.ingestion.wire import encode_packet
 from hometwin.pipeline import StreamSource, run_pipeline
+from hometwin.posture.net import blas_threads
 from hometwin.simulate.engine import simulate
 from hometwin.simulate.scripts import outing_day
 
@@ -63,6 +68,7 @@ def environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": blas_name,
+        "blas_threads": blas_threads(),  # None: one per core
         "cpu": cpu,
         "machine": platform.machine(),
         "nproc": os.cpu_count(),
@@ -199,14 +205,15 @@ def compute() -> dict:
 
 def test_golden_outputs():
     golden = json.loads(GOLDEN_PATH.read_text())
-    env_matches = golden["recorded_environment"] == environment()
+    env, recorded = environment(), golden["recorded_environment"]
+    env_differs = sorted(k for k in env.keys() | recorded.keys() if env.get(k) != recorded.get(k))
     got = compute()
 
     compared, skipped, differ = [], [], []
     for group in ("portable", "environment"):
         assert sorted(got[group]) == sorted(golden[group]), f"{group} outputs renamed"
         for name, digest in golden[group].items():
-            if group == "environment" and not env_matches:
+            if group == "environment" and env_differs:
                 skipped.append(name)
                 continue
             compared.append(name)
@@ -214,9 +221,11 @@ def test_golden_outputs():
                 differ.append(name)
     print(f"golden: compared {len(compared)} outputs: {', '.join(compared)}")
     if skipped:
+        reason = "; ".join(
+            f"{k} is {env.get(k)!r}, recorded {recorded.get(k)!r}" for k in env_differs
+        )
         print(
-            f"golden: skipped {len(skipped)} BLAS-dependent outputs, environment "
-            f"{environment()} differs from the recorded {golden['recorded_environment']}: "
+            f"golden: skipped {len(skipped)} BLAS-dependent outputs ({reason}): "
             + ", ".join(skipped)
         )
     assert not differ, f"outputs differ from the golden digests: {differ}"
