@@ -12,12 +12,9 @@ from ..layout import RoomRole
 class RoomEvidence:
     """What one thermal room contributed during a minute."""
 
-    room_role: RoomRole
     majority_posture: PostureLabel = PostureLabel.NOT_HERE
     mean_motion_index: float = 0.0
-    blob_count_max: int = 0
     multi_blob_windows: int = 0  # windows this minute with blob count >= 2
-    window_count: int = 0
     # the activity gate the rules compare this room's motion index with; the
     # pipeline sets it per sensor (see `run_pipeline`)
     theta_active: float = 0.0
@@ -27,10 +24,9 @@ class RoomEvidence:
 class MinuteEvidence:
     minute_start: int
     is_night: bool
-    # keyed by room_role (one thermal room per role in supported layouts)
+    # keyed by room role (one thermal room per role in supported layouts)
     rooms: dict[RoomRole, RoomEvidence] = field(default_factory=dict)
     restroom_triggers: int = 0
     doorway_triggers: int = 0
     other_motion_triggers: int = 0  # motion triggers outside restroom/doorway
     light_step_max: float = 0.0  # largest single-sample light change this minute
-    previous_label: int | None = None  # ActivityLabel value or UNKNOWN_ACTIVITY

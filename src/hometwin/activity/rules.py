@@ -77,11 +77,14 @@ class ActivityTimeline:
         return "\n".join(rows) + "\n"
 
 
-def classify_minute(ev: MinuteEvidence, config: PipelineConfig) -> TimelineEntry:
+def classify_minute(
+    ev: MinuteEvidence, config: PipelineConfig, previous: int | None = None
+) -> TimelineEntry:
     """Pure rule cascade; every carried/unknown decision is recorded.
 
-    Reads k_rest, s_vis and w_night from the config; each room's activity
-    gate is its own `theta_active`."""
+    `previous` is the label of the minute before (rule 4), None for the
+    first minute.  Reads k_rest, s_vis and w_night from the config; each
+    room's activity gate is its own `theta_active`."""
     entry = TimelineEntry(ev.minute_start, UNKNOWN_ACTIVITY)
 
     # rule 1: restroom dominance
@@ -129,7 +132,7 @@ def classify_minute(ev: MinuteEvidence, config: PipelineConfig) -> TimelineEntry
         bedroom is not None
         and bedroom.majority_posture is PostureLabel.LIE_DOWN
         and bedroom.mean_motion_index < bedroom.theta_active
-        and ev.previous_label == ActivityLabel.SLEEPING.value
+        and previous == ActivityLabel.SLEEPING.value
     ):
         entry.label = ActivityLabel.SLEEPING.value
         entry.winning_room = RoomRole.BEDROOM
@@ -149,8 +152,7 @@ def classify_timeline(
     previous: int | None = None
     carried_run = 0
     for ev in evidence:
-        ev.previous_label = previous
-        entry = classify_minute(ev, config)
+        entry = classify_minute(ev, config, previous)
         if entry.label == UNKNOWN_ACTIVITY:
             if (
                 previous is not None

@@ -53,11 +53,6 @@ def parse_clock(text: str) -> int:
     return (h * 3600 + m * 60 + s) * 1000
 
 
-def format_clock(ms_of_day: int) -> str:
-    s = ms_of_day // 1000
-    return f"{s // 3600:02d}:{s % 3600 // 60:02d}"
-
-
 def ms_of_day(ts: int, tz_offset_min: int = 0) -> int:
     """Clock-of-day position of a timestamp, in milliseconds past midnight."""
     return (ts + tz_offset_min * MS_PER_MINUTE) % MS_PER_DAY

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .core import SensorKind, format_clock, parse_clock
+from .core import SensorKind, parse_clock
 from .errors import ConfigError, UnknownSensorError
 
 
@@ -264,30 +264,11 @@ def lite_layout(night_window: tuple[int, int] | None = None) -> HomeLayout:
 # JSON schema
 
 
-def layout_to_dict(layout: HomeLayout) -> dict:
-    return {
-        "rooms": [
-            {
-                "room_id": r.room_id,
-                "name": r.name,
-                "role": r.role.value,
-                "bounds": list(r.bounds),
-            }
-            for r in layout.rooms
-        ],
-        "placements": [
-            {
-                "module_type": p.module_type.value,
-                "room_id": p.room_id,
-                "position": list(p.position),
-                "fov_half_width": p.fov_half_width,
-                "sensing_radius": p.sensing_radius,
-            }
-            for p in layout.placements
-        ],
-        "night_window": [format_clock(t) for t in layout.night_window],
-        "tz_offset_min": layout.tz_offset_min,
-    }
+def _floats(values, count: int, what: str) -> tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    if len(out) != count:
+        raise ValueError(f"{what} must be {count} numbers, got {values!r}")
+    return out
 
 
 def layout_from_dict(data: dict) -> HomeLayout:
@@ -297,7 +278,7 @@ def layout_from_dict(data: dict) -> HomeLayout:
                 room_id=r["room_id"],
                 name=r.get("name", r["room_id"]),
                 role=RoomRole(r["role"]),
-                bounds=tuple(float(v) for v in r["bounds"]),
+                bounds=_floats(r["bounds"], 4, "bounds"),
             )
             for r in data["rooms"]
         ]
@@ -305,7 +286,7 @@ def layout_from_dict(data: dict) -> HomeLayout:
             ModulePlacement(
                 module_type=ModuleType(p["module_type"]),
                 room_id=p["room_id"],
-                position=tuple(float(v) for v in p["position"]),
+                position=_floats(p["position"], 2, "position"),
                 fov_half_width=float(p.get("fov_half_width", 1.0)),
                 sensing_radius=float(p.get("sensing_radius", 2.5)),
             )
@@ -333,10 +314,8 @@ def layout_from_dict(data: dict) -> HomeLayout:
 
 def load_layout(path: str | Path) -> HomeLayout:
     with open(path, encoding="utf-8") as fh:
-        return layout_from_dict(json.load(fh))
-
-
-def save_layout(layout: HomeLayout, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(layout_to_dict(layout), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"layout {path} is not valid JSON: {exc}") from exc
+    return layout_from_dict(data)

@@ -45,6 +45,10 @@ from .activity.evidence import MinuteEvidence, RoomEvidence
 from .activity.rules import ActivityTimeline, classify_timeline, detect_not_at_home
 from .thermal import BaselineTracker, count_blobs, motion_index
 
+# windows per inference call; the batch moves logit bits (see
+# `PostureNet.predict_labels`), so it is part of every timeline
+INFER_BATCH = 256
+
 
 @dataclass
 class WindowRecord:
@@ -96,7 +100,6 @@ class PipelineResult:
     timeline: ActivityTimeline
     tracks: dict[str, SensorTrack]
     thetas: dict[str, float]  # sensor_id -> activity gate used
-    evidence: list[MinuteEvidence]
 
 
 @dataclass
@@ -174,7 +177,11 @@ def _process_thermal_sensor(
             )
         else:
             blobs = np.zeros(len(kept), dtype=np.int64)
-        posture = _classify(model, windows)
+        posture = (
+            model.predict_labels(windows, INFER_BATCH)
+            if model is not None
+            else np.full(len(kept), PostureLabel.NOT_HERE.value, dtype=np.int64)
+        )
 
     return SensorTrack(
         sensor_id,
@@ -188,22 +195,6 @@ def _process_thermal_sensor(
         posture=posture,
         dropped_windows=len(off_cadence),
         calibration_events=list(tracker.calibration_events),
-    )
-
-
-def _classify(model: PostureNet | None, windows: np.ndarray) -> np.ndarray:
-    """PostureLabel values of a window stack, in 256-window batches."""
-    if model is None:
-        return np.full(len(windows), PostureLabel.NOT_HERE.value, dtype=np.int64)
-    # Keep the batches: each call starts its own block grid
-    # (PostureNet._block_rows), and a dense layer's GEMM rounds by its
-    # block's row count, so other batch sizes can give other logit bits.
-    batch = 256
-    return np.concatenate(
-        [
-            model.predict_proba(windows[lo : lo + batch]).argmax(axis=1)
-            for lo in range(0, len(windows), batch)
-        ]
     )
 
 
@@ -280,7 +271,6 @@ def _room_evidence(
         .reshape(-1, n_labels)
         .argmax(axis=1)
     )
-    blob_max = np.maximum.reduceat(blobs, first)
     multi_blob = np.add.reduceat((blobs >= 2).astype(np.int64), first)
 
     group_minute = key[first] // len(roles)
@@ -288,12 +278,9 @@ def _room_evidence(
         lo, hi = int(bounds[g]), int(bounds[g + 1])
         role = roles[int(key[lo]) % len(roles)]
         rooms[int(group_minute[g])][role] = RoomEvidence(
-            room_role=role,
             majority_posture=PostureLabel(int(majority[g])),
             mean_motion_index=float(np.mean(motion[lo:hi])),
-            blob_count_max=int(blob_max[g]),
             multi_blob_windows=int(multi_blob[g]),
-            window_count=hi - lo,
             theta_active=theta_of_role[role],
         )
     return rooms
@@ -380,4 +367,4 @@ def run_pipeline(
 
     timeline = classify_timeline(evidence, config)
     timeline = detect_not_at_home(timeline, np.array(sorted(doorway_trigger_ts)), config)
-    return PipelineResult(timeline, tracks, thetas, evidence)
+    return PipelineResult(timeline, tracks, thetas)

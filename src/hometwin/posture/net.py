@@ -265,7 +265,6 @@ class _BatchNorm:
         self.dgamma = None
         self.dbeta = None
         self._cache = None
-        self.update_stats = True
 
     def params(self):
         return [("gamma", self.gamma), ("beta", self.beta)]
@@ -290,9 +289,8 @@ class _BatchNorm:
         var = x.var(axis=axes)
         inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
-        if self.update_stats:
-            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
-            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+        self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         self._cache = (xhat, inv, axes, shape)
         return self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
 
@@ -564,11 +562,6 @@ class PostureNet:
                 if name in vars(m):  # instance fields only, never a method
                     setattr(m, name, None)
 
-    def set_update_stats(self, flag: bool) -> None:
-        for m in self.modules:
-            if isinstance(m, _BatchNorm):
-                m.update_stats = flag
-
     # -- computation ---------------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> None:
@@ -668,3 +661,15 @@ class PostureNet:
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Inference-mode class probabilities (deterministic)."""
         return softmax(self.forward(x, train=False))
+
+    def predict_labels(self, x: np.ndarray, batch: int) -> np.ndarray:
+        """The most probable class of each input, one `predict_proba` call
+        per `batch` inputs.
+
+        The batch size is part of the result: each call starts its own block
+        grid (`_block_rows`), and a dense layer's GEMM rounds by its block's
+        row count, so other batch sizes can give other logit bits.
+        """
+        return np.concatenate(
+            [self.predict_proba(x[lo : lo + batch]).argmax(axis=1) for lo in range(0, len(x), batch)]
+        )

@@ -12,6 +12,10 @@ from ..core import PostureLabel
 from ..errors import StratificationError
 from .net import NetworkConfig, PostureNet, cross_entropy, toy_config
 
+# windows per evaluation call; the batch moves logit bits (see
+# `PostureNet.predict_labels`), so validation picks and model bytes follow it
+PREDICT_BATCH = 128
+
 
 @dataclass
 class TrainReport:
@@ -75,17 +79,6 @@ def stratified_split(
     return np.sort(np.concatenate(first)), np.sort(np.concatenate(second))
 
 
-def _predict(net: PostureNet, x: np.ndarray, batch: int = 128) -> np.ndarray:
-    """Predicted class of each window, inferred in batches of `batch`."""
-    # Keep the batches: each call starts its own block grid
-    # (PostureNet._block_rows), and a dense layer's GEMM rounds by its
-    # block's row count, so other batch sizes can give other logit bits,
-    # which would move snapshot selection and so the model's bytes.
-    return np.concatenate(
-        [net.predict_proba(x[lo : lo + batch]).argmax(axis=1) for lo in range(0, len(x), batch)]
-    )
-
-
 def _accuracy(pred: np.ndarray, y: np.ndarray) -> float:
     return int(np.count_nonzero(pred == y)) / len(y)
 
@@ -142,7 +135,7 @@ def train(
         running_loss += loss
 
         if it % val_every == 0 or it == iterations:
-            val_acc = _accuracy(_predict(net, x_val), y_val)
+            val_acc = _accuracy(net.predict_labels(x_val, PREDICT_BATCH), y_val)
             curve.append((it, running_loss / min(val_every, it), val_acc))
             running_loss = 0.0
             if val_acc > best_val:
@@ -151,7 +144,7 @@ def train(
 
     net.load_state_dict(best_state)
     net.release_step_buffers()
-    pred = _predict(net, x_test)
+    pred = net.predict_labels(x_test, PREDICT_BATCH)
     classes = len(PostureLabel)
     confusion = np.bincount(y_test.astype(np.intp) * classes + pred, minlength=classes * classes)
     report = TrainReport(
@@ -186,12 +179,12 @@ def gradient_check(
     """Max relative error between backprop and central finite differences.
 
     Runs in double precision, dropout off, batch norm in training mode on a
-    fixed batch with running-stat updates frozen (buffers are not trained
-    parameters and stay out of the check).
+    fixed batch.  A training-mode batch norm normalizes by the batch's own
+    statistics and only writes its running statistics, which inference
+    alone reads, so the repeated forwards leave the loss unchanged.
     """
     config = config or toy_config()
     net = PostureNet(config, seed=seed, dtype=np.float64)
-    net.set_update_stats(False)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal(
         (batch, config.in_channels, config.resolution, config.resolution)

@@ -13,7 +13,6 @@ from .scenario import (
     VisitorEnter,
     VisitorLeave,
     load_scenario,
-    save_scenario,
 )
 from .truth import GroundTruthTimeline, load_truth_sidecar, write_truth_sidecar
 
@@ -32,7 +31,6 @@ __all__ = [
     "VisitorLeave",
     "load_scenario",
     "load_truth_sidecar",
-    "save_scenario",
     "simulate",
     "write_truth_sidecar",
 ]

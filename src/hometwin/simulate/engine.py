@@ -99,13 +99,36 @@ class _ResolvedOccupy:
     def room_id(self) -> str:
         return self.event.room_id
 
+    def positions_at(self, ts: np.ndarray) -> np.ndarray:
+        """Positions [n, 2] at timestamps inside the event: along the path,
+        or at the anchor shifted by the turnovers."""
+        ev = self.event
+        if ev.path is not None:
+            return path_positions(ev.path, ts - ev.start, WALK_SPEED_MPS)
+        pos = np.repeat(self.base[None, :], len(ts), axis=0)
+        if ev.turnovers:
+            theta = math.radians(ev.orientation_deg)
+            minor = np.array([-math.sin(theta), math.cos(theta)])
+            pos = pos + turnover_offsets(ev.turnovers, ts)[:, None] * minor
+        return pos
+
+
+def _room_anchor(layout: HomeLayout, room_id: str) -> np.ndarray:
+    """The room's thermal sensor position if it has one, else its first
+    module's position, else its center."""
+    thermal = [s for s in layout.thermal_sensors() if s.room_id == room_id]
+    if thermal:
+        return np.asarray(layout.placement_of(thermal[0].sensor_id).position)
+    placements = [p for p in layout.placements if p.room_id == room_id]
+    if placements:
+        return np.asarray(placements[0].position)
+    return np.asarray(layout.room(room_id).center())
+
 
 class _ResidentModel:
     """Macro positions of the resident over time, resolved from the script."""
 
     def __init__(self, layout: HomeLayout, script: ScenarioScript, seed: int):
-        self.layout = layout
-        self.script = script
         self.resolved: list[_ResolvedOccupy] = []
         for index, ev in enumerate(script.events):
             if not isinstance(ev, OccupyRoom):
@@ -113,61 +136,21 @@ class _ResidentModel:
             if ev.position is not None:
                 base = np.asarray(ev.position, dtype=np.float64)
             else:
-                base = self._default_position(ev, index, seed)
+                # near the room's anchor, with a small per-event jitter
+                rng = event_rng(seed, ev.room_id, index, 0)
+                base = _room_anchor(layout, ev.room_id) + rng.uniform(-0.25, 0.25, size=2)
             self.resolved.append(_ResolvedOccupy(ev, index, base))
         self.resolved.sort(key=lambda r: r.event.start)
-
-    def _default_position(self, ev: OccupyRoom, index: int, seed: int) -> np.ndarray:
-        """Anchor near the room's thermal sensor if it has one, else the room
-        module position, with a small per-event jitter."""
-        thermal = [
-            s
-            for s in self.layout.thermal_sensors()
-            if s.room_id == ev.room_id
-        ]
-        if thermal:
-            anchor = np.asarray(self.layout.placement_of(thermal[0].sensor_id).position)
-        else:
-            placements = [p for p in self.layout.placements if p.room_id == ev.room_id]
-            anchor = (
-                np.asarray(placements[0].position)
-                if placements
-                else np.asarray(self.layout.room(ev.room_id).center())
-            )
-        rng = event_rng(seed, ev.room_id, index, 0)
-        return anchor + rng.uniform(-0.25, 0.25, size=2)
 
     def positions_at(self, ts: np.ndarray) -> np.ndarray:
         """Macro positions [n, 2]; NaN when not inside any occupy event."""
         out = np.full((len(ts), 2), np.nan)
         for res in self.resolved:
-            ev = res.event
-            lo = int(np.searchsorted(ts, ev.start, side="left"))
-            hi = int(np.searchsorted(ts, ev.end, side="left"))
-            if hi <= lo:
-                continue
-            span = ts[lo:hi]
-            if ev.path is not None:
-                out[lo:hi] = path_positions(ev.path, span - ev.start, WALK_SPEED_MPS)
-            else:
-                pos = np.repeat(res.base[None, :], hi - lo, axis=0)
-                if ev.turnovers:
-                    theta = math.radians(ev.orientation_deg)
-                    minor = np.array([-math.sin(theta), math.cos(theta)])
-                    pos = pos + turnover_offsets(ev.turnovers, span)[:, None] * minor
-                out[lo:hi] = pos
+            lo = int(np.searchsorted(ts, res.event.start, side="left"))
+            hi = int(np.searchsorted(ts, res.event.end, side="left"))
+            if hi > lo:
+                out[lo:hi] = res.positions_at(ts[lo:hi])
         return out
-
-    def end_position(self, res: _ResolvedOccupy) -> np.ndarray:
-        ev = res.event
-        if ev.path is not None:
-            return path_positions(ev.path, np.array([ev.end - ev.start]), WALK_SPEED_MPS)[0]
-        pos = res.base.copy()
-        if ev.turnovers:
-            theta = math.radians(ev.orientation_deg)
-            minor = np.array([-math.sin(theta), math.cos(theta)])
-            pos = pos + turnover_offsets(ev.turnovers, np.array([ev.end]))[0] * minor
-        return pos
 
 
 @dataclass
@@ -196,11 +179,7 @@ def _visitor_tracks(
     living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
     if not living:
         return []
-    thermal = [s for s in layout.thermal_sensors() if s.room_id == living[0].room_id]
-    if thermal:
-        anchor = np.asarray(layout.placement_of(thermal[0].sensor_id).position)
-    else:
-        anchor = np.asarray(living[0].center())
+    anchor = _room_anchor(layout, living[0].room_id)
     tracks = []
     for span_idx, (lo, hi, count) in enumerate(script.visitor_intervals()):
         for v in range(min(count, len(VISITOR_SLOTS))):
@@ -452,7 +431,7 @@ def _patch_schedule(resident, visitors, room_id, layout) -> list[_Patch]:
         patches.append(
             _Patch(
                 t0=ev.end,
-                center=resident.end_position(res),
+                center=res.positions_at(np.array([ev.end]))[0],
                 posture=ev.posture,
                 orientation_rad=math.radians(ev.orientation_deg),
                 amplitude_c=RESIDUAL_AMPLITUDE_FRAC * amp,
@@ -500,13 +479,11 @@ def _collect_passages(layout: HomeLayout, script: ScenarioScript) -> list[_Passa
         pos = np.asarray(layout.placement_of(door_sensors[0].sensor_id).position)
     else:
         pos = np.asarray(doorway[0].center())
-    passages = []
-    for ev in script.events:
-        if isinstance(ev, (LeaveHome, ReturnHome)):
-            passages.append(_Passage(ev.at, pos))
-        elif isinstance(ev, (VisitorEnter, VisitorLeave)):
-            passages.append(_Passage(ev.at, pos))
-    return passages
+    return [
+        _Passage(ev.at, pos)
+        for ev in script.events
+        if isinstance(ev, (LeaveHome, ReturnHome, VisitorEnter, VisitorLeave))
+    ]
 
 
 def motion_series(
@@ -662,13 +639,9 @@ def _build_truth(
         away_secs += _overlap_seconds(start, n_minutes, MS_PER_MINUTE, lo, hi)
 
     visitor_secs = np.zeros(n_minutes)
-    seen_spans = set()
-    for lo, hi, slot, base in visitors:
-        key = (lo, hi)
-        if key in seen_spans:
-            continue
-        seen_spans.add(key)
-        visitor_secs += _overlap_seconds(start, n_minutes, MS_PER_MINUTE, lo, hi)
+    for lo, hi, count in script.visitor_intervals():
+        if count > 0:
+            visitor_secs += _overlap_seconds(start, n_minutes, MS_PER_MINUTE, lo, hi)
 
     restroom_rooms = [r.room_id for r in layout.rooms if r.role is RoomRole.RESTROOM]
 

@@ -251,6 +251,13 @@ class _TimeParser:
 _POSTURES = {p.name.lower(): p for p in PostureLabel}
 
 
+def _text(item: dict, key: str) -> str:
+    value = item[key]
+    if not isinstance(value, str):
+        raise ConfigError(f"bad scenario config: {key!r} must be a string, got {value!r}")
+    return value
+
+
 def scenario_from_dict(data: dict) -> ScenarioScript:
     try:
         epoch = parse_epoch(data["epoch"])
@@ -265,8 +272,8 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
                     OccupyRoom(
                         start=start,
                         end=end,
-                        room_id=raw["room"],
-                        posture=_POSTURES[raw["posture"].lower()],
+                        room_id=_text(raw, "room"),
+                        posture=_POSTURES[_text(raw, "posture").lower()],
                         position=tuple(raw["position"]) if "position" in raw else None,
                         path=tuple(tuple(p) for p in raw["path"]) if "path" in raw else None,
                         orientation_deg=float(raw.get("orientation_deg", 0.0)),
@@ -280,13 +287,15 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
             elif kind == "return_home":
                 events.append(ReturnHome(clock.resolve(raw["at"])))
             elif kind == "lamp":
-                events.append(LampToggle(clock.resolve(raw["at"]), raw["room"], bool(raw["on"])))
+                events.append(
+                    LampToggle(clock.resolve(raw["at"]), _text(raw, "room"), bool(raw["on"]))
+                )
             elif kind == "noise_burst":
                 events.append(
                     NoiseBurst(
                         clock.resolve(raw["start"]),
                         clock.resolve(raw["end"]),
-                        raw["room"],
+                        _text(raw, "room"),
                         float(raw["level"]),
                     )
                 )
@@ -296,21 +305,21 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
                 events.append(VisitorLeave(clock.resolve(raw["at"])))
             else:
                 raise ConfigError(f"unknown scenario event kind {kind!r}")
-        ambient = {
-            room: AmbientProfile(**profile)
-            for room, profile in data.get("ambient", {}).items()
-        }
+        ambient = data.get("ambient", {})
+        if not isinstance(ambient, dict):
+            raise ConfigError(f"bad scenario config: 'ambient' must be an object, got {ambient!r}")
+        ambient = {room: AmbientProfile(**profile) for room, profile in ambient.items()}
         sun = None
         if "sunlight_patch" in data:
             s = data["sunlight_patch"]
             sun = SunlightPatch(
-                room_id=s["room"],
+                room_id=_text(s, "room"),
                 row0=int(s["row0"]),
                 col0=int(s["col0"]),
                 row1=int(s["row1"]),
                 col1=int(s["col1"]),
-                clock_start=parse_clock(s["clock_start"]),
-                clock_end=parse_clock(s["clock_end"]),
+                clock_start=parse_clock(_text(s, "clock_start")),
+                clock_end=parse_clock(_text(s, "clock_end")),
                 delta_c=float(s.get("delta_c", 4.0)),
             )
         return ScenarioScript(
@@ -322,91 +331,14 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
         )
     except ConfigError:
         raise
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"bad scenario config: {exc!r}") from exc
-
-
-def scenario_to_dict(script: ScenarioScript) -> dict:
-    def rel(ts: int) -> float:
-        return (ts - script.epoch) / MS_PER_MINUTE
-
-    events = []
-    for e in script.events:
-        if isinstance(e, OccupyRoom):
-            item = {
-                "kind": "occupy",
-                "start": rel(e.start),
-                "end": rel(e.end),
-                "room": e.room_id,
-                "posture": e.posture.name.lower(),
-            }
-            if e.position is not None:
-                item["position"] = list(e.position)
-            if e.path is not None:
-                item["path"] = [list(p) for p in e.path]
-            if e.orientation_deg:
-                item["orientation_deg"] = e.orientation_deg
-            if e.turnovers:
-                item["turnovers"] = [(t - e.start) / MS_PER_MINUTE for t in e.turnovers]
-            events.append(item)
-        elif isinstance(e, LeaveHome):
-            events.append({"kind": "leave_home", "at": rel(e.at)})
-        elif isinstance(e, ReturnHome):
-            events.append({"kind": "return_home", "at": rel(e.at)})
-        elif isinstance(e, LampToggle):
-            events.append({"kind": "lamp", "at": rel(e.at), "room": e.room_id, "on": e.on})
-        elif isinstance(e, NoiseBurst):
-            events.append(
-                {
-                    "kind": "noise_burst",
-                    "start": rel(e.start),
-                    "end": rel(e.end),
-                    "room": e.room_id,
-                    "level": e.level,
-                }
-            )
-        elif isinstance(e, VisitorEnter):
-            events.append({"kind": "visitor_enter", "at": rel(e.at), "count": e.count})
-        elif isinstance(e, VisitorLeave):
-            events.append({"kind": "visitor_leave", "at": rel(e.at)})
-
-    from datetime import datetime, timedelta
-
-    origin = datetime(1970, 1, 1) + timedelta(milliseconds=script.epoch)
-    data: dict = {
-        "epoch": origin.isoformat(),
-        "duration_min": script.duration_min,
-        "events": events,
-    }
-    if script.ambient:
-        data["ambient"] = {
-            room: {
-                k: v
-                for k, v in profile.__dict__.items()
-            }
-            for room, profile in script.ambient.items()
-        }
-    if script.sunlight is not None:
-        s = script.sunlight
-        data["sunlight_patch"] = {
-            "room": s.room_id,
-            "row0": s.row0,
-            "col0": s.col0,
-            "row1": s.row1,
-            "col1": s.col1,
-            "clock_start": f"{s.clock_start // 3_600_000:02d}:{s.clock_start % 3_600_000 // 60_000:02d}",
-            "clock_end": f"{s.clock_end // 3_600_000:02d}:{s.clock_end % 3_600_000 // 60_000:02d}",
-            "delta_c": s.delta_c,
-        }
-    return data
 
 
 def load_scenario(path: str | Path) -> ScenarioScript:
     with open(path, encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(script: ScenarioScript, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scenario_to_dict(script), fh, indent=2)
-        fh.write("\n")
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ConfigError(f"scenario {path} is not valid JSON: {exc}") from exc
+    return scenario_from_dict(data)

@@ -1,8 +1,8 @@
 """Thermal preprocessing: per-pixel baseline, noise filtering, self-calibration,
 motion index, and blob counting.
 
-The baseline is a per-pixel exponentially weighted mean/variance fed only by
-frames judged unoccupied, so persistent environmental heat (sunlight patches,
+The baseline is a per-pixel exponentially weighted mean fed only by frames
+judged unoccupied, so persistent environmental heat (sunlight patches,
 slow ambient drift) is absorbed while people are not.  Self-calibration is a
 hard reset of the baseline from recent unoccupied frames, triggered when the
 co-located temperature sensor reports a significant ambient shift.
@@ -27,10 +27,8 @@ from .errors import DimensionError, InsufficientDataError, ResolutionError
 class PixelBaseline:
     resolution: int
     mean: np.ndarray  # float64[res, res], degrees C
-    var: np.ndarray  # float64[res, res]
     last_calibration: int
     reference_ambient: float
-    frames_seen: int = 0
 
     @classmethod
     def from_frames(
@@ -41,19 +39,14 @@ class PixelBaseline:
         return cls(
             resolution=res,
             mean=celsius.mean(axis=0, dtype=np.float64),
-            var=celsius.var(axis=0, dtype=np.float64),
             last_calibration=now,
             reference_ambient=float(ambient),
-            frames_seen=celsius.shape[0],
         )
 
-    def update(self, mean: np.ndarray, weight: float, frames: int) -> None:
-        """Exponentially weighted update from the mean of `frames` unoccupied
+    def update(self, mean: np.ndarray, weight: float) -> None:
+        """Exponentially weighted update from the mean of some unoccupied
         frames; `weight` is the combined weight of those frames."""
-        delta = mean - self.mean
-        self.mean = self.mean + weight * delta
-        self.var = (1.0 - weight) * (self.var + weight * delta * delta)
-        self.frames_seen += frames
+        self.mean = self.mean + weight * (mean - self.mean)
 
 
 def should_calibrate(
@@ -88,7 +81,6 @@ def apply_calibration(
     if recent_celsius.shape[-2:] != (baseline.resolution, baseline.resolution):
         raise DimensionError("calibration frames do not match baseline resolution")
     baseline.mean = recent_celsius.mean(axis=0, dtype=np.float64)
-    baseline.var = recent_celsius.var(axis=0, dtype=np.float64)
     baseline.reference_ambient = float(ambient_now)
     baseline.last_calibration = now
     return True
@@ -443,7 +435,7 @@ class BaselineTracker:
 
                 k = b - a
                 weight = 1.0 - (1.0 - p.baseline_alpha) ** k
-                base.update(np.add.reduce(celsius, axis=0) / k, weight, k)
+                base.update(np.add.reduce(celsius, axis=0) / k, weight)
                 if ambient is not None and self._ambient_at_mean is not None:
                     self._ambient_at_mean += weight * (ambient - self._ambient_at_mean)
                 absorbed.append((lo + a, lo + b))

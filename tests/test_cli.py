@@ -6,12 +6,47 @@ import pytest
 
 from hometwin.cli import main
 from hometwin.config import PipelineConfig
-from hometwin.core import MS_PER_MINUTE, PostureLabel, parse_epoch
-from hometwin.layout import lite_layout, save_layout
-from hometwin.simulate import OccupyRoom, ScenarioScript, save_scenario
-from hometwin.simulate.scripts import restroom_visit
+from hometwin.core import MS_PER_MINUTE
+from hometwin.errors import ConfigError
+from hometwin.layout import lite_layout, load_layout
+from hometwin.simulate.scenario import load_scenario
 
-EPOCH = parse_epoch("2024-03-04T10:00:00")
+ROOMS = [
+    ("bedroom", "Bedroom", "bedroom", [0.0, 0.0, 4.0, 3.5]),
+    ("kitchen", "Kitchen", "kitchen", [4.5, 0.0, 7.5, 3.0]),
+    ("dining", "Dining room", "dining_room", [0.0, 4.0, 4.0, 7.0]),
+    ("living", "Living room", "living_room", [4.5, 3.5, 9.0, 7.0]),
+    ("washroom", "Washroom", "restroom", [8.0, 0.0, 9.5, 2.0]),
+    ("door", "Main door", "doorway", [9.5, 3.0, 10.5, 4.5]),
+]
+LAYOUT = {
+    "rooms": [
+        {"room_id": room_id, "name": name, "role": role, "bounds": bounds}
+        for room_id, name, role, bounds in ROOMS
+    ],
+    "placements": [
+        {"module_type": "B", "room_id": "door", "position": [10.0, 3.75], "sensing_radius": 1.5},
+        {"module_type": "B", "room_id": "washroom", "position": [8.75, 1.0], "sensing_radius": 1.5},
+        {"module_type": "C", "room_id": "bedroom", "position": [2.0, 1.75]},
+        {"module_type": "C", "room_id": "dining", "position": [2.0, 5.5]},
+        {"module_type": "C", "room_id": "kitchen", "position": [6.0, 1.5]},
+        {"module_type": "C", "room_id": "living", "position": [6.75, 5.25]},
+        {"module_type": "A", "room_id": "dining", "position": [2.0, 5.5]},
+    ],
+    "night_window": ["21:00", "08:00"],
+}
+# seated in the dining room, then a walk through the washroom
+SCENARIO = {
+    "epoch": "2024-03-04T10:00:00",
+    "duration_min": 40,
+    "events": [
+        {"kind": "occupy", "start": 3, "end": 20, "room": "dining", "posture": "sit"},
+        {
+            "kind": "occupy", "start": 22, "end": 27, "room": "washroom", "posture": "stand",
+            "path": [[8.6, 0.9], [8.95, 1.15]],
+        },
+    ],
+}
 
 
 @pytest.fixture(scope="module")
@@ -19,19 +54,9 @@ def workdir(tmp_path_factory, small_models):
     """A scenario + layout on disk plus the shared small models."""
     _, model_dir = small_models
     root = tmp_path_factory.mktemp("cli")
-    layout = lite_layout()
-    save_layout(layout, root / "layout.json")
-    script = ScenarioScript(
-        EPOCH,
-        40,
-        [
-            OccupyRoom(
-                EPOCH + 3 * MS_PER_MINUTE, EPOCH + 20 * MS_PER_MINUTE, "dining", PostureLabel.SIT
-            ),
-            restroom_visit(EPOCH, 22, 27),
-        ],
-    )
-    save_scenario(script, root / "scenario.json")
+    (root / "layout.json").write_text(json.dumps(LAYOUT))
+    (root / "scenario.json").write_text(json.dumps(SCENARIO))
+    assert load_layout(root / "layout.json") == lite_layout()
     return root, model_dir
 
 
@@ -116,6 +141,43 @@ def test_bad_night_window_exits_2(workdir, tmp_path, capsys, night):
     )
     assert code == 2
     assert "night_window" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ("posture", None),  # not a string
+        ("ambient", []),  # not an object
+        ("clock_start", 8),  # not a clock string
+    ],
+)
+def test_bad_scenario_field_exits_2(workdir, tmp_path, capsys, where, bad):
+    root, _ = workdir
+    scenario = json.loads(json.dumps(SCENARIO))
+    sun = {"room": "bedroom", "row0": 0, "col0": 0, "row1": 2, "col1": 2,
+           "clock_start": "07:00", "clock_end": "09:00"}
+    scenario["sunlight_patch"] = sun
+    if where == "posture":
+        scenario["events"][0]["posture"] = bad
+    elif where == "ambient":
+        scenario["ambient"] = bad
+    else:
+        sun[where] = bad
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    with pytest.raises(ConfigError):
+        load_scenario(path)
+    code = main(
+        [
+            "simulate",
+            "--scenario", str(path),
+            "--layout", str(root / "layout.json"),
+            "--out", str(tmp_path / "s"),
+        ]
+    )
+    assert code == 2
+    assert "bad scenario config" in capsys.readouterr().err
     assert not (tmp_path / "s").exists()
 
 

@@ -7,7 +7,6 @@ from hometwin.core import (
     PostureLabel,
     ReadingSeries,
     SensorKind,
-    format_clock,
     in_clock_window,
     ms_of_day,
     parse_clock,
@@ -39,7 +38,6 @@ def test_parse_clock_and_format():
     assert parse_clock("00:00") == 0
     assert parse_clock("21:00") == 21 * 3_600_000
     assert parse_clock("08:30:15") == (8 * 3600 + 30 * 60 + 15) * 1000
-    assert format_clock(parse_clock("07:45")) == "07:45"
     with pytest.raises(ValueError):
         parse_clock("25:00")
     with pytest.raises(ValueError):

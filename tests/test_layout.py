@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hometwin.core import SensorKind
@@ -10,12 +12,13 @@ from hometwin.layout import (
     RoomRole,
     default_layout,
     layout_from_dict,
-    layout_to_dict,
     lite_layout,
     load_layout,
-    save_layout,
     validate_layout,
 )
+from hometwin.simulate.scripts import sleep_day
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_default_layout_is_valid():
@@ -84,13 +87,11 @@ def test_valid_layout_every_sensor_resolves(layout):
         assert layout.sensor(spec.sensor_id).room_id == spec.room_id
 
 
-def test_layout_json_round_trip(tmp_path):
-    layout = default_layout()
-    path = tmp_path / "layout.json"
-    save_layout(layout, path)
-    loaded = load_layout(path)
-    assert layout_to_dict(loaded) == layout_to_dict(layout)
-    assert [s.sensor_id for s in loaded.sensors()] == [s.sensor_id for s in layout.sensors()]
+def test_committed_layout_configs_load_as_builtins():
+    for name, layout in (("layout_1bed", default_layout()), ("layout_sleep_day", sleep_day()[0])):
+        loaded = load_layout(CONFIGS / f"{name}.json")
+        assert loaded == layout
+        assert [s.sensor_id for s in loaded.sensors()] == [s.sensor_id for s in layout.sensors()]
 
 
 def test_layout_from_dict_rejects_garbage():

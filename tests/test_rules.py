@@ -13,19 +13,16 @@ from hometwin.layout import RoomRole
 PARAMS = PipelineConfig()
 
 
-def room(role, posture=PostureLabel.NOT_HERE, index=0.15, blobs=0, multi=0):
+def room(posture=PostureLabel.NOT_HERE, index=0.15, multi=0):
     return RoomEvidence(
-        room_role=role,
         majority_posture=posture,
         mean_motion_index=index,
-        blob_count_max=blobs,
         multi_blob_windows=multi,
-        window_count=12,
         theta_active=0.35,
     )
 
 
-def evidence(minute=0, night=False, rest=0, door=0, other=0, light=0.0, prev=None, rooms=None):
+def evidence(minute=0, night=False, rest=0, door=0, other=0, light=0.0, rooms=None):
     ev = MinuteEvidence(
         minute_start=minute * MS_PER_MINUTE,
         is_night=night,
@@ -33,7 +30,6 @@ def evidence(minute=0, night=False, rest=0, door=0, other=0, light=0.0, prev=Non
         doorway_triggers=door,
         other_motion_triggers=other,
         light_step_max=light,
-        previous_label=prev,
     )
     ev.rooms = rooms or {}
     return ev
@@ -44,17 +40,14 @@ def rng_evidence(rng):
     rooms = {}
     for role in (RoomRole.BEDROOM, RoomRole.KITCHEN, RoomRole.DINING_ROOM, RoomRole.LIVING_ROOM):
         rooms[role] = room(
-            role,
             posture=PostureLabel(int(rng.integers(0, 5))),
             index=float(rng.uniform(0, 1.2)),
-            blobs=int(rng.integers(0, 3)),
             multi=int(rng.integers(0, 13)),
         )
     return evidence(
         minute=int(rng.integers(0, 1440)),
         night=bool(rng.integers(0, 2)),
         rest=int(rng.integers(0, 3)),  # below k_rest so rule 1 does not mask others
-        prev=int(rng.integers(0, 8)),
         rooms=rooms,
     )
 
@@ -64,7 +57,7 @@ class TestRestroomDominance:
         ev = evidence(
             rest=3,
             rooms={
-                RoomRole.BEDROOM: room(RoomRole.BEDROOM, PostureLabel.LIE_DOWN, 0.9),
+                RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.9),
             },
         )
         assert classify_minute(ev, PARAMS).label == ActivityLabel.RESTROOM.value
@@ -84,20 +77,20 @@ class TestRestroomDominance:
 class TestVisitors:
     def test_sustained_multi_blob(self):
         ev = evidence(
-            rooms={RoomRole.LIVING_ROOM: room(RoomRole.LIVING_ROOM, PostureLabel.SIT, 0.5, 2, 6)}
+            rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=6)}
         )
         assert classify_minute(ev, PARAMS).label == ActivityLabel.VISITORS.value
 
     def test_brief_multi_blob_ignored(self):
         ev = evidence(
-            rooms={RoomRole.LIVING_ROOM: room(RoomRole.LIVING_ROOM, PostureLabel.SIT, 0.5, 2, 3)}
+            rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=3)}
         )
         assert classify_minute(ev, PARAMS).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
 
     def test_restroom_outranks_visitors(self):
         ev = evidence(
             rest=5,
-            rooms={RoomRole.LIVING_ROOM: room(RoomRole.LIVING_ROOM, PostureLabel.SIT, 0.5, 2, 12)},
+            rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=12)},
         )
         assert classify_minute(ev, PARAMS).label == ActivityLabel.RESTROOM.value
 
@@ -106,8 +99,8 @@ class TestRoomPriority:
     def test_highest_score_wins(self):
         ev = evidence(
             rooms={
-                RoomRole.KITCHEN: room(RoomRole.KITCHEN, PostureLabel.STAND, 0.5),
-                RoomRole.DINING_ROOM: room(RoomRole.DINING_ROOM, PostureLabel.SIT, 0.8),
+                RoomRole.KITCHEN: room(PostureLabel.STAND, 0.5),
+                RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8),
             }
         )
         entry = classify_minute(ev, PARAMS)
@@ -116,26 +109,26 @@ class TestRoomPriority:
 
     def test_below_threshold_not_candidate(self):
         ev = evidence(
-            rooms={RoomRole.KITCHEN: room(RoomRole.KITCHEN, PostureLabel.STAND, 0.2)}
+            rooms={RoomRole.KITCHEN: room(PostureLabel.STAND, 0.2)}
         )
         assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
 
     def test_not_here_posture_not_candidate(self):
         ev = evidence(
-            rooms={RoomRole.KITCHEN: room(RoomRole.KITCHEN, PostureLabel.NOT_HERE, 0.9)}
+            rooms={RoomRole.KITCHEN: room(PostureLabel.NOT_HERE, 0.9)}
         )
         assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
 
     def test_per_room_threshold_honored(self):
-        weak = room(RoomRole.LIVING_ROOM, PostureLabel.SIT, 0.28)
+        weak = room(PostureLabel.SIT, 0.28)
         weak.theta_active = 0.24  # high-resolution sensor gate
         ev = evidence(rooms={RoomRole.LIVING_ROOM: weak})
         assert classify_minute(ev, PARAMS).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
 
     def test_night_boost_prefers_bedroom(self):
         rooms = {
-            RoomRole.BEDROOM: room(RoomRole.BEDROOM, PostureLabel.LIE_DOWN, 0.5),
-            RoomRole.DINING_ROOM: room(RoomRole.DINING_ROOM, PostureLabel.SIT, 0.8),
+            RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.5),
+            RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8),
         }
         day = classify_minute(evidence(night=False, rooms=dict(rooms)), PARAMS)
         night = classify_minute(evidence(night=True, rooms=dict(rooms)), PARAMS)
@@ -148,24 +141,25 @@ class TestRoomPriority:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             ev = rng_evidence(rng)
+            prev = int(rng.integers(0, 8))
             ev.restroom_triggers = 0
             ev.is_night = True
             bedroom = ev.rooms[RoomRole.BEDROOM]
             bedroom.majority_posture = PostureLabel.LIE_DOWN
             living = ev.rooms[RoomRole.LIVING_ROOM]
             living.multi_blob_windows = 0
-            first = classify_minute(ev, PARAMS)
+            first = classify_minute(ev, PARAMS, prev)
             if first.winning_room is not RoomRole.BEDROOM:
                 continue
             bedroom.mean_motion_index += float(rng.uniform(0.01, 1.0))
-            again = classify_minute(ev, PARAMS)
+            again = classify_minute(ev, PARAMS, prev)
             assert again.winning_room is RoomRole.BEDROOM
 
     def test_bedroom_without_lie_down_falls_through(self):
         ev = evidence(
             rooms={
-                RoomRole.BEDROOM: room(RoomRole.BEDROOM, PostureLabel.SIT, 1.0),
-                RoomRole.KITCHEN: room(RoomRole.KITCHEN, PostureLabel.STAND, 0.5),
+                RoomRole.BEDROOM: room(PostureLabel.SIT, 1.0),
+                RoomRole.KITCHEN: room(PostureLabel.STAND, 0.5),
             }
         )
         entry = classify_minute(ev, PARAMS)
@@ -174,8 +168,8 @@ class TestRoomPriority:
     def test_exact_tie_broken_by_role_order(self):
         ev = evidence(
             rooms={
-                RoomRole.DINING_ROOM: room(RoomRole.DINING_ROOM, PostureLabel.SIT, 0.6),
-                RoomRole.KITCHEN: room(RoomRole.KITCHEN, PostureLabel.STAND, 0.6),
+                RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.6),
+                RoomRole.KITCHEN: room(PostureLabel.STAND, 0.6),
             }
         )
         assert classify_minute(ev, PARAMS).winning_room is RoomRole.KITCHEN
@@ -184,32 +178,33 @@ class TestRoomPriority:
         rng = np.random.default_rng(2)
         for _ in range(200):
             ev = rng_evidence(rng)
-            baseline = classify_minute(ev, PARAMS)
+            prev = int(rng.integers(0, 8))
+            baseline = classify_minute(ev, PARAMS, prev)
             items = list(ev.rooms.items())
             rng.shuffle(items)
             ev.rooms = dict(items)
-            assert classify_minute(ev, PARAMS).label == baseline.label
+            assert classify_minute(ev, PARAMS, prev).label == baseline.label
 
 
 class TestStillnessRule:
     def test_still_lie_down_continues_sleep(self):
         ev = evidence(
-            prev=ActivityLabel.SLEEPING.value,
-            rooms={RoomRole.BEDROOM: room(RoomRole.BEDROOM, PostureLabel.LIE_DOWN, 0.2)},
+            rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.2)},
         )
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.SLEEPING.value
+        previous = ActivityLabel.SLEEPING.value
+        assert classify_minute(ev, PARAMS, previous).label == ActivityLabel.SLEEPING.value
 
     def test_still_lie_down_without_sleep_history_is_unknown(self):
         ev = evidence(
-            prev=ActivityLabel.DINING_ROOM_ACTIVITY.value,
-            rooms={RoomRole.BEDROOM: room(RoomRole.BEDROOM, PostureLabel.LIE_DOWN, 0.2)},
+            rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.2)},
         )
-        assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
+        previous = ActivityLabel.DINING_ROOM_ACTIVITY.value
+        assert classify_minute(ev, PARAMS, previous).label == UNKNOWN_ACTIVITY
 
 
 class TestCarryForward:
     def test_single_gap_bridged_then_unknown(self):
-        rooms = {RoomRole.DINING_ROOM: room(RoomRole.DINING_ROOM, PostureLabel.SIT, 0.8)}
+        rooms = {RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8)}
         seq = [
             evidence(minute=0, rooms=dict(rooms)),
             evidence(minute=1),
@@ -231,7 +226,7 @@ class TestNotAtHome:
         for m in range(n):
             rooms = {}
             if m in active:
-                rooms[RoomRole.DINING_ROOM] = room(RoomRole.DINING_ROOM, PostureLabel.SIT, 0.8)
+                rooms[RoomRole.DINING_ROOM] = room(PostureLabel.SIT, 0.8)
             seq.append(
                 evidence(
                     minute=m,

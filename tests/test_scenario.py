@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hometwin.core import MS_PER_MINUTE, PostureLabel, parse_epoch
@@ -12,13 +14,13 @@ from hometwin.simulate.scenario import (
     VisitorEnter,
     VisitorLeave,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
     validate_scenario,
 )
 from hometwin.simulate.scripts import mixed_day, outing_day, sleep_day
 
 EPOCH = parse_epoch("2024-03-04T18:00:00")
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def occupy(start_min, end_min, room="dining", posture=PostureLabel.SIT):
@@ -87,16 +89,12 @@ def test_visitor_intervals():
     ]
 
 
-def test_json_round_trip(tmp_path):
-    layout, script = mixed_day()
-    path = tmp_path / "scenario.json"
-    save_scenario(script, path)
-    loaded = load_scenario(path)
-    assert loaded.epoch == script.epoch
-    assert loaded.duration_min == script.duration_min
-    assert len(loaded.events) == len(script.events)
-    assert loaded.events == script.events
-    validate_scenario(loaded, layout)
+def test_committed_scenario_configs_load_as_builtins():
+    for name, builder in (("scenario_sleep_day", sleep_day), ("scenario_mixed_day", mixed_day)):
+        layout, script = builder()
+        loaded = load_scenario(CONFIGS / f"{name}.json")
+        assert loaded == script
+        validate_scenario(loaded, layout)
 
 
 def test_clock_times_roll_past_midnight():

@@ -22,7 +22,6 @@ def flat_baseline(res=4, mean=28.0, ambient=28.0, at=0):
     return PixelBaseline(
         resolution=res,
         mean=np.full((res, res), mean),
-        var=np.zeros((res, res)),
         last_calibration=at,
         reference_ambient=ambient,
     )

@@ -204,12 +204,9 @@ def reference_fold(tracks: list[ReferenceTrack], thetas: dict[str, float], start
         rooms.append(
             {
                 role: RoomEvidence(
-                    room_role=role,
                     majority_posture=reference_majority(records),
                     mean_motion_index=float(np.mean([r.motion_index for r in records])),
-                    blob_count_max=max(r.blob_count for r in records),
                     multi_blob_windows=sum(1 for r in records if r.blob_count >= 2),
-                    window_count=len(records),
                     theta_active=theta_of_role[role],
                 )
                 for role, records in per_minute.get(m, {}).items()
@@ -559,8 +556,8 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     result = run_pipeline(source, models, config)
     ref_tracks, ref_thetas, ref_evidence, ref_timeline = reference_run(source, models, config)
 
-    assert [repr(e) for e in result.evidence] == [repr(e) for e in ref_evidence]
-    assert result.evidence == ref_evidence
+    assert [repr(e) for e in result.timeline.evidence] == [repr(e) for e in ref_evidence]
+    assert result.timeline.evidence == ref_evidence
     assert [repr(e) for e in result.timeline.entries] == [repr(e) for e in ref_timeline.entries]
     assert repr(result.thetas) == repr(ref_thetas)
     assert list(result.tracks) == [t.sensor_id for t in ref_tracks]
@@ -582,7 +579,7 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     tracks = result.tracks.values()
     if case == "cadence_gap":
         assert sum(t.dropped_windows for t in tracks) == 4
-        gap_minute = result.evidence[2].rooms
+        gap_minute = result.timeline.evidence[2].rooms
         assert list(gap_minute)[:2] == [RoomRole.DINING_ROOM, RoomRole.BEDROOM]
     else:
         assert all(t.dropped_windows == 0 for t in tracks)
@@ -591,7 +588,9 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     else:
         assert len({p for t in tracks for p in t.posture.tolist()}) >= 2
     if case in ("shared_role", "cadence_gap"):
-        assert max(ev.rooms[RoomRole.LIVING_ROOM].window_count for ev in result.evidence) >= 24
+        # some minute folds the windows of two living-room sensors
+        living = [t.start for t in tracks if t.room_role is RoomRole.LIVING_ROOM]
+        assert np.bincount((np.concatenate(living) - source.start) // MS_PER_MINUTE).max() >= 24
     if case == "narrow_window":
         # only the window's frames are read: every window starts inside it,
         # and the auto gate pools those windows alone
@@ -637,7 +636,7 @@ def test_thermal_sensor_without_frames_gives_empty_track(homes):
 
     _, ref_thetas, ref_evidence, ref_timeline = reference_run(source, homes["models"], config)
     assert repr(result.thetas) == repr(ref_thetas)
-    assert [repr(e) for e in result.evidence] == [repr(e) for e in ref_evidence]
+    assert [repr(e) for e in result.timeline.evidence] == [repr(e) for e in ref_evidence]
     assert [repr(e) for e in result.timeline.entries] == [repr(e) for e in ref_timeline.entries]
 
 

@@ -140,7 +140,7 @@ def replay(block, tracker, absorbed: int) -> tuple[dict, dict]:
             spent["gate"] += time.perf_counter() - t0
             if updates < absorbed:
                 t0 = time.perf_counter()
-                baseline.update(np.add.reduce(frames[a:b], axis=0) / (b - a), 0.01, b - a)
+                baseline.update(np.add.reduce(frames[a:b], axis=0) / (b - a), 0.01)
                 spent["update"] += time.perf_counter() - t0
                 moved["update"] += 8 * (b - a) * px
                 updates += 1
