@@ -22,6 +22,7 @@ from .errors import (
     RangeError,
     WireFormatError,
 )
+from .files import write_atomic
 from .ingestion.store import RecordStore
 from .ingestion.wire import decode_packet_stream, encode_packet
 from .layout import HomeLayout, RoomRole, load_layout
@@ -83,9 +84,7 @@ def cmd_simulate(args) -> int:
 
     packets = bundle.to_packets()
     packet_path = out / "packets.bin"
-    with open(packet_path, "wb") as fh:
-        for packet in packets:
-            fh.write(encode_packet(packet))
+    write_atomic(packet_path, (encode_packet(packet) for packet in packets))
     truth_path = out / "truth.tsv"
     write_truth_sidecar(bundle.truth, truth_path)
     _log(
@@ -123,8 +122,8 @@ def cmd_train(args) -> int:
         )
         model_path = out / f"posture_{resolution}.htm"
         save_model(net, model_path)
-        (out / f"training_report_{resolution}.txt").write_text(report.to_text())
-        (out / f"training_curve_{resolution}.csv").write_text(report.curve_csv())
+        write_atomic(out / f"training_report_{resolution}.txt", [report.to_text().encode()])
+        write_atomic(out / f"training_curve_{resolution}.csv", [report.curve_csv().encode()])
         _log(f"{resolution}x{resolution}: test accuracy {report.test_accuracy:.4f} -> {model_path}")
     return EXIT_OK
 
@@ -207,7 +206,7 @@ def _run(args):
 
 def cmd_run(args) -> int:
     result, truth, layout, config, out, source = _run(args)
-    (out / "timeline.csv").write_text(result.timeline.to_csv())
+    write_atomic(out / "timeline.csv", [result.timeline.to_csv().encode()])
 
     day_start = source.start
     day_end = source.end
@@ -251,15 +250,15 @@ def cmd_run(args) -> int:
         alerts,
         config,
     )
-    (out / "report.txt").write_text(analytics.report_to_text(report))
-    (out / "report.json").write_text(analytics.report_to_json(report))
-    (out / "environment.csv").write_text(analytics.environment_csv(report))
+    write_atomic(out / "report.txt", [analytics.report_to_text(report).encode()])
+    write_atomic(out / "report.json", [analytics.report_to_json(report).encode()])
+    write_atomic(out / "environment.csv", [analytics.environment_csv(report).encode()])
     _log(f"timeline + report written to {out}")
 
     if args.plot_data:
         rows = ["minute_start,label"]
         rows += [f"{e.minute_start},{e.label_name}" for e in result.timeline.entries]
-        (out / "activity_series.csv").write_text("\n".join(rows) + "\n")
+        write_atomic(out / "activity_series.csv", [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 
 
@@ -288,7 +287,7 @@ def cmd_evaluate(args) -> int:
         if total:
             print(f"posture accuracy {resolution}x{resolution}: {hits / total:.4f} over {total} windows")
 
-    (out / "evaluation.txt").write_text(evaluation.to_text())
+    write_atomic(out / "evaluation.txt", [evaluation.to_text().encode()])
     return EXIT_OK
 
 
@@ -301,15 +300,17 @@ def cmd_ingest(args) -> int:
         store.save(args.snapshot)
         _log(f"store snapshot -> {args.snapshot}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write("timestamp,sensor_id,kind,value\n")
+
+        def sensor_rows():  # one chunk per sensor
+            yield b"timestamp,sensor_id,kind,value\n"
             for sensor_id in store.sensor_ids():
                 series = store.query_readings(sensor_id, start, end)
-                for i in range(len(series)):
-                    fh.write(
-                        f"{int(series.timestamps[i])},{sensor_id},"
-                        f"{series.kind.value},{series.values[i]:.2f}\n"
-                    )
+                yield "".join(
+                    f"{int(ts)},{sensor_id},{series.kind.value},{value:.2f}\n"
+                    for ts, value in zip(series.timestamps, series.values)
+                ).encode("utf-8")
+
+        write_atomic(args.csv, sensor_rows())
         _log(f"reading dump -> {args.csv}")
     return EXIT_OK
 

@@ -1,12 +1,13 @@
-"""Crash-safe file writes, shared by store snapshots and model files."""
+"""Crash-safe file writes: every file the package writes goes through here."""
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from pathlib import Path
 
 
-def write_atomic(path: str | Path, *chunks: bytes) -> None:
+def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     """Write the chunks to a file beside `path`, fsync it and rename it over
     `path`, so a failed write leaves the previous file whole."""
     path = Path(path)

@@ -307,7 +307,7 @@ class RecordStore:
             body += px.astype("<i2").tobytes()
 
         header = _MAGIC + bytes([_VERSION]) + _U32.pack(zlib.crc32(body))
-        write_atomic(path, header, body)
+        write_atomic(path, (header, body))
 
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":

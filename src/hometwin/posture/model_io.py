@@ -22,7 +22,6 @@ _MAGIC = b"HTNET"
 _VERSION = 1
 _DTYPES = {0: "<f4", 1: "<f8"}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_MAX_NDIM = 64  # numpy's limit on array dimensions
 
 
 def save_model(net: PostureNet, path: str | Path) -> None:
@@ -40,11 +39,9 @@ def save_model(net: PostureNet, path: str | Path) -> None:
         blob += struct.pack("<H", len(raw_name))
         blob += raw_name
         code = _DTYPE_CODES[np.dtype(arr.dtype)]
-        blob += struct.pack("<BB", code, arr.ndim)
-        for dim in arr.shape:
-            blob += struct.pack("<I", dim)
+        blob += struct.pack(f"<BB{arr.ndim}I", code, arr.ndim, *arr.shape)
         blob += arr.astype(_DTYPES[code]).tobytes()
-    write_atomic(path, blob)
+    write_atomic(path, [blob])
 
 
 def _network_config(block) -> NetworkConfig:
@@ -91,6 +88,12 @@ def load_model(path: str | Path) -> PostureNet:
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ModelFormatError(f"bad model config block: {exc}") from exc
 
+    try:
+        net = PostureNet(config)
+    except DimensionError as exc:  # an unknown layer kind, or fc before flatten
+        raise ModelFormatError(f"bad model config block: {exc}") from exc
+    wanted = {name: arr.shape for name, arr in net.state_dict().items()}
+
     (n_tensors,) = struct.unpack("<H", take(2))
     state: dict[str, np.ndarray] = {}
     for _ in range(n_tensors):
@@ -102,37 +105,25 @@ def load_model(path: str | Path) -> PostureNet:
             raise ModelFormatError(f"bad tensor name at byte {name_at}: {exc}") from exc
         if name in state:
             raise ModelFormatError(f"tensor {name!r} appears twice in {path}")
+        if name not in wanted:
+            raise ModelFormatError(f"tensor {name!r} is not one the model config uses")
         code, ndim = struct.unpack("<BB", take(2))
         if code not in _DTYPES:
             raise ModelFormatError(f"unknown tensor dtype code {code}")
-        if ndim > _MAX_NDIM:
-            raise ModelFormatError(f"tensor {name!r} has {ndim} dims, above {_MAX_NDIM}")
+        if ndim != len(wanted[name]):
+            raise ModelFormatError(f"tensor {name!r} has {ndim} dims, the config's {wanted[name]}")
         shape = tuple(struct.unpack("<I", take(4))[0] for _ in range(ndim))
-        nbytes = math.prod(shape) * np.dtype(_DTYPES[code]).itemsize
-        if nbytes > len(data) - pos:
+        # checked before a byte is read: the config's shape bounds the read,
+        # and no header can ask numpy for a shape it cannot hold
+        if shape != wanted[name]:
             raise ModelFormatError(
-                f"tensor {name!r} of shape {shape} needs {nbytes} bytes, "
-                f"{len(data) - pos} are left"
+                f"tensor {name!r} of shape {shape} does not match the config's {wanted[name]}"
             )
-        arr = np.frombuffer(take(nbytes), dtype=_DTYPES[code])
-        state[name] = arr.reshape(shape).copy()
+        nbytes = math.prod(shape) * np.dtype(_DTYPES[code]).itemsize
+        state[name] = np.frombuffer(take(nbytes), dtype=_DTYPES[code]).reshape(shape).copy()
     if pos != len(data):
         raise ModelFormatError(f"{path} has {len(data) - pos} trailing bytes")
-
-    try:
-        net = PostureNet(config)
-    except DimensionError as exc:  # an unknown layer kind, or fc before flatten
-        raise ModelFormatError(f"bad model config block: {exc}") from exc
-    wanted = net.state_dict()
-    unknown = sorted(state.keys() - wanted.keys())
-    if unknown:
-        raise ModelFormatError(f"tensor {unknown[0]!r} is not one the model config uses")
-    for name, want in wanted.items():
-        if name not in state:
-            raise ModelFormatError(f"model file missing tensor {name!r}")
-        if state[name].shape != want.shape:
-            raise ModelFormatError(
-                f"tensor {name!r} has shape {state[name].shape}, the config needs {want.shape}"
-            )
+    if len(state) < len(wanted):  # every name read is one of the wanted, once
+        raise ModelFormatError(f"model file missing tensor {min(wanted.keys() - state.keys())!r}")
     net.load_state_dict(state)
     return net

@@ -189,7 +189,9 @@ def _im2col(x: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, tuple[int, int
     """Patches as (n, c*k*k, ho*wo), assembled from k*k contiguous slices."""
     n, c, h, w = x.shape
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
@@ -275,24 +277,19 @@ class _BatchNorm:
     def buffers(self):
         return [("running_mean", self.running_mean), ("running_var", self.running_var)]
 
-    @staticmethod
-    def _axes(x):
-        return (0, 2, 3) if x.ndim == 4 else (0,)
-
-    def _shape(self, x):
-        return (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
-
     def forward(self, x, rng):
-        shape = self._shape(x)
-        axes = self._axes(x)
-        mean = x.mean(axis=axes)
-        var = x.var(axis=axes)
+        axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+        mean = x.mean(axis=axes, keepdims=True)
+        xhat = x - mean
+        var = np.square(xhat).mean(axis=axes)  # x.var, bit for bit
         inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
-        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+        xhat *= inv.reshape(shape)
+        self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean.reshape(-1)
         self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
         self._cache = (xhat, inv, axes, shape)
-        return self.gamma.reshape(shape) * xhat + self.beta.reshape(shape)
+        out = self.gamma.reshape(shape) * xhat
+        out += self.beta.reshape(shape)
+        return out
 
     def folded(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-channel (scale, shift) in float64 that apply the running stats."""
@@ -301,15 +298,16 @@ class _BatchNorm:
 
     def backward(self, dout):
         xhat, inv, axes, shape = self._cache
-        m = dout.size // dout.shape[1]
-        self.dgamma = (dout * xhat).sum(axis=axes)
+        tmp = dout * xhat
+        self.dgamma = tmp.sum(axis=axes)
         self.dbeta = dout.sum(axis=axes)
-        dxhat = dout * self.gamma.reshape(shape)
-        dx = (
-            dxhat
-            - dxhat.mean(axis=axes).reshape(shape)
-            - xhat * (dxhat * xhat).mean(axis=axes).reshape(shape)
-        ) * inv.reshape(shape)
+        dx = dout * self.gamma.reshape(shape)  # dxhat until the last step
+        np.multiply(dx, xhat, out=tmp)
+        np.multiply(xhat, tmp.mean(axis=axes).reshape(shape), out=tmp)
+        # (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv, in that order
+        dx -= dx.mean(axis=axes).reshape(shape)
+        dx -= tmp
+        dx *= inv.reshape(shape)
         return dx
 
 
@@ -362,9 +360,8 @@ class _MaxPool2:
         masks, shape = self._cache
         he, we = shape[2] // 2 * 2, shape[3] // 2 * 2
         dx = np.zeros(shape, dtype=dout.dtype)
-        zero = dout.dtype.type(0)
         for (i, j), mask in zip(self._SLOTS, masks):
-            dx[:, :, i:he:2, j:we:2] = np.where(mask, dout, zero)
+            np.copyto(dx[:, :, i:he:2, j:we:2], dout, where=mask)
         return dx
 
 
@@ -520,26 +517,22 @@ class PostureNet:
 
     # -- parameter plumbing ------------------------------------------------
 
+    def _named(self, kind: str) -> list[tuple[str, np.ndarray]]:
+        """("m<index>.<name>", array) for each module's params, grads or buffers."""
+        return [
+            (f"m{i}.{name}", arr)
+            for i, m in enumerate(self.modules) if hasattr(m, kind)
+            for name, arr in getattr(m, kind)()
+        ]
+
     def named_params(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, m in enumerate(self.modules):
-            if hasattr(m, "params"):
-                out.extend((f"m{i}.{name}", arr) for name, arr in m.params())
-        return out
+        return self._named("params")
 
     def named_grads(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, m in enumerate(self.modules):
-            if hasattr(m, "grads"):
-                out.extend((f"m{i}.{name}", arr) for name, arr in m.grads())
-        return out
+        return self._named("grads")
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for i, m in enumerate(self.modules):
-            if hasattr(m, "buffers"):
-                out.extend((f"m{i}.{name}", arr) for name, arr in m.buffers())
-        return out
+        return self._named("buffers")
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {name: arr.copy() for name, arr in self.named_params()}
@@ -662,14 +655,17 @@ class PostureNet:
         """Inference-mode class probabilities (deterministic)."""
         return softmax(self.forward(x, train=False))
 
-    def predict_labels(self, x: np.ndarray, batch: int) -> np.ndarray:
-        """The most probable class of each input, one `predict_proba` call
-        per `batch` inputs.
+    def predict_labels(self, x: np.ndarray, batch: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """The most probable class of each input, or of each `x[rows]` when
+        `rows` is given, one `predict_proba` call per `batch` inputs.  With
+        `rows`, each call gathers only its own batch from `x`.
 
         The batch size is part of the result: each call starts its own block
         grid (`_block_rows`), and a dense layer's GEMM rounds by its block's
         row count, so other batch sizes can give other logit bits.
         """
-        return np.concatenate(
-            [self.predict_proba(x[lo : lo + batch]).argmax(axis=1) for lo in range(0, len(x), batch)]
-        )
+        if rows is None:
+            batches = (x[lo : lo + batch] for lo in range(0, len(x), batch))
+        else:
+            batches = (x[rows[lo : lo + batch]] for lo in range(0, len(rows), batch))
+        return np.concatenate([self.predict_proba(b).argmax(axis=1) for b in batches])

@@ -47,22 +47,27 @@ class TrainReport:
 
 
 class Adam:
+    """Adam over parameters of one dtype, its float64 moments one flat vector: a step
+    runs a per-tensor loop's element-wise operations on one concatenated grad vector."""
+
     def __init__(self, params, lr, beta1, beta2, eps=1e-8):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.m = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params}
-        self.v = {name: np.zeros_like(arr, dtype=np.float64) for name, arr in params}
+        sizes = [arr.size for _, arr in params]
+        self.cuts = np.cumsum(sizes)[:-1]  # where each parameter's slice ends
+        self.m = np.zeros(sum(sizes), dtype=np.float64)
+        self.v = np.zeros(sum(sizes), dtype=np.float64)
         self.t = 0
 
     def step(self, params, grads) -> None:
         self.t += 1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        for (name, p), (_, g) in zip(params, grads):
-            m = self.m[name]
-            v = self.v[name]
-            m += (1.0 - self.b1) * (g - m)
-            v += (1.0 - self.b2) * (g * g - v)
-            p -= (self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)).astype(p.dtype)
+        g = np.concatenate([grad.reshape(-1) for _, grad in grads])
+        self.m += (1.0 - self.b1) * (g - self.m)
+        self.v += (1.0 - self.b2) * (g * g - self.v)
+        update = (self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)).astype(g.dtype)
+        for (_, p), step in zip(params, np.split(update, self.cuts)):
+            p -= step.reshape(p.shape)
 
 
 def stratified_split(
@@ -100,6 +105,8 @@ def train(
     The dataset is split 4:1 into development and test sets, the development
     set again 4:1 into training and validation; the parameter snapshot with
     the best validation accuracy over the iteration budget is returned.
+    The splits are index arrays into `x`: each step and each evaluation
+    batch gathers its own rows, so no split is ever copied whole.
     """
     y = np.asarray(y)
     present = set(int(v) for v in np.unique(y))
@@ -109,15 +116,12 @@ def train(
 
     rng = np.random.default_rng(seed)
     dev_idx, test_idx = stratified_split(y, 0.8, rng)
-    train_idx, val_idx = stratified_split_subset(y, dev_idx, 0.8, rng)
+    train_rel, val_rel = stratified_split(y[dev_idx], 0.8, rng)
+    train_idx, val_idx = dev_idx[train_rel], dev_idx[val_rel]
     for name, idx in (("training", train_idx), ("validation", val_idx)):
         got = set(int(v) for v in np.unique(y[idx]))
         if got != present:
             raise StratificationError(f"class missing from {name} split")
-
-    x_train, y_train = x[train_idx], y[train_idx]
-    x_val, y_val = x[val_idx], y[val_idx]
-    x_test, y_test = x[test_idx], y[test_idx]
 
     net = PostureNet(config, seed=seed)
     optimizer = Adam(net.named_params(), lr=learning_rate, beta1=beta1, beta2=beta2)
@@ -127,15 +131,15 @@ def train(
     curve: list[tuple[int, float, float]] = []
     running_loss = 0.0
     for it in range(1, iterations + 1):
-        pick = rng.integers(0, len(x_train), size=batch_size)
-        logits = net.forward(x_train[pick], train=True, rng=rng)
-        loss, dlogits = cross_entropy(logits, y_train[pick])
+        rows = train_idx[rng.integers(0, len(train_idx), size=batch_size)]
+        logits = net.forward(x[rows], train=True, rng=rng)
+        loss, dlogits = cross_entropy(logits, y[rows])
         net.backward(dlogits)
         optimizer.step(net.named_params(), net.named_grads())
         running_loss += loss
 
         if it % val_every == 0 or it == iterations:
-            val_acc = _accuracy(net.predict_labels(x_val, PREDICT_BATCH), y_val)
+            val_acc = _accuracy(net.predict_labels(x, PREDICT_BATCH, val_idx), y[val_idx])
             curve.append((it, running_loss / min(val_every, it), val_acc))
             running_loss = 0.0
             if val_acc > best_val:
@@ -144,7 +148,8 @@ def train(
 
     net.load_state_dict(best_state)
     net.release_step_buffers()
-    pred = net.predict_labels(x_test, PREDICT_BATCH)
+    pred = net.predict_labels(x, PREDICT_BATCH, test_idx)
+    y_test = y[test_idx]
     classes = len(PostureLabel)
     confusion = np.bincount(y_test.astype(np.intp) * classes + pred, minlength=classes * classes)
     report = TrainReport(
@@ -157,13 +162,6 @@ def train(
         n_test=len(test_idx),
     )
     return net, report
-
-
-def stratified_split_subset(
-    labels: np.ndarray, subset: np.ndarray, fraction: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    first_rel, second_rel = stratified_split(labels[subset], fraction, rng)
-    return subset[first_rel], subset[second_rel]
 
 
 # ---------------------------------------------------------------------------

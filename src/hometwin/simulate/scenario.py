@@ -201,6 +201,8 @@ _DEFAULT_PROFILE = AmbientProfile()
 
 def validate_scenario(script: ScenarioScript, layout: HomeLayout) -> None:
     """Raise ConfigError on any script invariant violation."""
+    if script.duration_min < 0:
+        raise ConfigError(f"scenario duration {script.duration_min} min is negative")
     room_ids = {r.room_id for r in layout.rooms}
     occupies = script.occupy_events()
     for e in occupies:
@@ -258,6 +260,14 @@ def _text(item: dict, key: str) -> str:
     return value
 
 
+def _numbers(value, what: str, count: int | None = None) -> tuple:
+    """A JSON list of numbers (of `count` of them, when given) as a tuple."""
+    numbers = isinstance(value, (list, tuple)) and all(isinstance(v, (int, float)) for v in value)
+    if not numbers or count not in (None, len(value)):
+        raise ConfigError(f"bad scenario config: {what} {value!r} is not {count or 'a list of'} numbers")
+    return tuple(value)
+
+
 def scenario_from_dict(data: dict) -> ScenarioScript:
     try:
         epoch = parse_epoch(data["epoch"])
@@ -274,11 +284,13 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
                         end=end,
                         room_id=_text(raw, "room"),
                         posture=_POSTURES[_text(raw, "posture").lower()],
-                        position=tuple(raw["position"]) if "position" in raw else None,
-                        path=tuple(tuple(p) for p in raw["path"]) if "path" in raw else None,
+                        position=_numbers(raw["position"], "position", 2) if "position" in raw else None,
+                        # an empty path is no path, as if the key were left out
+                        path=tuple(_numbers(p, "waypoint", 2) for p in raw.get("path", ())) or None,
                         orientation_deg=float(raw.get("orientation_deg", 0.0)),
                         turnovers=tuple(
-                            start + int(m * MS_PER_MINUTE) for m in raw.get("turnovers", [])
+                            start + int(m * MS_PER_MINUTE)
+                            for m in _numbers(raw.get("turnovers", []), "turnovers")
                         ),
                     )
                 )
@@ -306,8 +318,10 @@ def scenario_from_dict(data: dict) -> ScenarioScript:
             else:
                 raise ConfigError(f"unknown scenario event kind {kind!r}")
         ambient = data.get("ambient", {})
-        if not isinstance(ambient, dict):
-            raise ConfigError(f"bad scenario config: 'ambient' must be an object, got {ambient!r}")
+        if not isinstance(ambient, dict) or not all(isinstance(p, dict) for p in ambient.values()):
+            raise ConfigError(f"bad scenario config: 'ambient' {ambient!r} is not an object of objects")
+        for room, profile in ambient.items():
+            _numbers(list(profile.values()), f"ambient {room!r} values")
         ambient = {room: AmbientProfile(**profile) for room, profile in ambient.items()}
         sun = None
         if "sunlight_patch" in data:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core import MS_PER_MINUTE, ActivityLabel, PostureLabel, WINDOW_MS
 from ..errors import ConfigError
+from ..files import write_atomic
 
 POSTURE_INTERVAL_MS = WINDOW_MS  # 5 s
 
@@ -37,20 +38,15 @@ class GroundTruthTimeline:
 
 
 def write_truth_sidecar(truth: GroundTruthTimeline, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("record\tkey\ttimestamp\tvalue\n")
-        fh.write(f"span\t\t{truth.start}\t{truth.end}\n")
-        for minute, code in zip(truth.minute_starts(), truth.activity_truth):
-            fh.write(f"activity\t\t{int(minute)}\t{ActivityLabel(int(code)).name}\n")
-        for sensor_id in sorted(truth.posture_truth):
-            codes = truth.posture_truth[sensor_id]
-            for i, code in enumerate(codes):
-                ts = truth.start + i * POSTURE_INTERVAL_MS
-                fh.write(
-                    f"posture\t{sensor_id}\t{ts}\t{PostureLabel(int(code)).name}\n"
-                )
-        for lo, hi in truth.away_intervals:
-            fh.write(f"away\t\t{lo}\t{hi}\n")
+    lines = ["record\tkey\ttimestamp\tvalue\n", f"span\t\t{truth.start}\t{truth.end}\n"]
+    for minute, code in zip(truth.minute_starts(), truth.activity_truth):
+        lines.append(f"activity\t\t{int(minute)}\t{ActivityLabel(int(code)).name}\n")
+    for sensor_id in sorted(truth.posture_truth):
+        for i, code in enumerate(truth.posture_truth[sensor_id]):
+            ts = truth.start + i * POSTURE_INTERVAL_MS
+            lines.append(f"posture\t{sensor_id}\t{ts}\t{PostureLabel(int(code)).name}\n")
+    lines += [f"away\t\t{lo}\t{hi}\n" for lo, hi in truth.away_intervals]
+    write_atomic(path, ["".join(lines).encode("utf-8")])
 
 
 def load_truth_sidecar(path: str | Path) -> GroundTruthTimeline:

@@ -1,6 +1,7 @@
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,10 @@ def test_bad_night_window_exits_2(workdir, tmp_path, capsys, night):
         ("posture", None),  # not a string
         ("ambient", []),  # not an object
         ("clock_start", 8),  # not a clock string
+        # these three loaded and validated, then crashed the simulator
+        ("position", ["a", "b"]),
+        ("path", [[8.6, 0.9, 1.0], [8.95, 1.15]]),  # a waypoint of three numbers
+        ("profile", "warm"),  # an ambient profile value that is not a number
     ],
 )
 def test_bad_scenario_field_exits_2(workdir, tmp_path, capsys, where, bad):
@@ -162,6 +167,10 @@ def test_bad_scenario_field_exits_2(workdir, tmp_path, capsys, where, bad):
         scenario["events"][0]["posture"] = bad
     elif where == "ambient":
         scenario["ambient"] = bad
+    elif where in ("position", "path"):
+        scenario["events"][1][where] = bad
+    elif where == "profile":
+        scenario["ambient"] = {"washroom": {"temp_base_c": bad}}
     else:
         sun[where] = bad
     path = tmp_path / "scenario.json"
@@ -440,3 +449,64 @@ def test_evaluate_without_truth_exits_2_before_running(workdir, tmp_path, capsys
     err = capsys.readouterr().err
     assert "needs --truth" in err
     assert "windows" not in err  # the pipeline never ran
+
+
+def cli_commands(root, model_dir, out):
+    """Every CLI command that writes files, each with every output it has."""
+    common = ["--layout", str(root / "layout.json"), "--models", str(model_dir), "--seed", "3"]
+    return [
+        ["simulate", "--scenario", str(root / "scenario.json"),
+         "--layout", str(root / "layout.json"), "--out", str(out / "sim")],
+        ["train", "--resolutions", "4", "--set", "windows_per_class=6", "--set", "train_iterations=2",
+         "--set", "val_every=1", "--set", "batch_size=4", "--out", str(out / "train")],
+        ["run", "--scenario", str(root / "scenario.json"), *common, "--out", str(out / "run"),
+         "--plot-data"],
+        ["evaluate", "--scenario", str(root / "scenario.json"), *common, "--out", str(out / "eval")],
+        ["ingest", "--packets", str(out / "sim" / "packets.bin"), "--csv", str(out / "dump.csv"),
+         "--snapshot", str(out / "store.bin")],
+    ]
+
+
+def test_every_cli_output_is_written_atomically(workdir, tmp_path, monkeypatch):
+    import hometwin.files as files_module
+
+    root, model_dir = workdir
+    renamed = []
+    replace = files_module.os.replace
+    monkeypatch.setattr(files_module.os, "replace",
+                        lambda src, dst: renamed.append(dst) or replace(src, dst))
+    for argv in cli_commands(root, model_dir, tmp_path):
+        assert main(argv) == 0, argv
+    written = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(written) == 13
+    assert sorted(renamed) == written  # each one renamed over its path when whole
+
+
+@pytest.mark.parametrize("command, name", [
+    (0, "sim/packets.bin"), (0, "sim/truth.tsv"), (1, "train/training_report_4.txt"),
+    (1, "train/training_curve_4.csv"), (2, "run/timeline.csv"), (2, "run/report.json"),
+    (2, "run/activity_series.csv"), (3, "eval/evaluation.txt"), (4, "dump.csv"),
+])
+def test_failed_cli_write_leaves_previous_file_whole(workdir, tmp_path, monkeypatch, command, name):
+    """One write fails as the disk fills: the command exits 3 (a data
+    error), and the file from the run before it is still whole."""
+    import hometwin.files as files_module
+
+    root, model_dir = workdir
+    commands = cli_commands(root, model_dir, tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    path = tmp_path / name
+    before = path.read_bytes()
+    replace = files_module.os.replace
+
+    def disk_full(src, dst):
+        if Path(dst) == path:
+            raise OSError("no space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(files_module.os, "replace", disk_full)
+    argv = [a if a != "3" else "4" for a in commands[command]]  # another seed, where one is given
+    assert main(argv) == 3
+    assert path.read_bytes() == before
+    assert not list(tmp_path.rglob("*.tmp"))

@@ -13,6 +13,11 @@ The benchmark's traced run charges all of backward to one layer; this
 splits it.  On a tree whose conv has no `param_grads`, the input-gradient
 row holds the whole conv backward.  Nothing gates these figures; the
 wrappers add a few microseconds per call.
+
+One more operation then runs under `tracemalloc` (untimed, since tracing
+slows every allocation) and prints each kernel's traced peak: the most
+memory its calls held above what was held when they started, their inner
+kernels' included.  The last row is the peak of the whole operation.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import importlib
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -45,13 +51,21 @@ KERNELS = (
 SEED = 10301
 
 
-def install(spent: dict[str, float]) -> None:
-    """Wrap every kernel so that `spent` collects its self time."""
+def install(spent: dict[str, float], peaks: dict[str, int]) -> None:
+    """Wrap every kernel so that `spent` collects its self time and, while
+    tracemalloc traces, `peaks` its traced peak in bytes."""
     children = [0.0]  # time of wrapped calls inside the current one
+    held = [0]  # peak of each open call so far, as the tracer is reset per call
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
             outer, children[0] = children[0], 0.0
+            tracing = tracemalloc.is_tracing()
+            if tracing:
+                start, peak = tracemalloc.get_traced_memory()
+                held[-1] = max(held[-1], peak)
+                held.append(start)
+                tracemalloc.reset_peak()
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
@@ -59,6 +73,10 @@ def install(spent: dict[str, float]) -> None:
                 dt = time.perf_counter() - t0
                 spent[name] += dt - children[0]
                 children[0] = outer + dt
+                if tracing:
+                    mine = max(held.pop(), tracemalloc.get_traced_memory()[1])
+                    peaks[name] = max(peaks[name], mine - start)
+                    held[-1] = max(held[-1], mine)
 
         return wrapper
 
@@ -72,7 +90,8 @@ def main() -> int:
     inp = training.setup(SEED)
     training.train_once(inp)  # warm-up, untimed
     spent: dict[str, float] = defaultdict(float)
-    install(spent)
+    peaks: dict[str, int] = defaultdict(int)
+    install(spent, peaks)
     per_op: dict[str, list[float]] = defaultdict(list)
     for _ in range(reps):
         spent.clear()
@@ -87,6 +106,19 @@ def main() -> int:
     print(f"train_posture budget {training.BUDGET}, seed {SEED}, median of {reps} operations:")
     for name, values in per_op.items():
         print(f"  {name:52s} {statistics.median(values):8.4f} s")
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        training.train_once(inp)
+        whole = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    print("traced peak of one operation, above what its start held:")
+    for name, _, _ in KERNELS:
+        if name in peaks:
+            print(f"  {name:52s} {peaks[name] / 1e6:8.2f} MB")
+    print(f"  {'whole operation':52s} {whole / 1e6:8.2f} MB")
     return 0
 
 
