@@ -1,5 +1,7 @@
 """Derived wellness insights: sleep segments and quality, nighttime toileting,
-time outdoors, environment summaries, and the assembled daily report."""
+time outdoors, environment summaries, and the daily report, which
+`daily_report` puts together from a pipeline result.  Sleep quality and the
+movement threshold read one frame-motion column (see `_frame_motion`)."""
 
 from __future__ import annotations
 
@@ -16,10 +18,13 @@ from .core import (
     ActivityLabel,
     FrameBlock,
     ReadingSeries,
+    SensorKind,
     in_clock_window,
+    pixels_to_celsius,
 )
 from .errors import CoverageError, InsufficientDataError, WindowMismatchError
-from .layout import HomeLayout
+from .layout import HomeLayout, RoomRole
+from .pipeline import PipelineResult, StreamSource
 
 
 @dataclass
@@ -114,6 +119,26 @@ def extract_sleep(
     return segments, total
 
 
+_SLAB_BYTES = 1 << 20  # float32 bytes cast at once: a day of 32x32 frames is never cast whole
+
+
+def _frame_motion(frame_blocks: list[FrameBlock]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frame-motion column: for each pair of consecutive frames inside a
+    block, the float32 mean absolute difference in degrees and the two frames'
+    timestamps.  No pair spans two blocks."""
+    diffs = [np.empty(0, dtype=np.float32)]
+    first = [np.empty(0, dtype=np.int64)]
+    second = [np.empty(0, dtype=np.int64)]
+    for block in frame_blocks:
+        step = max(_SLAB_BYTES // (4 * block.resolution**2), 1)
+        for lo in range(0, len(block) - 1, step):
+            celsius = pixels_to_celsius(block.pixels_centi[lo : lo + step + 1])
+            diffs.append(np.abs(np.diff(celsius, axis=0)).mean(axis=(1, 2)))
+        first.append(block.timestamps[:-1])
+        second.append(block.timestamps[1:])
+    return np.concatenate(diffs), np.concatenate(first), np.concatenate(second)
+
+
 def sleep_quality(
     frame_blocks: list[FrameBlock],
     segments: list[SleepSegment],
@@ -121,55 +146,41 @@ def sleep_quality(
 ) -> list[SleepSegment]:
     """Annotate segments with movement events and still fractions.
 
-    Consecutive-frame mean absolute difference below theta_move counts as
-    still; each maximal run of non-still frames is one movement event.
+    A frame pair whose mean absolute difference is below theta_move counts as
+    still; each maximal run of non-still pairs is one movement event.  A
+    segment holds the pairs whose both frames lie inside it.
     """
     if not frame_blocks or all(not len(b) for b in frame_blocks):
         raise InsufficientDataError("no bedroom frames for sleep quality")
-    block = FrameBlock.concat([b for b in frame_blocks if len(b)])
+    diffs, first, second = _frame_motion(frame_blocks)
+    lo = np.searchsorted(first, [s.start for s in segments], side="left")
+    hi = np.searchsorted(second, [s.end for s in segments], side="left")
     out = []
-    for seg in segments:
-        sub = block.slice(seg.start, seg.end)
-        if len(sub) < 2:
+    for seg, i, j in zip(segments, lo, hi):
+        if j <= i:
             out.append(SleepSegment(seg.start, seg.end, 0, 1.0))
             continue
-        celsius = sub.pixels_centi.astype(np.float32) / 100.0
-        diffs = np.abs(np.diff(celsius, axis=0)).mean(axis=(1, 2))
-        moving = diffs >= theta_move
+        moving = diffs[i:j] >= theta_move
         events = int(np.count_nonzero(moving[1:] & ~moving[:-1]) + (1 if moving[0] else 0))
-        out.append(
-            SleepSegment(
-                seg.start,
-                seg.end,
-                movement_events=events,
-                still_fraction=float(1.0 - moving.mean()),
-            )
-        )
+        out.append(SleepSegment(seg.start, seg.end, events, float(1.0 - moving.mean())))
     return out
 
 
 def auto_theta_move(frame_blocks: list[FrameBlock], segments: list[SleepSegment]) -> float:
-    """3x the median frame difference of the empty bed (outside sleep segments).
+    """3x the median frame difference of the empty bed: the pairs whose mid
+    timestamp lies outside every sleep segment.
 
     A per-home calibration stand-in; override via config for real deployments.
     """
-    diffs = []
-    for block in frame_blocks:
-        if len(block) < 2:
-            continue
-        celsius = block.pixels_centi.astype(np.float32) / 100.0
-        d = np.abs(np.diff(celsius, axis=0)).mean(axis=(1, 2))
-        mid = (block.timestamps[:-1] + block.timestamps[1:]) // 2
-        outside = np.ones(len(d), dtype=bool)
-        for seg in segments:
-            outside &= ~((mid >= seg.start) & (mid < seg.end))
-        diffs.append(d[outside])
-    if not diffs:
+    diffs, first, second = _frame_motion(frame_blocks)
+    mid = (first + second) // 2
+    outside = np.ones(len(diffs), dtype=bool)
+    for seg in segments:
+        outside &= ~((mid >= seg.start) & (mid < seg.end))
+    empty_bed = diffs[outside]
+    if not len(empty_bed):
         return 1.0
-    stacked = np.concatenate(diffs)
-    if not len(stacked):
-        return 1.0
-    return 3.0 * float(np.median(stacked))
+    return 3.0 * float(np.median(empty_bed))
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +382,37 @@ def build_daily_report(
         environment=environment,
         alerts=alerts,
         has_data=has_data,
+    )
+
+
+def daily_report(source: StreamSource, result: PipelineResult, config: PipelineConfig) -> DailyReport:
+    """The daily report of the source's [start, end) window from the pipeline's
+    result: sleep segments, their quality from the bedroom's thermal frames
+    (theta_move <= 0 sets the threshold from the empty bed), nighttime
+    toileting, time outdoors and the environment of every scalar sensor."""
+    layout, timeline = source.layout, result.timeline
+    day_start, day_end = source.start, source.end
+    segments, total_min = extract_sleep(timeline, day_start, day_end, config.k_rest)
+    # the last thermal sensor of the first bedroom
+    bedroom = layout.rooms_with_role(RoomRole.BEDROOM)[:1]
+    thermal = [s for r in bedroom for s in layout.sensors(room_id=r.room_id) if s.kind.is_thermal]
+    bedroom_frames = source.frame_blocks(thermal[-1].sensor_id) if thermal else []
+    theta_move = config.theta_move
+    if theta_move <= 0:
+        theta_move = auto_theta_move(bedroom_frames, segments)
+    if segments and bedroom_frames:  # same segment bounds, so the same total
+        segments = sleep_quality(bedroom_frames, segments, theta_move)
+    toileting = night_toileting(timeline, layout.night_window, config.lamp_delta, layout.tz_offset_min)
+    outdoor_intervals, outdoor_h = outdoor_time(timeline, day_start, day_end)
+    series_of = {
+        spec.sensor_id: source.readings(spec.sensor_id)
+        for spec in layout.sensors()
+        if not spec.kind.is_thermal and spec.kind is not SensorKind.MOTION
+    }
+    environment, alerts = environment_summary(layout, series_of, day_start, day_end, config)
+    return build_daily_report(
+        day_start, day_end, segments, total_min, toileting, outdoor_intervals, outdoor_h,
+        environment, alerts, config,
     )
 
 

@@ -14,7 +14,6 @@ from pathlib import Path
 from . import analytics
 from .activity.evaluate import evaluate_timeline
 from .config import PipelineConfig, dump_config, load_config
-from .core import SensorKind
 from .errors import (
     ConfigError,
     HometwinError,
@@ -25,7 +24,7 @@ from .errors import (
 from .files import write_atomic
 from .ingestion.store import RecordStore
 from .ingestion.wire import decode_packet_stream, encode_packet
-from .layout import HomeLayout, RoomRole, load_layout
+from .layout import HomeLayout, load_layout
 from .pipeline import StreamSource, run_pipeline
 from .posture.data import generate_posture_dataset
 from .posture.model_io import load_model, save_model
@@ -201,55 +200,13 @@ def _run(args):
         )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return result, truth, layout, config, out, source
+    return result, truth, config, out, source
 
 
 def cmd_run(args) -> int:
-    result, truth, layout, config, out, source = _run(args)
+    result, truth, config, out, source = _run(args)
     write_atomic(out / "timeline.csv", [result.timeline.to_csv().encode()])
-
-    day_start = source.start
-    day_end = source.end
-    segments, total_min = analytics.extract_sleep(
-        result.timeline, day_start, day_end, config.k_rest
-    )
-    bedroom = layout.rooms_with_role(RoomRole.BEDROOM)
-    bedroom_frames = []
-    if bedroom:
-        for spec in layout.sensors(room_id=bedroom[0].room_id):
-            if spec.kind.is_thermal:
-                bedroom_frames = source.frame_blocks(spec.sensor_id)
-    theta_move = config.theta_move
-    if theta_move <= 0:
-        theta_move = analytics.auto_theta_move(bedroom_frames, segments)
-    if segments and bedroom_frames:
-        segments = analytics.sleep_quality(bedroom_frames, segments, theta_move)
-        total_min = sum(s.minutes for s in segments)
-
-    toileting = analytics.night_toileting(
-        result.timeline, layout.night_window, config.lamp_delta, layout.tz_offset_min
-    )
-    outdoor_intervals, outdoor_h = analytics.outdoor_time(result.timeline, day_start, day_end)
-    series_of = {
-        spec.sensor_id: source.readings(spec.sensor_id)
-        for spec in layout.sensors()
-        if not spec.kind.is_thermal and spec.kind is not SensorKind.MOTION
-    }
-    environment, alerts = analytics.environment_summary(
-        layout, series_of, day_start, day_end, config
-    )
-    report = analytics.build_daily_report(
-        day_start,
-        day_end,
-        segments,
-        total_min,
-        toileting,
-        outdoor_intervals,
-        outdoor_h,
-        environment,
-        alerts,
-        config,
-    )
+    report = analytics.daily_report(source, result, config)
     write_atomic(out / "report.txt", [analytics.report_to_text(report).encode()])
     write_atomic(out / "report.json", [analytics.report_to_json(report).encode()])
     write_atomic(out / "environment.csv", [analytics.environment_csv(report).encode()])
@@ -265,7 +222,7 @@ def cmd_run(args) -> int:
 def cmd_evaluate(args) -> int:
     if not args.scenario and not args.truth:
         raise ConfigError("evaluation needs --truth (or a --scenario with builtin truth)")
-    result, truth, layout, config, out, source = _run(args)
+    result, truth, config, out, source = _run(args)
 
     evaluation = evaluate_timeline(result.timeline, truth)
     print(evaluation.to_text())

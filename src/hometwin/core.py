@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import DimensionError
 
-MS_PER_SECOND = 1_000
 MS_PER_MINUTE = 60_000
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
@@ -174,18 +173,6 @@ class FrameBlock:
     def slice(self, t0: int, t1: int) -> "FrameBlock":
         lo, hi = np.searchsorted(self.timestamps, (t0, t1), side="left")
         return self[lo:hi]
-
-    @staticmethod
-    def concat(blocks: list["FrameBlock"]) -> "FrameBlock":
-        if not blocks:
-            raise ValueError("cannot concatenate zero blocks")
-        first = blocks[0]
-        return FrameBlock(
-            first.sensor_id,
-            first.resolution,
-            np.concatenate([b.timestamps for b in blocks]),
-            np.concatenate([b.pixels_centi for b in blocks]),
-        )
 
 
 @dataclass

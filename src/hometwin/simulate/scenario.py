@@ -210,6 +210,15 @@ def validate_scenario(script: ScenarioScript, layout: HomeLayout) -> None:
             raise ConfigError(f"scenario references unknown room {e.room_id!r}")
         if e.end <= e.start:
             raise ConfigError(f"occupy event in {e.room_id!r} has end <= start")
+        # the layout's bounding rectangle, not the event's room: walking paths cross rooms
+        x0, y0, _, _ = np.min([r.bounds for r in layout.rooms], axis=0)
+        _, _, x1, y1 = np.max([r.bounds for r in layout.rooms], axis=0)
+        for x, y in ([e.position] if e.position is not None else []) + list(e.path or ()):
+            if not (x0 <= x <= x1 and y0 <= y <= y1):  # NaN fails too
+                raise ConfigError(
+                    f"occupy event in {e.room_id!r} at minute {(e.start - script.epoch) / MS_PER_MINUTE:g}: "
+                    f"point ({x!r}, {y!r}) lies outside the layout's bounds ({x0}, {y0}, {x1}, {y1})"
+                )
     for a, b in zip(occupies, occupies[1:]):
         if b.start < a.end:
             raise ConfigError(

@@ -27,7 +27,6 @@ DEFAULT_EPOCH = "2024-03-04T18:00:00"
 
 # a small two-point shuffle keeps the washroom motion sensor triggering
 RESTROOM_PATH = ((8.6, 0.9), (8.95, 1.15))
-KITCHEN_PATH = ((5.4, 1.2), (6.6, 1.8))
 
 
 def _m(epoch: int, minutes: float) -> int:

@@ -91,6 +91,19 @@ def bundle_frames(bundle, sensor_id: str) -> list[FrameBlock]:
     return [b for b in bundle.frames if b.sensor_id == sensor_id]
 
 
+def concat_blocks(blocks: list[FrameBlock]) -> FrameBlock:
+    """One sensor's frame blocks joined into one, in the given order."""
+    if not blocks:
+        raise ValueError("cannot concatenate zero blocks")
+    first = blocks[0]
+    return FrameBlock(
+        first.sensor_id,
+        first.resolution,
+        np.concatenate([b.timestamps for b in blocks]),
+        np.concatenate([b.pixels_centi for b in blocks]),
+    )
+
+
 def store_source(layout, bundle, start: int | None = None, end: int | None = None) -> StreamSource:
     """The bundle's packets in a fresh store, read over [start, end) (by
     default the bundle's whole span)."""

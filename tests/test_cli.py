@@ -190,6 +190,35 @@ def test_bad_scenario_field_exits_2(workdir, tmp_path, capsys, where, bad):
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize(
+    "where, bad",
+    [
+        ("position", [1e308, 1.0]),  # rendered overflowed frames
+        ("position", [2.0, float("nan")]),
+        ("path", [[8.6, 0.9], [8.95, -1e308]]),
+        ("path", [[8.6, 0.9], [10.6, 1.0]]),  # past the layout's east wall (10.5)
+    ],
+)
+def test_scenario_point_outside_the_layout_exits_2(workdir, tmp_path, capsys, where, bad):
+    root, _ = workdir
+    scenario = json.loads(json.dumps(SCENARIO))
+    scenario["events"][1][where] = bad
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code = main(
+        [
+            "simulate",
+            "--scenario", str(path),
+            "--layout", str(root / "layout.json"),
+            "--out", str(tmp_path / "s"),
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "occupy event in 'washroom' at minute 22" in err and "outside the layout's bounds" in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_run_produces_timeline_and_report(workdir):
     root, model_dir = workdir
     out = root / "run"

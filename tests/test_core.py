@@ -18,6 +18,8 @@ from hometwin.errors import DimensionError
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.wire import decode_packet, encode_packet
 
+from conftest import concat_blocks
+
 
 def test_label_enums_are_closed():
     assert len(PostureLabel) == 5
@@ -114,5 +116,5 @@ def test_frame_block_slicing():
     assert len(block.slice(0, 1000)) == 4
     assert len(block.slice(250, 250)) == 0
     assert block.slice(500, 750).timestamps.tolist() == [500]
-    whole = FrameBlock.concat([block.slice(0, 1000), block.slice(1000, 9999)])
+    whole = concat_blocks([block.slice(0, 1000), block.slice(1000, 9999)])
     assert whole == block

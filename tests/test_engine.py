@@ -20,7 +20,7 @@ from hometwin.simulate import (
 )
 from hometwin.simulate.scripts import restroom_visit
 
-from conftest import bundle_frames, bundle_readings
+from conftest import bundle_frames, bundle_readings, concat_blocks
 
 EPOCH = parse_epoch("2024-03-04T10:00:00")
 
@@ -243,10 +243,8 @@ class TestResidualHeat:
             80,
             [OccupyRoom(minutes(2), minutes(15), "dining", PostureLabel.SIT)],
         )
-        from hometwin.core import FrameBlock
-
         bundle = simulate(layout, script, seed=13, config=PipelineConfig(pixel_noise_sigma=0.0))
-        block = FrameBlock.concat(bundle_frames(bundle, "dining/C0/thermal"))
+        block = concat_blocks(bundle_frames(bundle, "dining/C0/thermal"))
         ts = block.timestamps
         celsius = block.pixels_centi / 100.0
 

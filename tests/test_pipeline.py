@@ -3,14 +3,14 @@ import pytest
 
 from hometwin.activity.evaluate import evaluate_timeline
 from hometwin.config import PipelineConfig
-from hometwin.core import MS_PER_MINUTE, ActivityLabel, FrameBlock, PostureLabel, parse_epoch
+from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, parse_epoch
 from hometwin.ingestion.store import RecordStore
 from hometwin.layout import lite_layout
 from hometwin.pipeline import StreamSource, run_pipeline
 from hometwin.simulate import OccupyRoom, ScenarioScript, simulate
 from hometwin.simulate.scripts import restroom_visit
 
-from conftest import bundle_frames, bundle_readings, store_source
+from conftest import bundle_frames, bundle_readings, concat_blocks, store_source
 
 EPOCH = parse_epoch("2024-03-04T10:00:00")
 
@@ -43,7 +43,7 @@ class TestStreamSource:
         source = store_source(layout, bundle)
         sensor = "dining/C0/thermal"
         (block,) = source.frame_blocks(sensor)
-        want = FrameBlock.concat(bundle_frames(bundle, sensor))
+        want = concat_blocks(bundle_frames(bundle, sensor))
         assert np.array_equal(block.timestamps, want.timestamps)
         assert np.array_equal(block.pixels_centi, want.pixels_centi)
         assert source.readings("dining/C0/motion") == bundle_readings(bundle, "dining/C0/motion")

@@ -33,7 +33,7 @@ from hometwin.thermal import (
     should_calibrate,
 )
 
-from conftest import bundle_frames, bundle_readings, store_source
+from conftest import bundle_frames, bundle_readings, concat_blocks, store_source
 from test_acceptance import drift_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -243,15 +243,6 @@ def drift_inputs():
     return {occupied: _scenario_input(*drift_scenario(occupied), 3) for occupied in (False, True)}
 
 
-def joined(blocks: list[FrameBlock]) -> FrameBlock:
-    return FrameBlock(
-        blocks[0].sensor_id,
-        blocks[0].resolution,
-        np.concatenate([b.timestamps for b in blocks]),
-        np.concatenate([b.pixels_centi for b in blocks]),
-    )
-
-
 # -- cases ---------------------------------------------------------------------
 
 
@@ -271,7 +262,7 @@ def test_day_workload_blocks(day_blocks):
 @pytest.mark.parametrize("occupied, fired", [(False, 2), (True, 0)])
 def test_drift_scenario(drift_inputs, occupied, fired):
     blocks, ambient = drift_inputs[occupied]
-    block = joined(blocks)
+    block = concat_blocks(blocks)
     cuts = np.cumsum([len(b) for b in blocks[:-1]]).tolist()  # one call per rendered hour
     oracle = run_both(block, PipelineConfig(), cuts=cuts, ambient=ambient)
     assert len(oracle.calibration_events) == fired
@@ -281,7 +272,7 @@ def test_sunlight_scenario():
     layout, script = sunlight_scenario()
     bundle = simulate(layout, script, seed=0)
     ambient = bundle_readings(bundle, "dining/C0/temperature")
-    block = joined(bundle_frames(bundle, "dining/C0/thermal"))
+    block = concat_blocks(bundle_frames(bundle, "dining/C0/thermal"))
     run_both(block, PipelineConfig(), ambient=(ambient.timestamps, ambient.values))
 
 
@@ -294,7 +285,7 @@ def test_sparse_ambient_series(drift_inputs):
     """Fewer than 12 thermometer readings before the first chunk end, and
     none at all for the first chunks (the last known value carries)."""
     blocks, (ts, values) = drift_inputs[False]
-    block = joined(blocks)
+    block = concat_blocks(blocks)
     config = PipelineConfig(warmup_frames=40)
     first_end = int(block.timestamps[40 + 39])
     run_both(block, config, ambient=(ts[ts > first_end - 20_000], values[ts > first_end - 20_000]))
@@ -307,7 +298,7 @@ def test_ambient_series_replaced_between_calls(drift_inputs):
     """A series set between calls that starts after the next chunk ends:
     those chunks keep the last ambient the tracker knew."""
     blocks, (ts, values) = drift_inputs[False]
-    block = joined(blocks)
+    block = concat_blocks(blocks)
     config = PipelineConfig(warmup_frames=40)
     tracker, oracle = BaselineTracker(4, config), OracleTracker(4, config)
     cut = 2000
@@ -325,7 +316,7 @@ def test_ambient_series_replaced_between_calls(drift_inputs):
 @pytest.mark.parametrize("warmup", [1, 40, 120, 300])
 def test_warmup_lengths(drift_inputs, warmup):
     blocks, ambient = drift_inputs[False]
-    oracle = run_both(joined(blocks), PipelineConfig(warmup_frames=warmup), ambient=ambient)
+    oracle = run_both(concat_blocks(blocks), PipelineConfig(warmup_frames=warmup), ambient=ambient)
     if warmup > BaselineTracker.RING_FRAMES:  # the ring never holds enough frames
         assert oracle.calibration_events == []
     else:
@@ -351,7 +342,7 @@ def _cut_sequences(n: int, seed: int):
 @pytest.mark.parametrize("kind", ["on_grid", "off_grid", "one_frame"])
 def test_call_sequences(day_blocks, drift_inputs, kind):
     blocks, ambient = drift_inputs[False]
-    drift = joined(blocks)
+    drift = concat_blocks(blocks)
     cuts = _cut_sequences(len(drift), 1)[kind]
     oracle = run_both(drift, PipelineConfig(), cuts=cuts, ambient=ambient)
     assert oracle.calibration_events
