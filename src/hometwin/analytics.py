@@ -397,10 +397,10 @@ def daily_report(source: StreamSource, result: PipelineResult, config: PipelineC
     bedroom = layout.rooms_with_role(RoomRole.BEDROOM)[:1]
     thermal = [s for r in bedroom for s in layout.sensors(room_id=r.room_id) if s.kind.is_thermal]
     bedroom_frames = source.frame_blocks(thermal[-1].sensor_id) if thermal else []
-    theta_move = config.theta_move
-    if theta_move <= 0:
-        theta_move = auto_theta_move(bedroom_frames, segments)
     if segments and bedroom_frames:  # same segment bounds, so the same total
+        theta_move = config.theta_move
+        if theta_move <= 0:
+            theta_move = auto_theta_move(bedroom_frames, segments)
         segments = sleep_quality(bedroom_frames, segments, theta_move)
     toileting = night_toileting(timeline, layout.night_window, config.lamp_delta, layout.tz_offset_min)
     outdoor_intervals, outdoor_h = outdoor_time(timeline, day_start, day_end)

@@ -24,7 +24,7 @@ from ..core import FrameBlock, ReadingSeries, SensorKind
 from ..errors import DimensionError, RangeError, UnknownSensorError, VersionError, WireFormatError
 from ..files import write_atomic
 from .packets import HubPacket
-from .wire import _GROUP_META, _need, _str_bytes, _string
+from .wire import _GROUP_META, _centi_column, _need, _str_bytes, _string
 
 _MAGIC = b"HTSTORE1"
 _VERSION = 1
@@ -279,6 +279,9 @@ class RecordStore:
     # -- snapshot persistence ---------------------------------------------
 
     def save(self, path: str | Path) -> None:
+        """Write a snapshot; a scalar series that does not fit int32
+        centi-units (NaN, inf, past about ±21.4e6) raises ValueError before
+        anything is written."""
         body = bytearray()
         body += _U32.pack(len(self._seen))
         for hub_id in sorted(self._seen):
@@ -294,7 +297,7 @@ class RecordStore:
             body += _str_bytes(sid)
             body += _GROUP_META.pack(_KINDS.index(column.meta), len(ts))
             body += ts.astype("<i8").tobytes()
-            body += np.round(vals * 100.0).astype("<i4").tobytes()
+            body += _centi_column([ReadingSeries(sid, column.meta, ts, vals)])
 
         frame_ids = sorted(self._frames)
         body += _U32.pack(len(frame_ids))

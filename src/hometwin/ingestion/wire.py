@@ -85,12 +85,13 @@ def _centi_column(scalars: list[ReadingSeries]) -> bytes:
     centi-units; NaN and values past int32 are refused."""
     values = scalars[0].values if len(scalars) == 1 else np.concatenate([s.values for s in scalars])
     centi = np.rint(values * 100.0)
-    if not (np.minimum.reduce(centi) >= _I32_MIN and np.maximum.reduce(centi) <= _I32_MAX):
+    # NaN fails both tests; the initial 0 lets an empty column through
+    if not (np.min(centi, initial=0) >= _I32_MIN and np.max(centi, initial=0) <= _I32_MAX):
         row = int(np.argmin((centi >= _I32_MIN) & (centi <= _I32_MAX)))
         for series in scalars:
             if row < len(series.values):
                 raise ValueError(
-                    f"readings of {series.sensor_id} do not fit int32 centi-units on the wire"
+                    f"readings of {series.sensor_id} do not fit int32 centi-units"
                 )
             row -= len(series.values)
     return centi.astype("<i4").tobytes()

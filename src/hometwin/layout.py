@@ -211,53 +211,50 @@ def validate_layout(layout: HomeLayout) -> list[str]:
     return violations
 
 
+# the rooms of both builtin homes, and the placements they share: B at door
+# and washroom, C in bedroom, dining and kitchen
+_BUILTIN_ROOMS = (
+    Room("bedroom", "Bedroom", RoomRole.BEDROOM, (0.0, 0.0, 4.0, 3.5)),
+    Room("kitchen", "Kitchen", RoomRole.KITCHEN, (4.5, 0.0, 7.5, 3.0)),
+    Room("dining", "Dining room", RoomRole.DINING_ROOM, (0.0, 4.0, 4.0, 7.0)),
+    Room("living", "Living room", RoomRole.LIVING_ROOM, (4.5, 3.5, 9.0, 7.0)),
+    Room("washroom", "Washroom", RoomRole.RESTROOM, (8.0, 0.0, 9.5, 2.0)),
+    Room("door", "Main door", RoomRole.DOORWAY, (9.5, 3.0, 10.5, 4.5)),
+)
+_BUILTIN_PLACEMENTS = (
+    ModulePlacement(ModuleType.B, "door", (10.0, 3.75), sensing_radius=1.5),
+    ModulePlacement(ModuleType.B, "washroom", (8.75, 1.0), sensing_radius=1.5),
+    ModulePlacement(ModuleType.C, "bedroom", (2.0, 1.75)),
+    ModulePlacement(ModuleType.C, "dining", (2.0, 5.5)),
+    ModulePlacement(ModuleType.C, "kitchen", (6.0, 1.5)),
+)
+
+
 def default_layout() -> HomeLayout:
     """The reference 1-bedroom flat: B at door and washroom, C in bedroom,
     dining and kitchen, D plus A in the living room."""
-    rooms = [
-        Room("bedroom", "Bedroom", RoomRole.BEDROOM, (0.0, 0.0, 4.0, 3.5)),
-        Room("kitchen", "Kitchen", RoomRole.KITCHEN, (4.5, 0.0, 7.5, 3.0)),
-        Room("dining", "Dining room", RoomRole.DINING_ROOM, (0.0, 4.0, 4.0, 7.0)),
-        Room("living", "Living room", RoomRole.LIVING_ROOM, (4.5, 3.5, 9.0, 7.0)),
-        Room("washroom", "Washroom", RoomRole.RESTROOM, (8.0, 0.0, 9.5, 2.0)),
-        Room("door", "Main door", RoomRole.DOORWAY, (9.5, 3.0, 10.5, 4.5)),
-    ]
-    placements = [
-        ModulePlacement(ModuleType.B, "door", (10.0, 3.75), sensing_radius=1.5),
-        ModulePlacement(ModuleType.B, "washroom", (8.75, 1.0), sensing_radius=1.5),
-        ModulePlacement(ModuleType.C, "bedroom", (2.0, 1.75)),
-        ModulePlacement(ModuleType.C, "dining", (2.0, 5.5)),
-        ModulePlacement(ModuleType.C, "kitchen", (6.0, 1.5)),
-        ModulePlacement(ModuleType.D, "living", (6.75, 5.25), fov_half_width=2.0),
-        ModulePlacement(ModuleType.A, "living", (6.75, 5.25)),
-    ]
-    return HomeLayout(rooms, placements)
+    return HomeLayout(
+        list(_BUILTIN_ROOMS),
+        [
+            *_BUILTIN_PLACEMENTS,
+            ModulePlacement(ModuleType.D, "living", (6.75, 5.25), fov_half_width=2.0),
+            ModulePlacement(ModuleType.A, "living", (6.75, 5.25)),
+        ],
+    )
 
 
 def lite_layout(night_window: tuple[int, int] | None = None) -> HomeLayout:
     """A low-volume variant: all-4x4 thermals plus a Module A in the dining
     room for environment channels.  Suited for day-long scenarios."""
-    rooms = [
-        Room("bedroom", "Bedroom", RoomRole.BEDROOM, (0.0, 0.0, 4.0, 3.5)),
-        Room("kitchen", "Kitchen", RoomRole.KITCHEN, (4.5, 0.0, 7.5, 3.0)),
-        Room("dining", "Dining room", RoomRole.DINING_ROOM, (0.0, 4.0, 4.0, 7.0)),
-        Room("living", "Living room", RoomRole.LIVING_ROOM, (4.5, 3.5, 9.0, 7.0)),
-        Room("washroom", "Washroom", RoomRole.RESTROOM, (8.0, 0.0, 9.5, 2.0)),
-        Room("door", "Main door", RoomRole.DOORWAY, (9.5, 3.0, 10.5, 4.5)),
-    ]
     placements = [
-        ModulePlacement(ModuleType.B, "door", (10.0, 3.75), sensing_radius=1.5),
-        ModulePlacement(ModuleType.B, "washroom", (8.75, 1.0), sensing_radius=1.5),
-        ModulePlacement(ModuleType.C, "bedroom", (2.0, 1.75)),
-        ModulePlacement(ModuleType.C, "dining", (2.0, 5.5)),
-        ModulePlacement(ModuleType.C, "kitchen", (6.0, 1.5)),
+        *_BUILTIN_PLACEMENTS,
         ModulePlacement(ModuleType.C, "living", (6.75, 5.25)),
         ModulePlacement(ModuleType.A, "dining", (2.0, 5.5)),
     ]
     kwargs = {}
     if night_window is not None:
         kwargs["night_window"] = night_window
-    return HomeLayout(rooms, placements, **kwargs)
+    return HomeLayout(list(_BUILTIN_ROOMS), placements, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """The stream generator: layout + script + seed -> deterministic sensor streams
 plus the ground-truth label timeline.
 
+A body is a resident's occupancy or a visitor seated at a slot of the living
+room (an `OccupyRoom` with posture SIT).  One track builder draws every
+body's blob, and every seated or lying body leaves the same residual heat.
+
 Determinism: every random stream is keyed by (seed, sensor id, event index,
 purpose), so output is byte-identical for the same inputs.  The hour-long
 render chunk (`RENDER_CHUNK_FRAMES`) is part of the output: an event's fidget
@@ -91,9 +95,12 @@ class StreamBundle:
 
 @dataclass
 class _ResolvedOccupy:
+    """One body: a resident's occupancy or a seated visitor."""
+
     event: OccupyRoom
-    index: int  # position in script.events (rng keying)
+    index: int  # rng key: position in script.events, or in the visitor list
     base: np.ndarray  # resolved anchor position [2]
+    fidget_stream: int = 3  # 4 for a visitor
 
     @property
     def room_id(self) -> str:
@@ -169,24 +176,23 @@ class _Passage:
         return out
 
 
-def _visitor_tracks(
+def _visitor_bodies(
     layout: HomeLayout, script: ScenarioScript, seed: int
-) -> list[tuple[int, int, int, np.ndarray]]:
-    """(start, end, slot index, base position) for every visitor body.
-
-    Visitors are rendered in the living room only.
-    """
+) -> list[_ResolvedOccupy]:
+    """A body seated at its slot in the living room for every visitor."""
     living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
     if not living:
         return []
-    anchor = _room_anchor(layout, living[0].room_id)
-    tracks = []
+    room_id = living[0].room_id
+    anchor = _room_anchor(layout, room_id)
+    bodies = []
     for span_idx, (lo, hi, count) in enumerate(script.visitor_intervals()):
         for v in range(min(count, len(VISITOR_SLOTS))):
             rng = event_rng(seed, "visitors", span_idx, 100 + v)
             base = anchor + np.asarray(VISITOR_SLOTS[v]) + rng.uniform(-0.1, 0.1, size=2)
-            tracks.append((lo, hi, v, base))
-    return tracks
+            seated = OccupyRoom(lo, hi, room_id, PostureLabel.SIT)
+            bodies.append(_ResolvedOccupy(seated, len(bodies), base, fidget_stream=4))
+    return bodies
 
 
 def simulate(
@@ -205,7 +211,8 @@ def simulate(
     config = config or PipelineConfig()
 
     resident = _ResidentModel(layout, script, seed)
-    visitors = _visitor_tracks(layout, script, seed)
+    visitors = _visitor_bodies(layout, script, seed)
+    bodies = resident.resolved + visitors  # residents first: the order of the pixel sums
     passages = _collect_passages(layout, script)
 
     readings: list[ReadingSeries] = []
@@ -214,9 +221,7 @@ def simulate(
     for spec in sorted(layout.sensors(), key=lambda s: s.sensor_id):
         if spec.kind.is_thermal:
             frames.extend(
-                _render_sensor(
-                    layout, script, spec, resident, visitors, seed, config.pixel_noise_sigma
-                )
+                _render_sensor(layout, script, spec, bodies, seed, config.pixel_noise_sigma)
             )
         elif spec.kind is SensorKind.MOTION:
             readings.append(
@@ -237,8 +242,7 @@ def _render_sensor(
     layout: HomeLayout,
     script: ScenarioScript,
     spec,
-    resident: _ResidentModel,
-    visitors,
+    bodies: list[_ResolvedOccupy],
     seed: int,
     noise_sigma: float,
 ) -> list[FrameBlock]:
@@ -259,10 +263,8 @@ def _render_sensor(
         timestamps[0] = max(timestamps[0], script.start)  # never precede the scenario
 
     # the bodies this sensor sees: the resident's occupancies, then visitors
-    residents = [res for res in resident.resolved if res.room_id == spec.room_id]
-    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
-    guests = visitors if living and living[0].room_id == spec.room_id else []
-    patches = _patch_schedule(resident, visitors, spec.room_id, layout)
+    bodies = [body for body in bodies if body.room_id == spec.room_id]
+    patches = _patch_schedule(bodies)
 
     noise_rng = event_rng(seed, spec.sensor_id, 0, 2)
     tau_ms = RESIDUAL_TAU_MIN * MS_PER_MINUTE
@@ -279,10 +281,7 @@ def _render_sensor(
         ambient = np.asarray(profile.temperature(ts, script.start, tz))
         nom = nominal[lo:hi]
         tracks = [
-            *(_resident_track(nom, ts, res, resident, seed, spec.sensor_id, script.start)
-              for res in residents),
-            *(_visitor_track(nom, idx, guest, seed, spec.sensor_id, script.start)
-              for idx, guest in enumerate(guests)),
+            *(_body_track(nom, ts, body, seed, spec.sensor_id, script.start) for body in bodies),
             *(_patch_track(ts, patch, tau_ms) for patch in patches),
         ]
         tracks = [track for track in tracks if track is not None]
@@ -368,20 +367,20 @@ def _fidget_span(posture, offset: int, n: int, rng) -> tuple[np.ndarray, np.ndar
     return offsets[offset:], flicker[offset:]
 
 
-def _resident_track(
-    nominal, ts, res: _ResolvedOccupy, resident, seed, sensor_id, script_start
+def _body_track(
+    nominal, ts, body: _ResolvedOccupy, seed, sensor_id, script_start
 ) -> _BlobTrack | None:
-    ev = res.event
+    ev = body.event
     lo, hi = _event_frame_range(nominal, ev.start, ev.end)
     if hi <= lo:
         return None
     # clamp jittered timestamps into the event so boundary frames keep a position
     span = np.clip(ts[lo:hi], ev.start, ev.end - 1)
-    centers = resident.positions_at(span)
+    centers = body.positions_at(span)
     # the fidget stream is indexed by the frame's position within the event
     # (computed on the rigid nominal grid); a chunk boundary inside the event
     # redraws it (see _fidget_span)
-    rng = event_rng(seed, sensor_id, res.index, 3)
+    rng = event_rng(seed, sensor_id, body.index, body.fidget_stream)
     first_idx = -((ev.start - script_start) // -FRAME_PERIOD_MS)  # ceil div
     offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
     offsets, flicker = _fidget_span(ev.posture, offset0, len(span), rng)
@@ -389,22 +388,6 @@ def _resident_track(
     sx, sy, amp = BLOB_PARAMS[ev.posture]
     theta = math.radians(ev.orientation_deg)
     return _BlobTrack(lo, hi, centers[:, 0], centers[:, 1], amp * flicker, sx, sy, theta)
-
-
-def _visitor_track(
-    nominal, track_idx, visitor, seed, sensor_id, script_start
-) -> _BlobTrack | None:
-    lo_ms, hi_ms, _, base = visitor
-    lo, hi = _event_frame_range(nominal, lo_ms, hi_ms)
-    if hi <= lo:
-        return None
-    rng = event_rng(seed, sensor_id, track_idx, 4)
-    first_idx = -((lo_ms - script_start) // -FRAME_PERIOD_MS)
-    offset0 = int((nominal[lo] - script_start) // FRAME_PERIOD_MS - first_idx)
-    offsets, flicker = _fidget_span(PostureLabel.SIT, offset0, hi - lo, rng)
-    centers = base[None, :] + offsets
-    sx, sy, amp = BLOB_PARAMS[PostureLabel.SIT]
-    return _BlobTrack(lo, hi, centers[:, 0], centers[:, 1], amp * flicker, sx, sy)
 
 
 @dataclass
@@ -416,13 +399,11 @@ class _Patch:
     amplitude_c: float
 
 
-def _patch_schedule(resident, visitors, room_id, layout) -> list[_Patch]:
-    """Residual-heat patches left in this room by seated/lying occupancy."""
+def _patch_schedule(bodies: list[_ResolvedOccupy]) -> list[_Patch]:
+    """Residual-heat patches left by the seated or lying bodies of one room."""
     patches = []
-    for res in resident.resolved:
-        ev = res.event
-        if ev.room_id != room_id:
-            continue
+    for body in bodies:
+        ev = body.event
         if ev.posture not in (PostureLabel.SIT, PostureLabel.LIE_DOWN):
             continue
         if ev.end - ev.start < MIN_PATCH_DWELL_MS:
@@ -431,21 +412,12 @@ def _patch_schedule(resident, visitors, room_id, layout) -> list[_Patch]:
         patches.append(
             _Patch(
                 t0=ev.end,
-                center=res.positions_at(np.array([ev.end]))[0],
+                center=body.positions_at(np.array([ev.end]))[0],
                 posture=ev.posture,
                 orientation_rad=math.radians(ev.orientation_deg),
                 amplitude_c=RESIDUAL_AMPLITUDE_FRAC * amp,
             )
         )
-    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
-    if living and living[0].room_id == room_id:
-        for lo, hi, slot, base in visitors:
-            if hi - lo < MIN_PATCH_DWELL_MS:
-                continue
-            _, _, amp = BLOB_PARAMS[PostureLabel.SIT]
-            patches.append(
-                _Patch(hi, base, PostureLabel.SIT, 0.0, RESIDUAL_AMPLITUDE_FRAC * amp)
-            )
     return patches
 
 
@@ -588,7 +560,7 @@ def _build_truth(
     layout: HomeLayout,
     script: ScenarioScript,
     resident: _ResidentModel,
-    visitors,
+    visitors: list[_ResolvedOccupy],
 ) -> GroundTruthTimeline:
     start, end = script.start, script.end
     n_minutes = (end - start) // MS_PER_MINUTE
@@ -598,8 +570,6 @@ def _build_truth(
     posture_truth: dict[str, np.ndarray] = {}
     mids = start + POSTURE_INTERVAL_MS * np.arange(n_intervals, dtype=np.int64) + POSTURE_INTERVAL_MS // 2
     resident_pos = resident.positions_at(mids)
-    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
-    living_id = living[0].room_id if living else None
 
     for spec in layout.thermal_sensors():
         placement = layout.placement_of(spec.sensor_id)
@@ -620,11 +590,10 @@ def _build_truth(
             posture = PostureLabel.WALK if ev.path is not None else ev.posture
             codes[in_fov] = posture.value
 
-        if spec.room_id == living_id:
-            for lo, hi, slot, base in visitors:
-                covered = (mids >= lo) & (mids < hi)
-                only_empty = covered & (codes == PostureLabel.NOT_HERE.value)
-                codes[only_empty] = PostureLabel.SIT.value
+        for body in visitors:  # seated wherever the resident is not seen
+            if body.room_id == spec.room_id:
+                covered = (mids >= body.event.start) & (mids < body.event.end)
+                codes[covered & (codes == PostureLabel.NOT_HERE.value)] = PostureLabel.SIT.value
         posture_truth[spec.sensor_id] = codes
 
     # --- activity truth on the minute grid

@@ -205,14 +205,15 @@ def validate_scenario(script: ScenarioScript, layout: HomeLayout) -> None:
         raise ConfigError(f"scenario duration {script.duration_min} min is negative")
     room_ids = {r.room_id for r in layout.rooms}
     occupies = script.occupy_events()
+    # the layout's bounding rectangle, not the event's room: walking paths cross rooms
+    bounds = np.array([r.bounds for r in layout.rooms], dtype=np.float64).reshape(-1, 4)
+    x0, y0 = bounds[:, :2].min(axis=0, initial=np.inf)
+    x1, y1 = bounds[:, 2:].max(axis=0, initial=-np.inf)
     for e in occupies:
         if e.room_id not in room_ids:
             raise ConfigError(f"scenario references unknown room {e.room_id!r}")
         if e.end <= e.start:
             raise ConfigError(f"occupy event in {e.room_id!r} has end <= start")
-        # the layout's bounding rectangle, not the event's room: walking paths cross rooms
-        x0, y0, _, _ = np.min([r.bounds for r in layout.rooms], axis=0)
-        _, _, x1, y1 = np.max([r.bounds for r in layout.rooms], axis=0)
         for x, y in ([e.position] if e.position is not None else []) + list(e.path or ()):
             if not (x0 <= x <= x1 and y0 <= y <= y1):  # NaN fails too
                 raise ConfigError(

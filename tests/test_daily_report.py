@@ -38,10 +38,29 @@ def library_report(layout, rep) -> tuple[analytics.DailyReport, tuple[str, str, 
     return daily, texts
 
 
-def test_day_workload_window():
+@pytest.fixture(scope="module")
+def day_window():
+    """The benchmark's report of its day workload window (seed 3)."""
     inp = day.setup(3)
-    rep = day.report(inp)
-    _, texts = library_report(inp.layout, rep)
+    return inp.layout, day.report(inp)
+
+
+def test_day_workload_window(day_window):
+    layout, rep = day_window
+    _, texts = library_report(layout, rep)
+    assert texts == (rep.text, rep.json_text, rep.csv)
+
+
+def test_no_sleep_sets_no_movement_threshold(day_window, monkeypatch):
+    # the window holds no sleep, so no threshold is read and none is computed
+    layout, rep = day_window
+
+    def refuse(*args):
+        raise AssertionError("auto_theta_move ran with no sleep segment")
+
+    monkeypatch.setattr(analytics, "auto_theta_move", refuse)
+    daily, texts = library_report(layout, rep)
+    assert not daily.sleep_segments
     assert texts == (rep.text, rep.json_text, rep.csv)
 
 

@@ -7,9 +7,10 @@ in CHANGES.md which outputs moved and why.
 
 Two sets of outputs are pinned:
 
-- "portable": wire bytes, store snapshots, the truth sidecar and the
+- "portable": wire bytes, store snapshots, the truth sidecars and the
   no-model pipeline outputs.  None of them passes through a BLAS call, so
-  they are compared on every machine.
+  they are compared on every machine.  The mixed_day window's wire bytes
+  and truth are the only portable outputs with visitors in them.
 - "environment": model files and everything computed after a float32 GEMM
   (training reports, timelines and reports made with a posture model).
   Their bytes depend on the numpy build, the BLAS library, its thread
@@ -41,6 +42,7 @@ from hometwin.pipeline import StreamSource, run_pipeline
 from hometwin.posture.net import blas_threads
 from hometwin.simulate.engine import simulate
 from hometwin.simulate.scripts import outing_day
+from hometwin.simulate.truth import write_truth_sidecar
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden.json"
@@ -152,10 +154,13 @@ def criterion_10_outputs(work: Path) -> dict[str, str]:
     }
 
 
+MIXED_DAY_PORTABLE = ("mixed_day_1940_2020/packets.bin", "mixed_day_1940_2020/truth.tsv")
+
+
 def mixed_day_outputs(work: Path) -> dict[str, str]:
-    """The mixed_day 19:40-20:20 report of the benchmark's day workload,
-    with its small fixed-seed 4x4 and 32x32 models, and each model's file,
-    training report and curve."""
+    """The mixed_day 19:40-20:20 wire bytes and truth of the benchmark's day
+    workload, its report with the small fixed-seed 4x4 and 32x32 models, and
+    each model's file, training report and curve."""
     from hometwin.posture.model_io import save_model
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -172,10 +177,14 @@ def mixed_day_outputs(work: Path) -> dict[str, str]:
 
     inputs.ptrain.train = kept
     try:
-        rep = day.report(day.setup(MIXED_DAY_SEED))
+        inp = day.setup(MIXED_DAY_SEED)
+        rep = day.report(inp)
     finally:
         inputs.ptrain.train = train
+    write_truth_sidecar(inp.truth, work / "day_truth.tsv")
     out = {
+        "mixed_day_1940_2020/packets.bin": _sha(inp.data),
+        "mixed_day_1940_2020/truth.tsv": _sha((work / "day_truth.tsv").read_bytes()),
         "mixed_day_1940_2020/timeline.csv": _sha(rep.result.timeline.to_csv()),
         "mixed_day_1940_2020/report.txt": _sha(rep.text),
         "mixed_day_1940_2020/report.json": _sha(rep.json_text),
@@ -199,6 +208,7 @@ def compute() -> dict:
         day_outputs = mixed_day_outputs(work)
     env_bound = {k: v for k, v in c10.items() if k.split("/", 1)[1] in CRITERION_10_ENVIRONMENT}
     portable.update((k, v) for k, v in c10.items() if k not in env_bound)
+    portable.update((k, day_outputs.pop(k)) for k in MIXED_DAY_PORTABLE)
     env_bound.update(day_outputs)
     return {"portable": portable, "environment": env_bound}
 

@@ -10,7 +10,10 @@ The oracles below are the former render code, kept here in behaviour:
   temporaries.
 - `oracle_render_sensor` renders each hour-long chunk as one float64 stack:
   ambient, `pixels[lo:hi] += blob` per body and patch, sunlight, one noise
-  draw for the chunk, clip and quantize.
+  draw for the chunk, clip and quantize.  It draws residents and visitors
+  with a loop each, from visitors in their former tuple form
+  (`oracle_visitor_tracks`) and patches from two loops
+  (`oracle_patch_schedule`).
 - `oracle_render_window` builds the pixel grid for every window.
 
 The blocked, in-place code must give the same bytes and leave every
@@ -36,7 +39,7 @@ from hometwin.core import (
     parse_clock,
     parse_epoch,
 )
-from hometwin.layout import ModulePlacement, ModuleType, default_layout
+from hometwin.layout import ModulePlacement, ModuleType, RoomRole, default_layout, lite_layout
 from hometwin.posture.data import (
     AMPLITUDE_SCALE_RANGE,
     FRAME_PERIOD_S,
@@ -46,13 +49,16 @@ from hometwin.posture.data import (
 )
 from hometwin.simulate import OccupyRoom, ScenarioScript, SunlightPatch, VisitorEnter, VisitorLeave
 from hometwin.simulate.engine import (
+    MIN_PATCH_DWELL_MS,
     PATCH_CUTOFF_TAUS,
     RENDER_CHUNK_FRAMES,
+    VISITOR_SLOTS,
+    _build_truth,
     _event_frame_range,
     _finish_block,
-    _patch_schedule,
+    _Patch,
     _ResidentModel,
-    _visitor_tracks,
+    _room_anchor,
     simulate,
 )
 from hometwin.simulate.render import (
@@ -61,6 +67,7 @@ from hometwin.simulate.render import (
     FIDGET_PARAMS,
     FIDGET_RAMP_FRAMES,
     FLICKER_RHO,
+    RESIDUAL_AMPLITUDE_FRAC,
     RESIDUAL_TAU_MIN,
     SETTLE_FRAMES,
     SETTLE_PARAMS,
@@ -70,6 +77,7 @@ from hometwin.simulate.render import (
     fidget_offsets,
     sensor_grid,
 )
+from hometwin.simulate.truth import POSTURE_INTERVAL_MS
 
 
 def oracle_blob_images(xs, ys, cx, cy, sigma_major, sigma_minor, amplitude, orientation_rad=0.0):
@@ -133,6 +141,55 @@ def _oracle_fidget_span(posture, offset, n, rng):
     return offsets[offset:], flicker[offset:]
 
 
+def oracle_visitor_tracks(layout, script, seed):
+    """(start, end, slot index, base position) for every visitor body."""
+    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
+    if not living:
+        return []
+    anchor = _room_anchor(layout, living[0].room_id)
+    tracks = []
+    for span_idx, (lo, hi, count) in enumerate(script.visitor_intervals()):
+        for v in range(min(count, len(VISITOR_SLOTS))):
+            rng = event_rng(seed, "visitors", span_idx, 100 + v)
+            base = anchor + np.asarray(VISITOR_SLOTS[v]) + rng.uniform(-0.1, 0.1, size=2)
+            tracks.append((lo, hi, v, base))
+    return tracks
+
+
+def oracle_patch_schedule(resident, visitors, room_id, layout):
+    """Residual-heat patches: the resident's seated or lying occupancies of
+    the room, then, in the living room, every visitor."""
+    patches = []
+    for res in resident.resolved:
+        ev = res.event
+        if ev.room_id != room_id:
+            continue
+        if ev.posture not in (PostureLabel.SIT, PostureLabel.LIE_DOWN):
+            continue
+        if ev.end - ev.start < MIN_PATCH_DWELL_MS:
+            continue
+        _, _, amp = BLOB_PARAMS[ev.posture]
+        patches.append(
+            _Patch(
+                t0=ev.end,
+                center=res.positions_at(np.array([ev.end]))[0],
+                posture=ev.posture,
+                orientation_rad=math.radians(ev.orientation_deg),
+                amplitude_c=RESIDUAL_AMPLITUDE_FRAC * amp,
+            )
+        )
+    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
+    if living and living[0].room_id == room_id:
+        for lo, hi, slot, base in visitors:
+            if hi - lo < MIN_PATCH_DWELL_MS:
+                continue
+            _, _, amp = BLOB_PARAMS[PostureLabel.SIT]
+            patches.append(
+                _Patch(hi, base, PostureLabel.SIT, 0.0, RESIDUAL_AMPLITUDE_FRAC * amp)
+            )
+    return patches
+
+
 def oracle_render_sensor(layout, script, spec, resident, visitors, seed, noise_sigma):
     placement = layout.placement_of(spec.sensor_id)
     resolution = spec.kind.resolution
@@ -149,9 +206,9 @@ def oracle_render_sensor(layout, script, spec, resident, visitors, seed, noise_s
     timestamps = nominal + jitter
     if len(timestamps):
         timestamps[0] = max(timestamps[0], script.start)
-    living = layout.rooms_with_role(engine.RoomRole.LIVING_ROOM)
+    living = layout.rooms_with_role(RoomRole.LIVING_ROOM)
     in_living = bool(living) and living[0].room_id == spec.room_id
-    patches = _patch_schedule(resident, visitors, spec.room_id, layout)
+    patches = oracle_patch_schedule(resident, visitors, spec.room_id, layout)
     noise_rng = event_rng(seed, spec.sensor_id, 0, 2)
     tau_ms = RESIDUAL_TAU_MIN * MS_PER_MINUTE
 
@@ -396,16 +453,17 @@ def test_finish_block_matches_one_noise_draw_per_chunk(sigma, n, step):
 # -- whole sensors ----------------------------------------------------------------
 
 
+def _minutes(epoch):
+    return lambda minutes: epoch + int(minutes * MS_PER_MINUTE)
+
+
 def _lie_down_across_the_hour():
     """A 75-minute bedroom night whose lie-down spans the first render chunk's
     end, with visitors in the 32x32 living room and sunlight on the bedroom
     for its last 15 minutes."""
     layout = default_layout()
     epoch = parse_epoch("2024-03-04T22:30:00")
-
-    def m(minutes):
-        return epoch + int(minutes * MS_PER_MINUTE)
-
+    m = _minutes(epoch)
     events = [
         OccupyRoom(start=m(1), end=m(9), room_id="living", posture=PostureLabel.SIT),
         VisitorEnter(at=m(2), count=2),
@@ -422,17 +480,44 @@ def _lie_down_across_the_hour():
     return layout, ScenarioScript(epoch=epoch, duration_min=75, events=events, sunlight=sun)
 
 
-@pytest.mark.parametrize("noise_sigma", [0.0, PipelineConfig.pixel_noise_sigma])
-def test_render_sensor_matches_whole_chunk_oracle(noise_sigma):
-    layout, script = _lie_down_across_the_hour()
-    seed = 41
-    bed = script.events[-1]
-    chunk_end = script.start + RENDER_CHUNK_FRAMES * FRAME_PERIOD_MS
-    assert bed.start < chunk_end < bed.end
-    config = PipelineConfig(pixel_noise_sigma=noise_sigma)
-    bundle = simulate(layout, script, seed, config)
+def _visitors_across_the_hour():
+    """A 70-minute evening: five visitors (four seats) in the 32x32 living
+    room from minute 50 to 66, across the first render chunk's end, and the
+    resident standing among them for part of the stay."""
+    epoch = parse_epoch("2024-03-05T19:00:00")
+    m = _minutes(epoch)
+    events = [
+        OccupyRoom(start=m(1), end=m(20), room_id="kitchen", posture=PostureLabel.STAND),
+        VisitorEnter(at=m(50), count=5),
+        OccupyRoom(start=m(52), end=m(58), room_id="living", posture=PostureLabel.STAND),
+        OccupyRoom(start=m(58), end=m(69), room_id="dining", posture=PostureLabel.SIT),
+        VisitorLeave(at=m(66)),
+    ]
+    return default_layout(), ScenarioScript(epoch=epoch, duration_min=70, events=events)
+
+
+def _two_visits_in_the_lite_home():
+    """Two visits to the lite home's 4x4 living room: one visitor stays just
+    under the residual-heat dwell, then three stay just over it, while the
+    resident stands among them."""
+    epoch = parse_epoch("2024-03-06T15:00:00")
+    m = _minutes(epoch)
+    events = [
+        VisitorEnter(at=m(1), count=1),
+        VisitorLeave(at=m(1) + MIN_PATCH_DWELL_MS - 1),
+        OccupyRoom(start=m(2), end=m(9), room_id="living", posture=PostureLabel.STAND),
+        VisitorEnter(at=m(6), count=3),
+        VisitorLeave(at=m(6) + MIN_PATCH_DWELL_MS + 1),
+        OccupyRoom(start=m(10), end=m(18), room_id="bedroom", posture=PostureLabel.LIE_DOWN),
+    ]
+    return lite_layout(), ScenarioScript(epoch=epoch, duration_min=25, events=events)
+
+
+def _compare_with_oracle(layout, script, seed, noise_sigma):
+    """Assert every rendered block equals the oracle's; returns the count."""
+    bundle = simulate(layout, script, seed, PipelineConfig(pixel_noise_sigma=noise_sigma))
     resident = _ResidentModel(layout, script, seed)
-    visitors = _visitor_tracks(layout, script, seed)
+    visitors = oracle_visitor_tracks(layout, script, seed)
     got = {(b.sensor_id, int(b.timestamps[0])): b for b in bundle.frames}
     compared = 0
     for spec in layout.thermal_sensors():
@@ -443,7 +528,78 @@ def test_render_sensor_matches_whole_chunk_oracle(noise_sigma):
             assert same_bytes(block.timestamps, want.timestamps)
             assert same_bytes(block.pixels_centi, want.pixels_centi)
             compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, PipelineConfig.pixel_noise_sigma])
+def test_render_sensor_matches_whole_chunk_oracle(noise_sigma):
+    layout, script = _lie_down_across_the_hour()
+    bed = script.events[-1]
+    chunk_end = script.start + RENDER_CHUNK_FRAMES * FRAME_PERIOD_MS
+    assert bed.start < chunk_end < bed.end
+    compared = _compare_with_oracle(layout, script, 41, noise_sigma)
     assert compared == 2 * len(layout.thermal_sensors())
+
+
+VISIT_SCRIPTS = {
+    "across_the_hour": _visitors_across_the_hour,
+    "two_visits_lite": _two_visits_in_the_lite_home,
+}
+
+
+def test_visit_scripts_cover_the_edges():
+    layout, script = _visitors_across_the_hour()
+    (lo, hi, count), = script.visitor_intervals()
+    chunk_end = script.start + RENDER_CHUNK_FRAMES * FRAME_PERIOD_MS
+    assert lo < chunk_end < hi
+    assert count > len(VISITOR_SLOTS) == len(oracle_visitor_tracks(layout, script, 3))
+
+    layout, script = _two_visits_in_the_lite_home()
+    (living,) = [s for s in layout.thermal_sensors() if s.room_id == "living"]
+    assert living.kind.resolution == 4
+    under, over = script.visitor_intervals()
+    assert under[1] - under[0] < MIN_PATCH_DWELL_MS < over[1] - over[0]
+    resident = _ResidentModel(layout, script, 3)
+    visitors = oracle_visitor_tracks(layout, script, 3)
+    # only the three visitors over the dwell leave heat
+    assert len(oracle_patch_schedule(resident, visitors, "living", layout)) == 3
+
+
+@pytest.mark.parametrize("noise_sigma", [0.0, PipelineConfig.pixel_noise_sigma])
+@pytest.mark.parametrize("scenario", sorted(VISIT_SCRIPTS))
+def test_visitors_render_like_the_whole_chunk_oracle(scenario, noise_sigma):
+    layout, script = VISIT_SCRIPTS[scenario]()
+    n_chunks = -(-script.duration_min * MS_PER_MINUTE // (RENDER_CHUNK_FRAMES * FRAME_PERIOD_MS))
+    compared = _compare_with_oracle(layout, script, 17, noise_sigma)
+    assert compared == n_chunks * len(layout.thermal_sensors())
+
+
+@pytest.mark.parametrize(
+    "scenario", ["lie_down_across_the_hour", *sorted(VISIT_SCRIPTS)]
+)
+def test_visitors_sit_only_where_the_resident_is_not_seen(scenario):
+    layout, script = {"lie_down_across_the_hour": _lie_down_across_the_hour,
+                      **VISIT_SCRIPTS}[scenario]()
+    seed = 5
+    truth = simulate(layout, script, seed).truth
+    resident = _ResidentModel(layout, script, seed)
+    alone = _build_truth(layout, script, resident, []).posture_truth
+    n = (script.end - script.start) // POSTURE_INTERVAL_MS
+    mids = script.start + POSTURE_INTERVAL_MS * np.arange(n) + POSTURE_INTERVAL_MS // 2
+    visited = np.zeros(len(mids), dtype=bool)
+    for lo, hi, count in script.visitor_intervals():
+        visited |= (count > 0) & (mids >= lo) & (mids < hi)
+    not_here = PostureLabel.NOT_HERE.value
+    for spec in layout.thermal_sensors():
+        want = alone[spec.sensor_id].copy()
+        if spec.room_id == "living":
+            # every script has the resident seen among the visitors for a while:
+            # seated in the first, standing in the others
+            assert (visited & (want != not_here)).any()
+            seated = visited & (want == not_here)
+            assert seated.any() or scenario == "lie_down_across_the_hour"
+            want[seated] = PostureLabel.SIT.value
+        assert same_bytes(truth.posture_truth[spec.sensor_id], want)
 
 
 # -- training windows ---------------------------------------------------------------

@@ -384,3 +384,39 @@ def test_reads_of_a_short_history_rarely_regrow(monkeypatch):
             if seq == 4:  # the first fold reserves exactly what it holds
                 assert len(store._frames["bed/C0/thermal"].ts) == 1200
     assert len(grown) <= 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3e7])
+def test_save_refuses_readings_past_int32_centi_units(tmp_path, bad):
+    # the same values the wire refuses; they used to load back as -21474836.48
+    store = RecordStore()
+    store.append(minute_packet(0))
+    path = tmp_path / "store.bin"
+    store.save(path)
+    before = path.read_bytes()
+    values = np.full(5, 21.5)
+    values[3] = bad
+    temperature = ReadingSeries(
+        "bed/C0/temperature", SensorKind.TEMP_HUMIDITY, 60_000 + 1000 * np.arange(5), values
+    )
+    store.append(HubPacket("hub0", 1, 60_000, 120_000, [temperature], []))
+    with pytest.raises(ValueError, match="bed/C0/temperature"):
+        store.save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["store.bin"]
+
+
+def test_a_series_with_no_rows_saves_as_it_loaded(tmp_path):
+    # appends keep no empty series, but a snapshot can hold one
+    import hometwin.ingestion.store as store_module
+    from hometwin.ingestion.wire import _GROUP_META, _str_bytes
+
+    body = store_module._U32.pack(0)  # no hubs
+    body += store_module._U32.pack(1) + _str_bytes("a/A0/light")
+    body += _GROUP_META.pack(store_module._KINDS.index(SensorKind.LIGHT), 0)
+    body += store_module._U32.pack(0)  # no frame series
+    blob = bytearray(store_module._MAGIC + bytes([store_module._VERSION]) + bytes(4) + body)
+    store = _load_resealed(tmp_path, blob)
+    assert len(store.query_readings("a/A0/light", 0, 10**6)) == 0
+    store.save(tmp_path / "again.bin")
+    assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "edited.bin").read_bytes()
