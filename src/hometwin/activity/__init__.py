@@ -1,15 +1,15 @@
-"""Priority-rule activity recognition over one-minute evidence windows."""
+"""Priority-rule activity recognition over the columns of the minute evidence."""
 
-from .evidence import MinuteEvidence, RoomEvidence
-from .rules import ActivityTimeline, TimelineEntry, classify_minute, detect_not_at_home
-from .evaluate import evaluate_timeline
+from .evidence import MinuteEvidence
+from .rules import ActivityTimeline, TimelineEntry, classify_timeline, detect_not_at_home
+from .evaluate import evaluate_timeline, posture_hits
 
 __all__ = [
     "ActivityTimeline",
     "MinuteEvidence",
-    "RoomEvidence",
     "TimelineEntry",
-    "classify_minute",
+    "classify_timeline",
     "detect_not_at_home",
     "evaluate_timeline",
+    "posture_hits",
 ]

@@ -1,4 +1,5 @@
-"""Minute-level accuracy and confusion against the oracle timeline."""
+"""Minute-level accuracy and confusion against the oracle timeline, and
+posture hits per sensor against the oracle posture grid."""
 
 from __future__ import annotations
 
@@ -58,3 +59,20 @@ def evaluate_timeline(
             hits += 1
     n = truth.n_minutes
     return TimelineEvaluation(hits / n if n else 0.0, confusion, n)
+
+
+def posture_hits(tracks: dict, truth: GroundTruthTimeline) -> dict[str, tuple[int, int]]:
+    """(hits, graded) per sensor of the pipeline's `SensorTrack`s: the 5 s
+    windows that land on the truth's posture grid are graded, and a hit is a
+    posture equal to the grid's code.  A sensor with no posture truth is left
+    out."""
+    out = {}
+    for sensor_id, track in tracks.items():
+        codes = truth.posture_truth.get(sensor_id)
+        if codes is None:
+            continue
+        index = track.interval_index
+        graded = (index >= 0) & (index < len(codes))
+        hits = int((track.posture[graded] == codes[index[graded]]).sum())
+        out[sensor_id] = (hits, int(graded.sum()))
+    return out

@@ -1,5 +1,5 @@
 """The deterministic rule cascade that names one activity per minute, plus the
-post-hoc not-at-home pass.
+post-hoc not-at-home pass, both over the columns of the minute evidence.
 
 Cascade order:
 
@@ -15,6 +15,9 @@ Cascade order:
    was Sleeping.
 5. Otherwise the previous label carries forward once, then Unknown.
 
+Rules 1-3 read one minute each and run as masks over every minute at once;
+rules 4 and 5 read the previous minute's label and run in one loop.
+
 Not-at-home is decided retrospectively: a silent stretch bracketed by doorway
 trigger clusters with no interior activity becomes NotAtHome.
 """
@@ -22,6 +25,8 @@ trigger clusters with no interior activity becomes NotAtHome.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..config import PipelineConfig
 from ..core import MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
@@ -35,6 +40,9 @@ _ROLE_ORDER = [
     RoomRole.DINING_ROOM,
     RoomRole.LIVING_ROOM,
 ]
+_COLUMNS = [list(RoomRole).index(role) for role in _ROLE_ORDER]  # their evidence columns
+_BEDROOM = _ROLE_ORDER.index(RoomRole.BEDROOM)  # position in _ROLE_ORDER
+_LIVING = list(RoomRole).index(RoomRole.LIVING_ROOM)  # evidence column
 
 _ROLE_ACTIVITY = {
     RoomRole.BEDROOM: ActivityLabel.SLEEPING,
@@ -63,7 +71,7 @@ class TimelineEntry:
 class ActivityTimeline:
     start: int
     entries: list[TimelineEntry]
-    evidence: list[MinuteEvidence]
+    evidence: MinuteEvidence
     away_intervals: list[tuple[int, int]] = field(default_factory=list)
 
     def labels(self) -> list[int]:
@@ -77,118 +85,80 @@ class ActivityTimeline:
         return "\n".join(rows) + "\n"
 
 
-def classify_minute(
-    ev: MinuteEvidence, config: PipelineConfig, previous: int | None = None
-) -> TimelineEntry:
-    """Pure rule cascade; every carried/unknown decision is recorded.
+def classify_timeline(evidence: MinuteEvidence, config: PipelineConfig) -> ActivityTimeline:
+    """The cascade over every minute; every carried/unknown decision is
+    recorded.  Reads k_rest, s_vis, w_night and carry_forward_max from the
+    config; each role's activity gate is its `theta_active`."""
+    n = len(evidence)
+    seen = evidence.seen[:, _COLUMNS]
+    posture = evidence.majority_posture[:, _COLUMNS]
+    motion = evidence.mean_motion_index[:, _COLUMNS]
+    theta = evidence.theta_active[_COLUMNS]
+    living_blobs = evidence.multi_blob_windows[:, _LIVING]
+    lie_down = posture[:, _BEDROOM] == PostureLabel.LIE_DOWN.value
 
-    `previous` is the label of the minute before (rule 4), None for the
-    first minute.  Reads k_rest, s_vis and w_night from the config; each
-    room's activity gate is its own `theta_active`."""
-    entry = TimelineEntry(ev.minute_start, UNKNOWN_ACTIVITY)
+    restroom = evidence.restroom_triggers >= config.k_rest  # rule 1
+    visitors = evidence.seen[:, _LIVING] & (living_blobs >= config.s_vis)  # rule 2
+    # rule 3; a bedroom without a lie-down majority yields to the next room,
+    # having no activity class besides sleeping
+    eligible = seen & (posture != PostureLabel.NOT_HERE.value) & (motion >= theta)
+    eligible[:, _BEDROOM] &= lie_down
+    score = motion.copy()
+    score[:, _BEDROOM] *= np.where(evidence.is_night, config.w_night, 1.0)
+    best = np.where(eligible, score, -np.inf).max(axis=1, initial=-np.inf)
+    # the first top score in _ROLE_ORDER breaks exact ties
+    winner = np.argmax(eligible & (score == best[:, None]), axis=1)
+    # each minute's winner under rules 1-3, an index into `rooms` (-1: none)
+    rules = [restroom, visitors, eligible.any(axis=1)]
+    room = np.select(rules, [0, 1, 2 + winner], -1)
+    scores = np.select(
+        rules, [evidence.restroom_triggers, living_blobs, score[np.arange(n), winner]], 0.0
+    )
+    rooms = [RoomRole.RESTROOM, RoomRole.LIVING_ROOM, *_ROLE_ORDER, None]
+    labels = [ActivityLabel.RESTROOM.value, ActivityLabel.VISITORS.value]
+    labels += [_ROLE_ACTIVITY[role].value for role in _ROLE_ORDER] + [UNKNOWN_ACTIVITY]
+    # rule 4's stillness, which continues a previous Sleeping
+    still = seen[:, _BEDROOM] & lie_down & (motion[:, _BEDROOM] < theta[_BEDROOM])
 
-    # rule 1: restroom dominance
-    if ev.restroom_triggers >= config.k_rest:
-        entry.label = ActivityLabel.RESTROOM.value
-        entry.winning_room = RoomRole.RESTROOM
-        entry.score = float(ev.restroom_triggers)
-        return entry
-
-    # rule 2: sustained multi-blob living room => visitors
-    living = ev.rooms.get(RoomRole.LIVING_ROOM)
-    if living is not None and living.multi_blob_windows >= config.s_vis:
-        entry.label = ActivityLabel.VISITORS.value
-        entry.winning_room = RoomRole.LIVING_ROOM
-        entry.score = float(living.multi_blob_windows)
-        return entry
-
-    # rule 3: best active thermal room by motion-index score
-    candidates = []
-    for role in _ROLE_ORDER:
-        room = ev.rooms.get(role)
-        if room is None:
-            continue
-        if room.majority_posture is PostureLabel.NOT_HERE:
-            continue
-        if room.mean_motion_index < room.theta_active:
-            continue
-        score = room.mean_motion_index
-        if role is RoomRole.BEDROOM and ev.is_night:
-            score *= config.w_night
-        candidates.append((score, role, room))
-    # descending score; _ROLE_ORDER position breaks exact ties deterministically
-    candidates.sort(key=lambda c: (-c[0], _ROLE_ORDER.index(c[1])))
-    for score, role, room in candidates:
-        if role is RoomRole.BEDROOM and room.majority_posture is not PostureLabel.LIE_DOWN:
-            continue  # no bedroom activity class besides sleeping: yield to next room
-        entry.label = _ROLE_ACTIVITY[role].value
-        entry.winning_room = role
-        entry.score = score
-        return entry
-
-    # rule 4: stillness continues sleep
-    bedroom = ev.rooms.get(RoomRole.BEDROOM)
-    if (
-        bedroom is not None
-        and bedroom.majority_posture is PostureLabel.LIE_DOWN
-        and bedroom.mean_motion_index < bedroom.theta_active
-        and previous == ActivityLabel.SLEEPING.value
-    ):
-        entry.label = ActivityLabel.SLEEPING.value
-        entry.winning_room = RoomRole.BEDROOM
-        entry.score = bedroom.mean_motion_index
-        return entry
-
-    # rule 5: carry the previous label once, then Unknown
-    entry.label = UNKNOWN_ACTIVITY
-    return entry
-
-
-def classify_timeline(
-    evidence: list[MinuteEvidence], config: PipelineConfig
-) -> ActivityTimeline:
-    """Sequential classification with single-minute carry-forward."""
     entries: list[TimelineEntry] = []
     previous: int | None = None
     carried_run = 0
-    for ev in evidence:
-        entry = classify_minute(ev, config, previous)
-        if entry.label == UNKNOWN_ACTIVITY:
-            if (
-                previous is not None
-                and previous != UNKNOWN_ACTIVITY
-                and carried_run < config.carry_forward_max
-            ):
-                entry.label = previous
-                entry.carried = True
-                carried_run += 1
-            else:
-                carried_run = 0
+    for minute_start, r, sc, is_still, bed_motion in zip(
+        evidence.minute_start.tolist(), room.tolist(), scores.tolist(), still.tolist(),
+        motion[:, _BEDROOM].tolist(),
+    ):
+        if r < 0 and is_still and previous == ActivityLabel.SLEEPING.value:
+            r, sc = 2 + _BEDROOM, bed_motion  # rule 4
+        lab = labels[r]
+        carried = False
+        if lab != UNKNOWN_ACTIVITY:
+            carried_run = 0
+        elif previous not in (None, UNKNOWN_ACTIVITY) and carried_run < config.carry_forward_max:
+            lab, carried = previous, True  # rule 5: carry the previous label, then Unknown
+            carried_run += 1
         else:
             carried_run = 0
-        entries.append(entry)
-        previous = entry.label
-    start = evidence[0].minute_start if evidence else 0
-    return ActivityTimeline(start, entries, list(evidence))
+        entries.append(TimelineEntry(minute_start, lab, carried, rooms[r], sc))
+        previous = lab
+    start = int(evidence.minute_start[0]) if n else 0
+    return ActivityTimeline(start, entries, evidence)
 
 
 CLUSTER_GAP_MS = 10_000  # doorway triggers closer than this form one passage
 
 
-def _trigger_clusters(trigger_ts) -> list[tuple[int, int]]:
+def _trigger_clusters(trigger_ts: np.ndarray) -> list[tuple[int, int]]:
     """(first, last) timestamp of each doorway trigger cluster."""
-    clusters: list[tuple[int, int]] = []
-    for t in sorted(int(v) for v in trigger_ts):
-        if clusters and t - clusters[-1][1] <= CLUSTER_GAP_MS:
-            clusters[-1] = (clusters[-1][0], t)
-        else:
-            clusters.append((t, t))
-    return clusters
+    ts = np.sort(np.asarray(trigger_ts, dtype=np.int64))
+    if not len(ts):
+        return []
+    cut = np.flatnonzero(np.diff(ts) > CLUSTER_GAP_MS) + 1
+    return list(zip(ts[np.r_[0, cut]].tolist(), ts[np.r_[cut - 1, len(ts) - 1]].tolist()))
 
 
 def detect_not_at_home(
     timeline: ActivityTimeline,
-    doorway_trigger_ts,
+    doorway_trigger_ts: np.ndarray,
     config: PipelineConfig,
 ) -> ActivityTimeline:
     """Post-hoc relabeling of silent doorway-bracketed stretches.
@@ -201,28 +171,27 @@ def detect_not_at_home(
     bracketing cluster times, so they track the real exit/entry to seconds.
     """
     entries = timeline.entries
-    evidence = timeline.evidence
+    ev = timeline.evidence
     n = len(entries)
     start = timeline.start
 
-    def quiet(i: int) -> bool:
-        ev = evidence[i]
-        if ev.doorway_triggers or ev.restroom_triggers or ev.other_motion_triggers:
-            return False
-        for room in ev.rooms.values():
-            if room.mean_motion_index >= room.theta_active:
-                return False
-        return entries[i].label == UNKNOWN_ACTIVITY or entries[i].carried
+    active = (ev.seen & (ev.mean_motion_index >= ev.theta_active)).any(axis=1)
+    quiet = (
+        (ev.doorway_triggers == 0)
+        & (ev.restroom_triggers == 0)
+        & (ev.other_motion_triggers == 0)
+        & ~active
+        & np.array([e.label == UNKNOWN_ACTIVITY or e.carried for e in entries], dtype=bool)
+    )
 
     clusters = _trigger_clusters(doorway_trigger_ts)
     intervals: list[tuple[int, int]] = []
     for (_, leave_last), (return_first, _) in zip(clusters, clusters[1:]):
         if return_first - leave_last < config.min_away_min * MS_PER_MINUTE:
             continue
-        first_interior = (leave_last - start) // MS_PER_MINUTE + 1
-        last_interior = (return_first - start) // MS_PER_MINUTE - 1
-        interior = range(max(first_interior, 0), min(last_interior, n - 1) + 1)
-        if all(quiet(i) for i in interior):
+        first_interior = max((leave_last - start) // MS_PER_MINUTE + 1, 0)
+        stop = max(min((return_first - start) // MS_PER_MINUTE, n), 0)
+        if quiet[first_interior:stop].all():
             intervals.append((leave_last, return_first))
 
     new_entries = [
@@ -237,9 +206,8 @@ def detect_not_at_home(
                 break
             overlap = min(hi, minute_lo + MS_PER_MINUTE) - max(lo, minute_lo)
             if overlap >= 30_000:
-                new_entries[i].label = ActivityLabel.NOT_AT_HOME.value
-                new_entries[i].carried = False
-                new_entries[i].winning_room = None
-                new_entries[i].score = 0.0
+                new_entries[i] = TimelineEntry(
+                    new_entries[i].minute_start, ActivityLabel.NOT_AT_HOME.value
+                )
 
-    return ActivityTimeline(timeline.start, new_entries, evidence, intervals)
+    return ActivityTimeline(timeline.start, new_entries, ev, intervals)

@@ -95,26 +95,16 @@ def extract_sleep(
             f"timeline [{t0}, {t1}) does not cover day window [{day_start}, {day_end})"
         )
 
-    segments: list[SleepSegment] = []
-    current: SleepSegment | None = None
-    for entry, ev in zip(timeline.entries, timeline.evidence):
-        inside = day_start <= entry.minute_start < day_end
-        sleeping = inside and entry.label == ActivityLabel.SLEEPING.value
-        if sleeping:
-            if ev.restroom_triggers >= k_rest:
-                raise AssertionError(
-                    "sleep minute overlaps restroom triggers: upstream mitigation failed"
-                )
-            if current is None:
-                current = SleepSegment(entry.minute_start, entry.minute_start + MS_PER_MINUTE)
-            else:
-                current.end = entry.minute_start + MS_PER_MINUTE
-        elif current is not None:
-            segments.append(current)
-            current = None
-    if current is not None:
-        segments.append(current)
-
+    minute = timeline.evidence.minute_start
+    labels = np.array(timeline.labels())
+    sleeping = (labels == ActivityLabel.SLEEPING.value) & (day_start <= minute) & (minute < day_end)
+    if (sleeping & (timeline.evidence.restroom_triggers >= k_rest)).any():
+        raise AssertionError("sleep minute overlaps restroom triggers: upstream mitigation failed")
+    edges = np.diff(np.r_[False, sleeping, False].astype(np.int8))
+    segments = [
+        SleepSegment(lo, hi + MS_PER_MINUTE)
+        for lo, hi in zip(minute[edges[:-1] == 1].tolist(), minute[edges[1:] == -1].tolist())
+    ]
     total = sum(s.minutes for s in segments)
     return segments, total
 
@@ -198,23 +188,17 @@ def night_toileting(
     Each transition needs confirmation: a light step at lamp scale within one
     minute, or restroom motion triggers in the restroom minute itself.
     """
-    count = 0
-    entries = timeline.entries
-    evidence = timeline.evidence
-    for i in range(1, len(entries)):
-        if entries[i].label != ActivityLabel.RESTROOM.value:
-            continue
-        if entries[i - 1].label != ActivityLabel.SLEEPING.value:
-            continue
-        if not in_clock_window(entries[i].minute_start, *night_window, tz_offset_min):
-            continue
-        confirmed = evidence[i].restroom_triggers > 0
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(evidence) and evidence[j].light_step_max >= lamp_delta:
-                confirmed = True
-        if confirmed:
-            count += 1
-    return count
+    ev = timeline.evidence
+    labels = np.array(timeline.labels())
+    lamp = ev.light_step_max >= lamp_delta
+    confirmed = (ev.restroom_triggers > 0) | lamp | np.r_[lamp[1:], False] | np.r_[False, lamp[:-1]]
+    wakes = (
+        (labels[1:] == ActivityLabel.RESTROOM.value)
+        & (labels[:-1] == ActivityLabel.SLEEPING.value)
+        & in_clock_window(ev.minute_start[1:], *night_window, tz_offset_min)
+        & confirmed[1:]
+    )
+    return int(np.count_nonzero(wakes))
 
 
 # ---------------------------------------------------------------------------
@@ -270,25 +254,21 @@ def environment_summary(
             )
             if series is None:
                 continue
+            hour_start = day_start + MS_PER_HOUR * np.arange(n_hours + 1, dtype=np.int64)
+            bounds = np.searchsorted(series.timestamps, hour_start, side="left").tolist()
             aggregates = []
-            for h in range(n_hours):
-                lo = day_start + h * MS_PER_HOUR
-                sub = series.slice(lo, lo + MS_PER_HOUR)
-                if len(sub):
-                    total = 0.0
-                    for v in sub.values:  # fixed accumulation order
-                        total += float(v)
-                    aggregates.append(
-                        HourlyAggregate(
-                            lo,
-                            float(sub.values.min()),
-                            total / len(sub),
-                            float(sub.values.max()),
-                            len(sub),
-                        )
-                    )
-                else:
+            for lo, i, j in zip(hour_start.tolist(), bounds, bounds[1:]):
+                values = series.values[i:j]
+                if not len(values):
                     aggregates.append(HourlyAggregate(lo, np.nan, np.nan, np.nan, 0))
+                    continue
+                # accumulated one reading at a time, in timestamp order
+                total = float(np.add.accumulate(np.r_[0.0, values], dtype=np.float64)[-1])
+                aggregates.append(
+                    HourlyAggregate(
+                        lo, float(values.min()), total / len(values), float(values.max()), len(values)
+                    )
+                )
             channels[channel] = aggregates
             alerts.extend(
                 _dwell_alerts(room.room_id, channel, series, day_start, day_end, config)
@@ -317,23 +297,15 @@ def _dwell_alerts(
     config: PipelineConfig,
 ) -> list[Alert]:
     sub = series.slice(day_start, day_end)
-    if not len(sub):
-        return []
     bad = _out_of_band(channel, sub.values, config)
-    alerts = []
-    run_start: int | None = None
-    last_ts = None
-    for ts, flag in zip(sub.timestamps, bad):
-        if flag and run_start is None:
-            run_start = int(ts)
-        elif not flag and run_start is not None:
-            if last_ts - run_start >= config.dwell_min * MS_PER_MINUTE:
-                alerts.append(Alert(channel, room_id, run_start, int(last_ts)))
-            run_start = None
-        last_ts = int(ts)
-    if run_start is not None and last_ts - run_start >= config.dwell_min * MS_PER_MINUTE:
-        alerts.append(Alert(channel, room_id, run_start, last_ts))
-    return alerts
+    edges = np.diff(np.r_[False, bad, False].astype(np.int8))
+    # each run of out-of-band readings, from its first reading to its last
+    first = sub.timestamps[edges[:-1] == 1]
+    last = sub.timestamps[edges[1:] == -1]
+    long = last - first >= config.dwell_min * MS_PER_MINUTE
+    return [
+        Alert(channel, room_id, lo, hi) for lo, hi in zip(first[long].tolist(), last[long].tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analytics
-from .activity.evaluate import evaluate_timeline
+from .activity.evaluate import evaluate_timeline, posture_hits
 from .config import PipelineConfig, dump_config, load_config
 from .errors import (
     ConfigError,
@@ -228,19 +228,12 @@ def cmd_evaluate(args) -> int:
     print(evaluation.to_text())
 
     # posture accuracy per resolution against the sidecar grid
+    graded = posture_hits(result.tracks, truth)
     for resolution in sorted({t.resolution for t in result.tracks.values()}):
-        hits = 0
-        total = 0
-        for track in result.tracks.values():
-            if track.resolution != resolution:
-                continue
-            truth_codes = truth.posture_truth.get(track.sensor_id)
-            if truth_codes is None:
-                continue
-            index = track.interval_index
-            graded = (index >= 0) & (index < len(truth_codes))
-            hits += int((track.posture[graded] == truth_codes[index[graded]]).sum())
-            total += int(graded.sum())
+        counts = [
+            graded[sid] for sid, t in result.tracks.items() if t.resolution == resolution and sid in graded
+        ]
+        hits, total = sum(h for h, _ in counts), sum(n for _, n in counts)
         if total:
             print(f"posture accuracy {resolution}x{resolution}: {hits / total:.4f} over {total} windows")
 

@@ -11,7 +11,10 @@ tiles them into 20-frame windows and drops the off-cadence ones,
 gather when some were dropped), and batched kernels compute the motion
 indices, the blob counts of the 32x32 window means and the postures
 (256-window inference batches).  A `SensorTrack` keeps one array per
-column, and the per-minute room evidence is folded from those arrays.
+column.  The minute evidence is one frame of columns (`MinuteEvidence`):
+the tracks' windows are scattered into its [n_minutes, 6] room columns,
+the motion triggers and light steps are counted into its per-minute
+columns, and the rule cascade and the not-at-home pass read the frame.
 
 Inference uses a second core when BLAS runs one thread and more than one
 core is usable (`OPENBLAS_NUM_THREADS=1 hometwin run ...`): each batch's
@@ -41,7 +44,7 @@ from .ingestion.store import RecordStore
 from .layout import HomeLayout, RoomRole
 from .posture.net import PostureNet
 from .posture.windows import build_windows, stack_windows
-from .activity.evidence import MinuteEvidence, RoomEvidence
+from .activity.evidence import MinuteEvidence
 from .activity.rules import ActivityTimeline, classify_timeline, detect_not_at_home
 from .thermal import BaselineTracker, count_blobs, motion_index
 
@@ -230,59 +233,59 @@ def _room_evidence(
     gates: dict[str, float],
     start: int,
     n_minutes: int,
-) -> list[dict[RoomRole, RoomEvidence]]:
-    """Per minute, the evidence of each thermal room role, folded from the
-    track columns, with each role's activity gate from `gates` (by sensor).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The room columns of the minute evidence, folded from the track
+    columns: `seen`, `majority_posture`, `mean_motion_index` and
+    `multi_blob_windows` per (minute, role), `[n_minutes, 6]` in `RoomRole`
+    order, and each role's activity gate `[6]`, the gate in `gates` of the
+    role's last sensor by sensor id.
 
-    A (minute, role) group keeps the windows in track order (by sensor id),
-    then in time order, and its roles are keyed in the order the tracks
-    first reach them that minute.  The mean motion index is `np.mean` over
-    each group in that order, so it matches a per-window fold bit for bit;
-    a tie for the majority posture goes to the lowest label.
+    A (minute, role) group keeps its windows in track order (by sensor id),
+    then in time order.  Its mean motion index is `np.mean` over the group
+    in that order, so it matches a per-window fold bit for bit; a tie for
+    the majority posture goes to the lowest label.
     """
-    rooms: list[dict[RoomRole, RoomEvidence]] = [{} for _ in range(n_minutes)]
+    roles = list(RoomRole)
+    shape = (n_minutes, len(roles))
+    seen = np.zeros(shape, dtype=bool)
+    majority = np.full(shape, PostureLabel.NOT_HERE.value, dtype=np.int64)
+    mean = np.zeros(shape)
+    multi_blob = np.zeros(shape, dtype=np.int64)
+    theta = np.zeros(len(roles))
+    for sensor_id, track in tracks.items():
+        theta[roles.index(track.room_role)] = gates[sensor_id]
     ordered = list(tracks.values())
+    rooms = seen, majority, mean, multi_blob, theta
     if not ordered:
         return rooms
-    roles = list(RoomRole)
-    theta_of_role = {track.room_role: gates[sid] for sid, track in tracks.items()}
 
-    # one key per window, minute * len(roles) + role; the stable sort keeps
-    # track order, then time order, inside each (minute, role) group
+    # one key per window, its flat (minute, role) cell; the stable sort keeps
+    # track order, then time order, inside each cell
     sizes = [len(t.start) for t in ordered]
     minute = np.concatenate([(t.start - start) // MS_PER_MINUTE for t in ordered])
     key = minute * len(roles) + np.repeat([roles.index(t.room_role) for t in ordered], sizes)
-    inside = np.flatnonzero((key >= 0) & (key < n_minutes * len(roles)))
+    inside = np.flatnonzero((key >= 0) & (key < seen.size))
     pick = inside[np.argsort(key[inside], kind="stable")]
     if not len(pick):
         return rooms
     key = key[pick]
-    track_of = np.repeat(np.arange(len(ordered)), sizes)[pick]
     motion = np.concatenate([t.motion_index for t in ordered])[pick]
     blobs = np.concatenate([t.blob_count for t in ordered])[pick]
     posture = np.concatenate([t.posture for t in ordered])[pick]
 
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    bounds = np.r_[first, len(key)]
+    bounds = np.r_[first, len(key)].tolist()
     group = np.repeat(np.arange(len(first)), np.diff(bounds))
     n_labels = len(PostureLabel)
-    majority = (
+    cells = key[first]
+    seen.flat[cells] = True
+    majority.flat[cells] = (
         np.bincount(group * n_labels + posture, minlength=len(first) * n_labels)
         .reshape(-1, n_labels)
         .argmax(axis=1)
     )
-    multi_blob = np.add.reduceat((blobs >= 2).astype(np.int64), first)
-
-    group_minute = key[first] // len(roles)
-    for g in np.lexsort((track_of[first], group_minute)).tolist():
-        lo, hi = int(bounds[g]), int(bounds[g + 1])
-        role = roles[int(key[lo]) % len(roles)]
-        rooms[int(group_minute[g])][role] = RoomEvidence(
-            majority_posture=PostureLabel(int(majority[g])),
-            mean_motion_index=float(np.mean(motion[lo:hi])),
-            multi_blob_windows=int(multi_blob[g]),
-            theta_active=theta_of_role[role],
-        )
+    mean.flat[cells] = [np.mean(motion[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    multi_blob.flat[cells] = np.add.reduceat((blobs >= 2).astype(np.int64), first)
     return rooms
 
 
@@ -312,10 +315,11 @@ def run_pipeline(
     start = source.start
 
     # motion triggers and light steps per minute
-    restroom_triggers = np.zeros(n_minutes, dtype=np.int64)
-    doorway_triggers = np.zeros(n_minutes, dtype=np.int64)
-    other_triggers = np.zeros(n_minutes, dtype=np.int64)
-    doorway_trigger_ts: list[int] = []
+    # keyed by room role; None counts the triggers of every other room
+    triggers = {
+        role: np.zeros(n_minutes, dtype=np.int64) for role in (RoomRole.RESTROOM, RoomRole.DOORWAY, None)
+    }
+    doorway_ts = [np.empty(0, dtype=np.int64)]
     light_step = np.zeros(n_minutes)
 
     for spec in layout.sensors(kind=SensorKind.MOTION):
@@ -326,13 +330,9 @@ def run_pipeline(
         role = layout.room(spec.room_id).role
         minutes = ((hot - start) // MS_PER_MINUTE).astype(int)
         minutes = minutes[(minutes >= 0) & (minutes < n_minutes)]
-        target = {
-            RoomRole.RESTROOM: restroom_triggers,
-            RoomRole.DOORWAY: doorway_triggers,
-        }.get(role, other_triggers)
-        np.add.at(target, minutes, 1)
+        np.add.at(triggers.get(role, triggers[None]), minutes, 1)
         if role is RoomRole.DOORWAY:
-            doorway_trigger_ts.extend(int(t) for t in hot)
+            doorway_ts.append(hot)
 
     for spec in layout.sensors(kind=SensorKind.LIGHT):
         series = source.readings(spec.sensor_id)
@@ -346,25 +346,22 @@ def run_pipeline(
     # a sensor whose gate came out 0 is gated at the largest of the others
     fallback = max(thetas.values()) if thetas else THETA_FALLBACK
     gates = {sid: theta if theta > 0 else fallback for sid, theta in thetas.items()}
-    rooms = _room_evidence(tracks, gates, start, n_minutes)
-    evidence: list[MinuteEvidence] = []
-    night_lo, night_hi = layout.night_window
-    for m in range(n_minutes):
-        minute_start = start + m * MS_PER_MINUTE
-        evidence.append(
-            MinuteEvidence(
-                minute_start=minute_start,
-                is_night=in_clock_window(
-                    minute_start, night_lo, night_hi, layout.tz_offset_min
-                ),
-                rooms=rooms[m],
-                restroom_triggers=int(restroom_triggers[m]),
-                doorway_triggers=int(doorway_triggers[m]),
-                other_motion_triggers=int(other_triggers[m]),
-                light_step_max=float(light_step[m]),
-            )
-        )
+    seen, majority, mean, multi_blob, theta = _room_evidence(tracks, gates, start, n_minutes)
+    minute_start = start + MS_PER_MINUTE * np.arange(n_minutes, dtype=np.int64)
+    evidence = MinuteEvidence(
+        minute_start=minute_start,
+        is_night=in_clock_window(minute_start, *layout.night_window, layout.tz_offset_min),
+        restroom_triggers=triggers[RoomRole.RESTROOM],
+        doorway_triggers=triggers[RoomRole.DOORWAY],
+        other_motion_triggers=triggers[None],
+        light_step_max=light_step,
+        seen=seen,
+        majority_posture=majority,
+        mean_motion_index=mean,
+        multi_blob_windows=multi_blob,
+        theta_active=theta,
+    )
 
     timeline = classify_timeline(evidence, config)
-    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_trigger_ts)), config)
+    timeline = detect_not_at_home(timeline, np.concatenate(doorway_ts), config)
     return PipelineResult(timeline, tracks, thetas)

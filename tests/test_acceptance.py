@@ -13,7 +13,7 @@ import pytest
 
 from hometwin import analytics
 from hometwin.activity.evaluate import evaluate_timeline
-from hometwin.activity.rules import classify_minute
+from hometwin.activity.rules import classify_timeline
 from hometwin.config import PipelineConfig
 from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, parse_epoch
 from hometwin.ingestion.store import RecordStore
@@ -265,27 +265,30 @@ def test_criterion_6_activity_accuracy(full_models):
     evaluation = evaluate_timeline(result.timeline, truth)
     covered = {int(v) for v in truth.activity_truth}
 
-    # rule invariants over randomized evidence records
-    from test_rules import rng_evidence
+    # rule invariants over randomized one-minute evidence frames
+    from test_rules import BEDROOM, LIVING, rng_evidence
 
     params = PipelineConfig()
+
+    def entry_of(ev):
+        return classify_timeline(ev, params).entries[0]
+
     rng = np.random.default_rng(99)
     dominance_ok = True
     boost_ok = True
     for _ in range(1000):
         ev = rng_evidence(rng)
-        ev.restroom_triggers = int(rng.integers(3, 30))
-        if classify_minute(ev, params).label != ActivityLabel.RESTROOM.value:
+        ev.restroom_triggers[0] = int(rng.integers(3, 30))
+        if entry_of(ev).label != ActivityLabel.RESTROOM.value:
             dominance_ok = False
         ev2 = rng_evidence(rng)
-        ev2.restroom_triggers = 0
-        ev2.is_night = True
-        ev2.rooms[RoomRole.BEDROOM].majority_posture = PostureLabel.LIE_DOWN
-        ev2.rooms[RoomRole.LIVING_ROOM].multi_blob_windows = 0
-        first = classify_minute(ev2, params)
-        if first.winning_room is RoomRole.BEDROOM:
-            ev2.rooms[RoomRole.BEDROOM].mean_motion_index += float(rng.uniform(0.01, 1.0))
-            if classify_minute(ev2, params).winning_room is not RoomRole.BEDROOM:
+        ev2.restroom_triggers[0] = 0
+        ev2.is_night[0] = True
+        ev2.majority_posture[0, BEDROOM] = PostureLabel.LIE_DOWN.value
+        ev2.multi_blob_windows[0, LIVING] = 0
+        if entry_of(ev2).winning_room is RoomRole.BEDROOM:
+            ev2.mean_motion_index[0, BEDROOM] += float(rng.uniform(0.01, 1.0))
+            if entry_of(ev2).winning_room is not RoomRole.BEDROOM:
                 boost_ok = False
 
     report(

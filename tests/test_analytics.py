@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hometwin import analytics
-from hometwin.activity.evidence import MinuteEvidence
 from hometwin.activity.rules import ActivityTimeline, TimelineEntry
 from hometwin.config import PipelineConfig
 from hometwin.core import (
@@ -18,6 +17,8 @@ from hometwin.core import (
 from hometwin.errors import CoverageError, InsufficientDataError, WindowMismatchError
 from hometwin.layout import lite_layout
 
+from test_rules_oracle import MinuteEvidence, frame_of
+
 K_REST = PipelineConfig().k_rest
 
 SLEEP = ActivityLabel.SLEEPING.value
@@ -27,18 +28,17 @@ DINING = ActivityLabel.DINING_ROOM_ACTIVITY.value
 
 
 def timeline_of(labels, start=0, rest_triggers=None, light_steps=None, away=None):
-    entries = []
-    evidence = []
-    for i, label in enumerate(labels):
-        minute = start + i * MS_PER_MINUTE
-        entries.append(TimelineEntry(minute, label))
-        ev = MinuteEvidence(minute_start=minute, is_night=False)
-        if rest_triggers and i in rest_triggers:
-            ev.restroom_triggers = rest_triggers[i]
-        if light_steps and i in light_steps:
-            ev.light_step_max = light_steps[i]
-        evidence.append(ev)
-    return ActivityTimeline(start, entries, evidence, away or [])
+    records = [
+        MinuteEvidence(
+            start + i * MS_PER_MINUTE,
+            False,
+            restroom_triggers=(rest_triggers or {}).get(i, 0),
+            light_step_max=(light_steps or {}).get(i, 0.0),
+        )
+        for i in range(len(labels))
+    ]
+    entries = [TimelineEntry(ev.minute_start, label) for ev, label in zip(records, labels)]
+    return ActivityTimeline(start, entries, frame_of(records), away or [])
 
 
 class TestExtractSleep:
@@ -246,6 +246,28 @@ class TestEnvironmentSummary:
             assert agg.mean == total / len(inside)  # exact, same accumulation order
             assert agg.count == len(inside)
 
+    def test_hourly_aggregates_on_random_series(self):
+        # gaps, equal timestamps, empty hours and readings outside the window
+        layout = lite_layout()
+        config = PipelineConfig()
+        day = (MS_PER_HOUR, 5 * MS_PER_HOUR)
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 6000))
+            ts = np.sort(rng.integers(0, 6 * MS_PER_HOUR, size=n))
+            s = ReadingSeries("dining/A0/noise", SensorKind.NOISE, ts, np.round(rng.uniform(-40, 90, n), 2))
+            env, _ = analytics.environment_summary(layout, {s.sensor_id: s}, *day, config)
+            for agg in env["dining"]["noise"]:
+                inside = s.values[(ts >= agg.hour_start) & (ts < agg.hour_start + MS_PER_HOUR)]
+                assert agg.count == len(inside)
+                if not len(inside):
+                    assert np.isnan(agg.mean)
+                    continue
+                total = 0.0
+                for v in inside:
+                    total += float(v)
+                assert (agg.minimum, agg.mean, agg.maximum) == (inside.min(), total / len(inside), inside.max())
+
     def test_noise_burst_single_alert_spanning(self):
         layout = lite_layout()
         config = PipelineConfig()
@@ -292,6 +314,82 @@ class TestEnvironmentSummary:
         aggs = env["dining"]["noise"]
         assert aggs[0].count > 0
         assert aggs[1].count == 0 and np.isnan(aggs[1].mean)
+
+
+def oracle_dwell_alerts(room_id, channel, series, day_start, day_end, config):
+    """Former `analytics._dwell_alerts`: one pass over the readings, a run
+    open from its first out-of-band reading to the last before an in-band
+    one (or the window's last reading)."""
+    sub = series.slice(day_start, day_end)
+    if not len(sub):
+        return []
+    bad = analytics._out_of_band(channel, sub.values, config)
+    alerts = []
+    run_start = None
+    last_ts = None
+    for ts, flag in zip(sub.timestamps, bad):
+        if flag and run_start is None:
+            run_start = int(ts)
+        elif not flag and run_start is not None:
+            if last_ts - run_start >= config.dwell_min * MS_PER_MINUTE:
+                alerts.append(analytics.Alert(channel, room_id, run_start, int(last_ts)))
+            run_start = None
+        last_ts = int(ts)
+    if run_start is not None and last_ts - run_start >= config.dwell_min * MS_PER_MINUTE:
+        alerts.append(analytics.Alert(channel, room_id, run_start, last_ts))
+    return alerts
+
+
+class TestDwellAlertsOracle:
+    DWELL = PipelineConfig().dwell_min * MS_PER_MINUTE
+
+    def check(self, timestamps, loud, config=PipelineConfig()):
+        ts = np.array(timestamps, dtype=np.int64)
+        values = np.where(np.array(loud, dtype=bool), 75.0, 30.0)
+        s = ReadingSeries("dining/A0/noise", SensorKind.NOISE, ts, values)
+        day = (int(ts.min()) if len(ts) else 0, int(ts.max()) + 1 if len(ts) else MS_PER_HOUR)
+        got = analytics._dwell_alerts("dining", "noise", s, *day, config)
+        want = oracle_dwell_alerts("dining", "noise", s, *day, config)
+        assert got == want
+        assert all(type(a.start) is int and type(a.end) is int for a in got)
+        return got
+
+    def test_run_at_the_series_end(self):
+        ts = np.arange(0, 2 * self.DWELL, 5000)
+        alerts = self.check(ts, ts >= self.DWELL // 2)
+        assert [(a.start, a.end) for a in alerts] == [(self.DWELL // 2, int(ts[-1]))]
+
+    def test_run_of_exactly_the_dwell(self):
+        ts = np.arange(0, 3 * self.DWELL, 5000)
+        alerts = self.check(ts, (ts >= 5000) & (ts <= 5000 + self.DWELL))
+        assert [(a.start, a.end) for a in alerts] == [(5000, 5000 + self.DWELL)]
+        assert self.check(ts, (ts >= 5000) & (ts < 5000 + self.DWELL)) == []
+
+    def test_one_sample_runs(self):
+        ts = np.arange(0, 20) * 5000
+        assert self.check(ts, np.arange(20) % 2 == 0) == []
+        assert len(self.check(ts, np.arange(20) % 2 == 0, PipelineConfig(dwell_min=0))) == 10
+
+    def test_all_and_no_flags(self):
+        ts = np.arange(0, 2 * self.DWELL, 5000)
+        assert len(self.check(ts, np.ones(len(ts)))) == 1
+        assert self.check(ts, np.zeros(len(ts))) == []
+        assert self.check([], []) == []
+
+    def test_equal_timestamps(self):
+        ts = np.repeat(np.arange(0, 2 * self.DWELL, 60_000), 3)
+        loud = np.zeros(len(ts), dtype=bool)
+        loud[4:-2] = True
+        alerts = self.check(ts, loud)
+        assert len(alerts) == 1 and alerts[0].start == alerts[0].end - (ts[-3] - ts[4])
+
+    def test_random_series(self):
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 400))
+            ts = np.cumsum(rng.choice([0, 5000, 60_000, 10 * MS_PER_MINUTE], size=n))
+            config = PipelineConfig(dwell_min=int(rng.choice([0, 1, 10, 30])))
+            self.check(ts, rng.random(n) < rng.uniform(0.1, 0.95), config)
 
 
 class TestDailyReport:

@@ -1,6 +1,7 @@
 """`analytics.daily_report` against the benchmark's own copy of the report
 steps (`perfbench/hbench/day.py` `report()`): the same store, window and
-models give the same report text, JSON and CSV."""
+models give the same report text, JSON and CSV.  `posture_hits` against the
+benchmark's per-window posture grading (`accuracy()`)."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from hometwin import analytics
+from hometwin.activity.evaluate import posture_hits
 from hometwin.pipeline import StreamSource
 from hometwin.simulate.scripts import sleep_day
 
@@ -42,26 +44,45 @@ def library_report(layout, rep) -> tuple[analytics.DailyReport, tuple[str, str, 
 def day_window():
     """The benchmark's report of its day workload window (seed 3)."""
     inp = day.setup(3)
-    return inp.layout, day.report(inp)
+    return inp, day.report(inp)
 
 
 def test_day_workload_window(day_window):
-    layout, rep = day_window
-    _, texts = library_report(layout, rep)
+    inp, rep = day_window
+    _, texts = library_report(inp.layout, rep)
     assert texts == (rep.text, rep.json_text, rep.csv)
 
 
 def test_no_sleep_sets_no_movement_threshold(day_window, monkeypatch):
     # the window holds no sleep, so no threshold is read and none is computed
-    layout, rep = day_window
+    inp, rep = day_window
 
     def refuse(*args):
         raise AssertionError("auto_theta_move ran with no sleep segment")
 
     monkeypatch.setattr(analytics, "auto_theta_move", refuse)
-    daily, texts = library_report(layout, rep)
+    daily, texts = library_report(inp.layout, rep)
     assert not daily.sleep_segments
     assert texts == (rep.text, rep.json_text, rep.csv)
+
+
+def test_posture_hits_equal_the_per_window_count(day_window):
+    # the benchmark's `accuracy()` grades through `SensorTrack.windows`
+    inp, rep = day_window
+    graded = posture_hits(rep.result.tracks, inp.truth)
+    assert sorted(graded) == sorted(inp.truth.posture_truth) == sorted(rep.result.tracks)
+    for sensor_id, track in rep.result.tracks.items():
+        codes = inp.truth.posture_truth[sensor_id]
+        hits = total = 0
+        for rec in track.windows:
+            if 0 <= rec.interval_index < len(codes):
+                hits += int(rec.posture.value == int(codes[rec.interval_index]))
+                total += 1
+        assert graded[sensor_id] == (hits, total)
+    hits = sum(h for h, _ in graded.values())
+    total = sum(n for _, n in graded.values())
+    assert 0 < hits < total
+    assert hits / total == day.accuracy(inp, rep)[1]
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,9 @@ in CHANGES.md which outputs moved and why.
 Two sets of outputs are pinned:
 
 - "portable": wire bytes, store snapshots, the truth sidecars and the
-  no-model pipeline outputs.  None of them passes through a BLAS call, so
+  no-model pipeline outputs.  The `entries` digests pin what `timeline.csv`
+  drops: each entry's `carried` flag and full-precision score, and the
+  away intervals.  None of them passes through a BLAS call, so
   they are compared on every machine.  The mixed_day window's wire bytes
   and truth are the only portable outputs with visitors in them.
 - "environment": model files and everything computed after a float32 GEMM
@@ -98,6 +100,11 @@ def _track_bytes(track) -> bytes:
     return head.encode("utf-8") + b"".join(c.tobytes() for c in columns)
 
 
+def _entries_text(timeline) -> str:
+    """The repr of every timeline entry, then the away intervals."""
+    return "".join(f"{e!r}\n" for e in timeline.entries) + repr(timeline.away_intervals)
+
+
 def portable_outputs(work: Path) -> dict[str, str]:
     out = {}
     for seed in OUTING_SEEDS:
@@ -113,10 +120,11 @@ def portable_outputs(work: Path) -> dict[str, str]:
         snapshot = work / f"outing_{seed}.store"
         store.save(snapshot)
         out[f"outing_day_{seed}/store.bin"] = _sha(snapshot.read_bytes())
-        if seed != PIPELINE_SEED:
-            continue
         source = StreamSource(layout, store=store, start=start, end=end)
         result = run_pipeline(source, {}, PipelineConfig())
+        out[f"outing_day_{seed}/no_model/entries"] = _sha(_entries_text(result.timeline))
+        if seed != PIPELINE_SEED:
+            continue
         out[f"outing_day_{seed}/no_model/timeline.csv"] = _sha(result.timeline.to_csv())
         out[f"outing_day_{seed}/no_model/thetas"] = _sha(repr(result.thetas))
         for sensor_id, track in result.tracks.items():
@@ -154,13 +162,18 @@ def criterion_10_outputs(work: Path) -> dict[str, str]:
     }
 
 
-MIXED_DAY_PORTABLE = ("mixed_day_1940_2020/packets.bin", "mixed_day_1940_2020/truth.tsv")
+MIXED_DAY_PORTABLE = (
+    "mixed_day_1940_2020/packets.bin",
+    "mixed_day_1940_2020/truth.tsv",
+    "mixed_day_1940_2020/no_model/entries",
+)
 
 
 def mixed_day_outputs(work: Path) -> dict[str, str]:
     """The mixed_day 19:40-20:20 wire bytes and truth of the benchmark's day
-    workload, its report with the small fixed-seed 4x4 and 32x32 models, and
-    each model's file, training report and curve."""
+    workload, its timeline with no model, its report with the small
+    fixed-seed 4x4 and 32x32 models, and each model's file, training report
+    and curve."""
     from hometwin.posture.model_io import save_model
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -182,10 +195,14 @@ def mixed_day_outputs(work: Path) -> dict[str, str]:
     finally:
         inputs.ptrain.train = train
     write_truth_sidecar(inp.truth, work / "day_truth.tsv")
+    source = StreamSource(inp.layout, store=rep.store, start=rep.start, end=rep.end)
+    no_model = run_pipeline(source, {}, PipelineConfig())
     out = {
         "mixed_day_1940_2020/packets.bin": _sha(inp.data),
         "mixed_day_1940_2020/truth.tsv": _sha((work / "day_truth.tsv").read_bytes()),
+        "mixed_day_1940_2020/no_model/entries": _sha(_entries_text(no_model.timeline)),
         "mixed_day_1940_2020/timeline.csv": _sha(rep.result.timeline.to_csv()),
+        "mixed_day_1940_2020/entries": _sha(_entries_text(rep.result.timeline)),
         "mixed_day_1940_2020/report.txt": _sha(rep.text),
         "mixed_day_1940_2020/report.json": _sha(rep.json_text),
         "mixed_day_1940_2020/environment.csv": _sha(rep.csv),

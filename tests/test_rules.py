@@ -2,41 +2,65 @@ import numpy as np
 
 from hometwin.config import PipelineConfig
 from hometwin.core import MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
-from hometwin.activity.evidence import MinuteEvidence, RoomEvidence
-from hometwin.activity.rules import (
-    classify_minute,
-    classify_timeline,
-    detect_not_at_home,
-)
+from hometwin.activity.rules import classify_timeline, detect_not_at_home
 from hometwin.layout import RoomRole
 
+from test_rules_oracle import MinuteEvidence, RoomEvidence, frame_of
+
 PARAMS = PipelineConfig()
+BEDROOM = list(RoomRole).index(RoomRole.BEDROOM)
+LIVING = list(RoomRole).index(RoomRole.LIVING_ROOM)
 
 
-def room(posture=PostureLabel.NOT_HERE, index=0.15, multi=0):
+def room(posture=PostureLabel.NOT_HERE, index=0.15, multi=0, theta=0.35):
     return RoomEvidence(
         majority_posture=posture,
         mean_motion_index=index,
         multi_blob_windows=multi,
-        theta_active=0.35,
+        theta_active=theta,
     )
 
 
-def evidence(minute=0, night=False, rest=0, door=0, other=0, light=0.0, rooms=None):
-    ev = MinuteEvidence(
+def record(minute=0, night=False, rest=0, door=0, other=0, light=0.0, rooms=None):
+    return MinuteEvidence(
         minute_start=minute * MS_PER_MINUTE,
         is_night=night,
+        rooms=rooms or {},
         restroom_triggers=rest,
         doorway_triggers=door,
         other_motion_triggers=other,
         light_step_max=light,
     )
-    ev.rooms = rooms or {}
-    return ev
+
+
+def evidence(**kwargs):
+    """A one-minute frame."""
+    return frame_of([record(**kwargs)])
+
+
+def classify(frame, config=PARAMS):
+    """The last minute's entry."""
+    return classify_timeline(frame, config).entries[-1]
+
+
+SLEEPING_MINUTE = record(minute=-1, night=True, rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.5)})
+
+
+def after(previous, **kwargs):
+    """A two-minute frame: a minute the cascade labels `previous` (Sleeping
+    or Dining), then the minute of `kwargs`."""
+    if previous == ActivityLabel.SLEEPING.value:
+        first = SLEEPING_MINUTE
+    else:
+        assert previous == ActivityLabel.DINING_ROOM_ACTIVITY.value
+        first = record(minute=-1, rooms={RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8)})
+    frame = frame_of([first, record(**kwargs)])
+    assert classify_timeline(frame, PARAMS).entries[0].label == previous
+    return frame
 
 
 def rng_evidence(rng):
-    """A random but structurally valid evidence record."""
+    """A random but structurally valid one-minute frame."""
     rooms = {}
     for role in (RoomRole.BEDROOM, RoomRole.KITCHEN, RoomRole.DINING_ROOM, RoomRole.LIVING_ROOM):
         rooms[role] = room(
@@ -60,18 +84,18 @@ class TestRestroomDominance:
                 RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.9),
             },
         )
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.RESTROOM.value
+        assert classify(ev).label == ActivityLabel.RESTROOM.value
 
     def test_dominance_on_randomized_evidence(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
             ev = rng_evidence(rng)
-            ev.restroom_triggers = int(rng.integers(3, 40))
-            assert classify_minute(ev, PARAMS).label == ActivityLabel.RESTROOM.value
+            ev.restroom_triggers[0] = int(rng.integers(3, 40))
+            assert classify(ev).label == ActivityLabel.RESTROOM.value
 
     def test_below_k_rest_does_not_fire_alone(self):
         ev = evidence(rest=2)
-        assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
+        assert classify(ev).label == UNKNOWN_ACTIVITY
 
 
 class TestVisitors:
@@ -79,20 +103,20 @@ class TestVisitors:
         ev = evidence(
             rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=6)}
         )
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.VISITORS.value
+        assert classify(ev).label == ActivityLabel.VISITORS.value
 
     def test_brief_multi_blob_ignored(self):
         ev = evidence(
             rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=3)}
         )
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
+        assert classify(ev).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
 
     def test_restroom_outranks_visitors(self):
         ev = evidence(
             rest=5,
             rooms={RoomRole.LIVING_ROOM: room(PostureLabel.SIT, 0.5, multi=12)},
         )
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.RESTROOM.value
+        assert classify(ev).label == ActivityLabel.RESTROOM.value
 
 
 class TestRoomPriority:
@@ -103,7 +127,7 @@ class TestRoomPriority:
                 RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8),
             }
         )
-        entry = classify_minute(ev, PARAMS)
+        entry = classify(ev)
         assert entry.label == ActivityLabel.DINING_ROOM_ACTIVITY.value
         assert entry.winning_room is RoomRole.DINING_ROOM
 
@@ -111,27 +135,26 @@ class TestRoomPriority:
         ev = evidence(
             rooms={RoomRole.KITCHEN: room(PostureLabel.STAND, 0.2)}
         )
-        assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
+        assert classify(ev).label == UNKNOWN_ACTIVITY
 
     def test_not_here_posture_not_candidate(self):
         ev = evidence(
             rooms={RoomRole.KITCHEN: room(PostureLabel.NOT_HERE, 0.9)}
         )
-        assert classify_minute(ev, PARAMS).label == UNKNOWN_ACTIVITY
+        assert classify(ev).label == UNKNOWN_ACTIVITY
 
     def test_per_room_threshold_honored(self):
-        weak = room(PostureLabel.SIT, 0.28)
-        weak.theta_active = 0.24  # high-resolution sensor gate
+        weak = room(PostureLabel.SIT, 0.28, theta=0.24)  # high-resolution sensor gate
         ev = evidence(rooms={RoomRole.LIVING_ROOM: weak})
-        assert classify_minute(ev, PARAMS).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
+        assert classify(ev).label == ActivityLabel.LIVING_ROOM_ACTIVITY.value
 
     def test_night_boost_prefers_bedroom(self):
         rooms = {
             RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.5),
             RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8),
         }
-        day = classify_minute(evidence(night=False, rooms=dict(rooms)), PARAMS)
-        night = classify_minute(evidence(night=True, rooms=dict(rooms)), PARAMS)
+        day = classify(evidence(night=False, rooms=dict(rooms)))
+        night = classify(evidence(night=True, rooms=dict(rooms)))
         assert day.label == ActivityLabel.DINING_ROOM_ACTIVITY.value
         assert night.label == ActivityLabel.SLEEPING.value  # 0.5 x 2.0 > 0.8
 
@@ -141,19 +164,14 @@ class TestRoomPriority:
         rng = np.random.default_rng(1)
         for _ in range(1000):
             ev = rng_evidence(rng)
-            prev = int(rng.integers(0, 8))
-            ev.restroom_triggers = 0
-            ev.is_night = True
-            bedroom = ev.rooms[RoomRole.BEDROOM]
-            bedroom.majority_posture = PostureLabel.LIE_DOWN
-            living = ev.rooms[RoomRole.LIVING_ROOM]
-            living.multi_blob_windows = 0
-            first = classify_minute(ev, PARAMS, prev)
-            if first.winning_room is not RoomRole.BEDROOM:
+            ev.restroom_triggers[0] = 0
+            ev.is_night[0] = True
+            ev.majority_posture[0, BEDROOM] = PostureLabel.LIE_DOWN.value
+            ev.multi_blob_windows[0, LIVING] = 0
+            if classify(ev).winning_room is not RoomRole.BEDROOM:
                 continue
-            bedroom.mean_motion_index += float(rng.uniform(0.01, 1.0))
-            again = classify_minute(ev, PARAMS, prev)
-            assert again.winning_room is RoomRole.BEDROOM
+            ev.mean_motion_index[0, BEDROOM] += float(rng.uniform(0.01, 1.0))
+            assert classify(ev).winning_room is RoomRole.BEDROOM
 
     def test_bedroom_without_lie_down_falls_through(self):
         ev = evidence(
@@ -162,7 +180,7 @@ class TestRoomPriority:
                 RoomRole.KITCHEN: room(PostureLabel.STAND, 0.5),
             }
         )
-        entry = classify_minute(ev, PARAMS)
+        entry = classify(ev)
         assert entry.label == ActivityLabel.KITCHEN_ACTIVITY.value
 
     def test_exact_tie_broken_by_role_order(self):
@@ -172,46 +190,35 @@ class TestRoomPriority:
                 RoomRole.KITCHEN: room(PostureLabel.STAND, 0.6),
             }
         )
-        assert classify_minute(ev, PARAMS).winning_room is RoomRole.KITCHEN
-
-    def test_permuting_room_insertion_order_never_changes_output(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            ev = rng_evidence(rng)
-            prev = int(rng.integers(0, 8))
-            baseline = classify_minute(ev, PARAMS, prev)
-            items = list(ev.rooms.items())
-            rng.shuffle(items)
-            ev.rooms = dict(items)
-            assert classify_minute(ev, PARAMS, prev).label == baseline.label
+        assert classify(ev).winning_room is RoomRole.KITCHEN
 
 
 class TestStillnessRule:
     def test_still_lie_down_continues_sleep(self):
-        ev = evidence(
-            rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.2)},
-        )
-        previous = ActivityLabel.SLEEPING.value
-        assert classify_minute(ev, PARAMS, previous).label == ActivityLabel.SLEEPING.value
+        ev = after(ActivityLabel.SLEEPING.value, rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.2)})
+        entry = classify(ev)
+        assert entry.label == ActivityLabel.SLEEPING.value and not entry.carried
+        assert entry.winning_room is RoomRole.BEDROOM and entry.score == 0.2
 
     def test_still_lie_down_without_sleep_history_is_unknown(self):
-        ev = evidence(
+        ev = after(
+            ActivityLabel.DINING_ROOM_ACTIVITY.value,
             rooms={RoomRole.BEDROOM: room(PostureLabel.LIE_DOWN, 0.2)},
         )
-        previous = ActivityLabel.DINING_ROOM_ACTIVITY.value
-        assert classify_minute(ev, PARAMS, previous).label == UNKNOWN_ACTIVITY
+        assert classify(ev).carried  # the cascade said Unknown; rule 5 carried
+        assert classify(ev, PARAMS.override(carry_forward_max=0)).label == UNKNOWN_ACTIVITY
 
 
 class TestCarryForward:
     def test_single_gap_bridged_then_unknown(self):
         rooms = {RoomRole.DINING_ROOM: room(PostureLabel.SIT, 0.8)}
         seq = [
-            evidence(minute=0, rooms=dict(rooms)),
-            evidence(minute=1),
-            evidence(minute=2),
-            evidence(minute=3),
+            record(minute=0, rooms=dict(rooms)),
+            record(minute=1),
+            record(minute=2),
+            record(minute=3),
         ]
-        timeline = classify_timeline(seq, PARAMS)
+        timeline = classify_timeline(frame_of(seq), PARAMS)
         labels = [e.label for e in timeline.entries]
         assert labels[0] == ActivityLabel.DINING_ROOM_ACTIVITY.value
         assert labels[1] == ActivityLabel.DINING_ROOM_ACTIVITY.value
@@ -228,14 +235,14 @@ class TestNotAtHome:
             if m in active:
                 rooms[RoomRole.DINING_ROOM] = room(PostureLabel.SIT, 0.8)
             seq.append(
-                evidence(
+                record(
                     minute=m,
                     door=3 if m in door_minutes else 0,
                     other=1 if m in triggers_at else 0,
                     rooms=rooms,
                 )
             )
-        timeline = classify_timeline(seq, PARAMS)
+        timeline = classify_timeline(frame_of(seq), PARAMS)
         trigger_ts = [m * MS_PER_MINUTE + 30_000 for m in door_minutes]
         return detect_not_at_home(timeline, np.array(trigger_ts), PARAMS)
 

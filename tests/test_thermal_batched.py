@@ -5,9 +5,10 @@ The oracle below is the code the pipeline ran before a frame block passed
 through as one window stack: `build_windows` made one `PostureWindow` per
 tile, `motion_index` and a pure-Python flood-fill `count_blobs` ran once per
 window, every window became a `WindowRecord`, and `run_pipeline` folded those
-records through dicts of lists into the per-minute room evidence.  The
+records through dicts of lists into per-minute evidence records.  The
 batched kernels and the columnar pipeline must give exactly the same values:
-the same floats bit for bit, the same counts, the same dict order.
+the same floats bit for bit and the same counts; the records' frame
+(`test_rules_oracle.frame_of`) must equal the pipeline's bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hometwin.activity.evidence import MinuteEvidence, RoomEvidence
-from hometwin.activity.rules import classify_timeline, detect_not_at_home
 from hometwin.config import PipelineConfig
 from hometwin.core import (
     FRAME_PERIOD_MS,
@@ -48,6 +47,14 @@ from hometwin.simulate.scenario import VisitorEnter, VisitorLeave
 from hometwin.thermal import MOTION_BLOCK_BYTES, BaselineTracker, count_blobs, motion_index
 
 from conftest import store_source
+from test_rules_oracle import (
+    MinuteEvidence,
+    RoomEvidence,
+    frame_bits,
+    frame_of,
+    oracle_classify_timeline,
+    oracle_detect_not_at_home,
+)
 
 # -- the per-window oracle -----------------------------------------------------
 
@@ -190,6 +197,12 @@ def reference_majority(records: list[Record]) -> PostureLabel:
     return max(counts.items(), key=lambda kv: (kv[1], -kv[0].value))[0]
 
 
+def reference_theta(tracks: list[ReferenceTrack], thetas: dict[str, float]) -> np.ndarray:
+    """Each role's gate: its last sensor's, in track order."""
+    theta_of_role = {t.room_role: thetas[t.sensor_id] for t in tracks}
+    return np.array([theta_of_role.get(role, 0.0) for role in RoomRole])
+
+
 def reference_fold(tracks: list[ReferenceTrack], thetas: dict[str, float], start: int, n_minutes: int):
     """Former evidence fold: per minute, the room evidence of each role."""
     per_minute: dict[int, dict[RoomRole, list[Record]]] = {}
@@ -271,9 +284,9 @@ def reference_run(source: StreamSource, models, config: PipelineConfig):
         )
         ev.rooms.update(rooms[m])
         evidence.append(ev)
-    timeline = classify_timeline(evidence, config)
-    timeline = detect_not_at_home(timeline, np.array(sorted(doorway_ts)), config)
-    return tracks, thetas, evidence, timeline
+    timeline = oracle_classify_timeline(evidence, config)
+    timeline = oracle_detect_not_at_home(timeline, np.array(sorted(doorway_ts)), config)
+    return tracks, thetas, frame_of(evidence, reference_theta(tracks, gates)), timeline
 
 
 # -- batched kernels against the oracle ----------------------------------------
@@ -538,7 +551,7 @@ def sources(homes, case):
     assert case == "cadence_gap"
     gaps = {
         # all of minute 2 of the first bedroom sensor: the guest room's
-        # sensor alone speaks for the bedroom role, after the dining room
+        # sensor alone speaks for the bedroom role
         "bedroom/C0/thermal": [(470, 730)],
         "living/D0/thermal": [(1210, 1211), (1500, 1540)],
         "dining/C0/thermal": [(133, 134)],
@@ -556,9 +569,9 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     result = run_pipeline(source, models, config)
     ref_tracks, ref_thetas, ref_evidence, ref_timeline = reference_run(source, models, config)
 
-    assert [repr(e) for e in result.timeline.evidence] == [repr(e) for e in ref_evidence]
-    assert result.timeline.evidence == ref_evidence
+    assert frame_bits(result.timeline.evidence) == frame_bits(ref_evidence)
     assert [repr(e) for e in result.timeline.entries] == [repr(e) for e in ref_timeline.entries]
+    assert result.timeline.away_intervals == ref_timeline.away_intervals
     assert repr(result.thetas) == repr(ref_thetas)
     assert list(result.tracks) == [t.sensor_id for t in ref_tracks]
     for ref in ref_tracks:
@@ -579,8 +592,12 @@ def test_pipeline_matches_per_window_oracle(homes, case):
     tracks = result.tracks.values()
     if case == "cadence_gap":
         assert sum(t.dropped_windows for t in tracks) == 4
-        gap_minute = result.timeline.evidence[2].rooms
-        assert list(gap_minute)[:2] == [RoomRole.DINING_ROOM, RoomRole.BEDROOM]
+        # the guest room's sensor alone speaks for the bedroom in minute 2
+        bedroom = list(RoomRole).index(RoomRole.BEDROOM)
+        guest = result.tracks["guest/C0/thermal"]
+        alone = (guest.start - source.start) // MS_PER_MINUTE == 2
+        assert result.timeline.evidence.seen[2, bedroom]
+        assert result.timeline.evidence.mean_motion_index[2, bedroom] == np.mean(guest.motion_index[alone])
     else:
         assert all(t.dropped_windows == 0 for t in tracks)
     if case == "no_models":
@@ -636,8 +653,24 @@ def test_thermal_sensor_without_frames_gives_empty_track(homes):
 
     _, ref_thetas, ref_evidence, ref_timeline = reference_run(source, homes["models"], config)
     assert repr(result.thetas) == repr(ref_thetas)
-    assert [repr(e) for e in result.timeline.evidence] == [repr(e) for e in ref_evidence]
+    assert frame_bits(result.timeline.evidence) == frame_bits(ref_evidence)
     assert [repr(e) for e in result.timeline.entries] == [repr(e) for e in ref_timeline.entries]
+
+
+def minutes(rooms: list[dict]) -> list[MinuteEvidence]:
+    """Per-minute records that hold only the room evidence of `rooms`."""
+    return [MinuteEvidence(EPOCH + m * MS_PER_MINUTE, False, by_role) for m, by_role in enumerate(rooms)]
+
+
+# the frame's room columns, in the order `_room_evidence` returns them
+ROOM_FIELDS = ("seen", "majority_posture", "mean_motion_index", "multi_blob_windows", "theta_active")
+
+
+def room_columns(rooms) -> tuple:
+    """The bytes of `_room_evidence`'s columns, or of a frame's room columns."""
+    if not isinstance(rooms, tuple):
+        rooms = tuple(getattr(rooms, name) for name in ROOM_FIELDS)
+    return tuple((c.dtype.str, c.shape, c.tobytes()) for c in rooms)
 
 
 def synthetic_track(rng, sensor_id, role, start, n_minutes) -> SensorTrack:
@@ -675,9 +708,9 @@ def test_evidence_fold_matches_record_fold(seed):
         ReferenceTrack(sid, t.room_role, t.resolution, list(t.windows), 0, [])
         for sid, t in tracks.items()
     ]
-    got = _room_evidence(tracks, thetas, start, n_minutes)
-    want = reference_fold(ref, thetas, start, n_minutes)
-    assert [repr(m) for m in got] == [repr(m) for m in want]
+    got = room_columns(_room_evidence(tracks, thetas, start, n_minutes))
+    want = frame_of(minutes(reference_fold(ref, thetas, start, n_minutes)), reference_theta(ref, thetas))
+    assert got == room_columns(want)
 
 
 def test_majority_tie_goes_to_the_lowest_label():
@@ -692,9 +725,12 @@ def test_majority_tie_goes_to_the_lowest_label():
         dropped_windows=0, calibration_events=[],
     )
     rooms = _room_evidence({"a/C0/thermal": track}, {"a/C0/thermal": 0.3}, EPOCH, 1)
-    assert rooms[0][RoomRole.KITCHEN].majority_posture is PostureLabel.STAND
+    _, majority, *_ = rooms
+    assert majority[0, list(RoomRole).index(RoomRole.KITCHEN)] == PostureLabel.STAND.value
     ref = ReferenceTrack("a/C0/thermal", RoomRole.KITCHEN, 4, track.windows, 0, [])
-    assert reference_fold([ref], {"a/C0/thermal": 0.3}, EPOCH, 1) == rooms
+    gates = {"a/C0/thermal": 0.3}
+    want = frame_of(minutes(reference_fold([ref], gates, EPOCH, 1)), reference_theta([ref], gates))
+    assert room_columns(rooms) == room_columns(want)
 
 
 def test_evidence_fold_of_no_windows():
@@ -703,5 +739,10 @@ def test_evidence_fold_of_no_windows():
         *(np.empty(0, dtype=dt) for dt in (np.int64, np.int64, np.float64, np.int64, np.int64)),
         dropped_windows=3, calibration_events=[],
     )
-    assert _room_evidence({"a/C0/thermal": track}, {"a/C0/thermal": 0.3}, EPOCH, 4) == [{}] * 4
-    assert _room_evidence({}, {}, EPOCH, 2) == [{}, {}]
+    gates = {"a/C0/thermal": 0.3}
+    seen, majority, mean, multi_blob, theta = _room_evidence({"a/C0/thermal": track}, gates, EPOCH, 4)
+    assert seen.shape == (4, 6) and not seen.any()
+    assert (majority == PostureLabel.NOT_HERE.value).all() and not mean.any() and not multi_blob.any()
+    assert theta.tolist() == [0.0, 0.3, 0.0, 0.0, 0.0, 0.0]
+    seen, *_, theta = _room_evidence({}, {}, EPOCH, 2)
+    assert seen.shape == (2, 6) and not seen.any() and not theta.any()
