@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import ACTIVITY_NAMES, UNKNOWN_ACTIVITY
+from ..core import ACTIVITY_NAMES
 from ..errors import AlignmentError
 from ..simulate.truth import GroundTruthTimeline
 from .rules import ActivityTimeline
@@ -41,22 +41,18 @@ def evaluate_timeline(
         raise AlignmentError(
             f"timeline starts differ: predicted {predicted.start}, truth {truth.start}"
         )
-    if len(predicted.entries) != truth.n_minutes:
+    if len(predicted.label) != truth.n_minutes:
         raise AlignmentError(
-            f"minute counts differ: predicted {len(predicted.entries)}, "
+            f"minute counts differ: predicted {len(predicted.label)}, "
             f"truth {truth.n_minutes}"
         )
-    for entry, minute in zip(predicted.entries, truth.minute_starts()):
-        if entry.minute_start != int(minute):
-            raise AlignmentError("minute grids are misaligned")
+    if not np.array_equal(predicted.evidence.minute_start, truth.minute_starts()):
+        raise AlignmentError("minute grids are misaligned")
 
     confusion = np.zeros((8, 8), dtype=np.int64)
-    hits = 0
-    for entry, truth_code in zip(predicted.entries, truth.activity_truth):
-        pred = entry.label if entry.label != UNKNOWN_ACTIVITY else 7
-        confusion[int(truth_code), pred] += 1
-        if pred == int(truth_code):
-            hits += 1
+    # Unknown (UNKNOWN_ACTIVITY) is the eighth column
+    np.add.at(confusion, (truth.activity_truth, predicted.label), 1)
+    hits = int(np.trace(confusion))
     n = truth.n_minutes
     return TimelineEvaluation(hits / n if n else 0.0, confusion, n)
 

@@ -16,10 +16,13 @@ Cascade order:
 5. Otherwise the previous label carries forward once, then Unknown.
 
 Rules 1-3 read one minute each and run as masks over every minute at once;
-rules 4 and 5 read the previous minute's label and run in one loop.
+rules 4 and 5 read the previous minute's label and run in one loop over the
+minutes rules 1-3 leave Unknown.  The timeline is four `[n]` columns: label,
+carried, winning role and score.
 
 Not-at-home is decided retrospectively: a silent stretch bracketed by doorway
-trigger clusters with no interior activity becomes NotAtHome.
+trigger clusters with no interior activity becomes NotAtHome, and its minutes
+get all four columns of a bare NotAtHome minute.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..config import PipelineConfig
-from ..core import MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
+from ..core import ACTIVITY_NAMES, MS_PER_MINUTE, ActivityLabel, PostureLabel, UNKNOWN_ACTIVITY
 from ..layout import RoomRole
 from .evidence import MinuteEvidence
 
@@ -43,6 +46,7 @@ _ROLE_ORDER = [
 _COLUMNS = [list(RoomRole).index(role) for role in _ROLE_ORDER]  # their evidence columns
 _BEDROOM = _ROLE_ORDER.index(RoomRole.BEDROOM)  # position in _ROLE_ORDER
 _LIVING = list(RoomRole).index(RoomRole.LIVING_ROOM)  # evidence column
+_RESTROOM = list(RoomRole).index(RoomRole.RESTROOM)
 
 _ROLE_ACTIVITY = {
     RoomRole.BEDROOM: ActivityLabel.SLEEPING,
@@ -54,34 +58,48 @@ _ROLE_ACTIVITY = {
 
 @dataclass
 class TimelineEntry:
+    """One minute as a record: the transitional `ActivityTimeline.entries`."""
+
     minute_start: int
     label: int  # ActivityLabel value or UNKNOWN_ACTIVITY
     carried: bool = False  # True when rule 5 repeated the previous label
     winning_room: RoomRole | None = None
     score: float = 0.0
 
-    @property
-    def label_name(self) -> str:
-        if self.label == UNKNOWN_ACTIVITY:
-            return "UNKNOWN"
-        return ActivityLabel(self.label).name
 
-
-@dataclass
+@dataclass(eq=False)
 class ActivityTimeline:
+    """The activity of each of n minutes as `[n]` columns beside the minute
+    evidence they were decided from; minute starts are the evidence's."""
+
     start: int
-    entries: list[TimelineEntry]
     evidence: MinuteEvidence
+    label: np.ndarray  # int64: ActivityLabel value or UNKNOWN_ACTIVITY
+    carried: np.ndarray  # bool: rule 5 repeated the previous label
+    winning_role: np.ndarray  # int8: index into list(RoomRole), -1 for none
+    score: np.ndarray  # float64
     away_intervals: list[tuple[int, int]] = field(default_factory=list)
 
+    def _rows(self):
+        """(minute start, label, carried, room or None, score) of each minute."""
+        rooms = [*RoomRole, None]  # role -1 is None
+        return zip(
+            self.evidence.minute_start.tolist(), self.label.tolist(), self.carried.tolist(),
+            [rooms[r] for r in self.winning_role.tolist()], self.score.tolist(),
+        )
+
+    @property
+    def entries(self) -> list[TimelineEntry]:
+        """Transitional: one record per minute, built on each access."""
+        return [TimelineEntry(*row) for row in self._rows()]
+
     def labels(self) -> list[int]:
-        return [e.label for e in self.entries]
+        return self.label.tolist()
 
     def to_csv(self) -> str:
         rows = ["minute_start,label,winning_room,score"]
-        for e in self.entries:
-            room = e.winning_room.value if e.winning_room else ""
-            rows.append(f"{e.minute_start},{e.label_name},{room},{e.score:.4f}")
+        for m, lab, _, room, sc in self._rows():
+            rows.append(f"{m},{ACTIVITY_NAMES[lab]},{room.value if room else ''},{sc:.4f}")
         return "\n".join(rows) + "\n"
 
 
@@ -108,40 +126,32 @@ def classify_timeline(evidence: MinuteEvidence, config: PipelineConfig) -> Activ
     best = np.where(eligible, score, -np.inf).max(axis=1, initial=-np.inf)
     # the first top score in _ROLE_ORDER breaks exact ties
     winner = np.argmax(eligible & (score == best[:, None]), axis=1)
-    # each minute's winner under rules 1-3, an index into `rooms` (-1: none)
+    # each minute's winner under rules 1-3, an index into the tables below (-1: none)
     rules = [restroom, visitors, eligible.any(axis=1)]
-    room = np.select(rules, [0, 1, 2 + winner], -1)
+    rule = np.select(rules, [0, 1, 2 + winner], -1)
+    roles = np.array([_RESTROOM, _LIVING, *_COLUMNS, -1], dtype=np.int8)
+    labels = [ActivityLabel.RESTROOM.value, ActivityLabel.VISITORS.value]
+    labels += [_ROLE_ACTIVITY[role].value for role in _ROLE_ORDER] + [UNKNOWN_ACTIVITY]
+    label = np.array(labels, dtype=np.int64)[rule]
+    winning_role = roles[rule]
     scores = np.select(
         rules, [evidence.restroom_triggers, living_blobs, score[np.arange(n), winner]], 0.0
     )
-    rooms = [RoomRole.RESTROOM, RoomRole.LIVING_ROOM, *_ROLE_ORDER, None]
-    labels = [ActivityLabel.RESTROOM.value, ActivityLabel.VISITORS.value]
-    labels += [_ROLE_ACTIVITY[role].value for role in _ROLE_ORDER] + [UNKNOWN_ACTIVITY]
+    carried = np.zeros(n, dtype=bool)
     # rule 4's stillness, which continues a previous Sleeping
     still = seen[:, _BEDROOM] & lie_down & (motion[:, _BEDROOM] < theta[_BEDROOM])
 
-    entries: list[TimelineEntry] = []
-    previous: int | None = None
-    carried_run = 0
-    for minute_start, r, sc, is_still, bed_motion in zip(
-        evidence.minute_start.tolist(), room.tolist(), scores.tolist(), still.tolist(),
-        motion[:, _BEDROOM].tolist(),
-    ):
-        if r < 0 and is_still and previous == ActivityLabel.SLEEPING.value:
-            r, sc = 2 + _BEDROOM, bed_motion  # rule 4
-        lab = labels[r]
-        carried = False
-        if lab != UNKNOWN_ACTIVITY:
-            carried_run = 0
-        elif previous not in (None, UNKNOWN_ACTIVITY) and carried_run < config.carry_forward_max:
-            lab, carried = previous, True  # rule 5: carry the previous label, then Unknown
-            carried_run += 1
-        else:
-            carried_run = 0
-        entries.append(TimelineEntry(minute_start, lab, carried, rooms[r], sc))
-        previous = lab
+    run = 0  # carried minutes just before minute i
+    for i in np.flatnonzero(rule < 0).tolist():
+        previous = int(label[i - 1]) if i else None
+        run = run if i and carried[i - 1] else 0
+        if still[i] and previous == ActivityLabel.SLEEPING.value:  # rule 4
+            label[i], winning_role[i], scores[i] = previous, _COLUMNS[_BEDROOM], motion[i, _BEDROOM]
+        elif previous not in (None, UNKNOWN_ACTIVITY) and run < config.carry_forward_max:
+            label[i], carried[i] = previous, True  # rule 5: carry the previous label, then Unknown
+            run += 1
     start = int(evidence.minute_start[0]) if n else 0
-    return ActivityTimeline(start, entries, evidence)
+    return ActivityTimeline(start, evidence, label, carried, winning_role, scores)
 
 
 CLUSTER_GAP_MS = 10_000  # doorway triggers closer than this form one passage
@@ -170,9 +180,8 @@ def detect_not_at_home(
     shorter than min_away_min are ignored.  Away interval boundaries are the
     bracketing cluster times, so they track the real exit/entry to seconds.
     """
-    entries = timeline.entries
     ev = timeline.evidence
-    n = len(entries)
+    n = len(ev)
     start = timeline.start
 
     active = (ev.seen & (ev.mean_motion_index >= ev.theta_active)).any(axis=1)
@@ -181,7 +190,7 @@ def detect_not_at_home(
         & (ev.restroom_triggers == 0)
         & (ev.other_motion_triggers == 0)
         & ~active
-        & np.array([e.label == UNKNOWN_ACTIVITY or e.carried for e in entries], dtype=bool)
+        & ((timeline.label == UNKNOWN_ACTIVITY) | timeline.carried)
     )
 
     clusters = _trigger_clusters(doorway_trigger_ts)
@@ -194,20 +203,13 @@ def detect_not_at_home(
         if quiet[first_interior:stop].all():
             intervals.append((leave_last, return_first))
 
-    new_entries = [
-        TimelineEntry(e.minute_start, e.label, e.carried, e.winning_room, e.score)
-        for e in entries
-    ]
+    # relabel minutes that are majority-away, mirroring the truth mapping
+    minute_lo = start + MS_PER_MINUTE * np.arange(n, dtype=np.int64)
+    away = np.zeros(n, dtype=bool)
     for lo, hi in intervals:
-        # relabel minutes that are majority-away, mirroring the truth mapping
-        for i in range(max((lo - start) // MS_PER_MINUTE, 0), n):
-            minute_lo = start + i * MS_PER_MINUTE
-            if minute_lo >= hi:
-                break
-            overlap = min(hi, minute_lo + MS_PER_MINUTE) - max(lo, minute_lo)
-            if overlap >= 30_000:
-                new_entries[i] = TimelineEntry(
-                    new_entries[i].minute_start, ActivityLabel.NOT_AT_HOME.value
-                )
-
-    return ActivityTimeline(timeline.start, new_entries, ev, intervals)
+        away |= np.minimum(hi, minute_lo + MS_PER_MINUTE) - np.maximum(lo, minute_lo) >= 30_000
+    return ActivityTimeline(
+        start, ev, np.where(away, ActivityLabel.NOT_AT_HOME.value, timeline.label),
+        timeline.carried & ~away, np.where(away, np.int8(-1), timeline.winning_role),
+        np.where(away, 0.0, timeline.score), intervals,
+    )

@@ -86,18 +86,17 @@ def extract_sleep(
     above k_rest would mean the residual-heat mitigation upstream failed, so
     that is asserted here.
     """
-    if not timeline.entries:
+    minute = timeline.evidence.minute_start
+    if not len(minute):
         raise CoverageError("timeline is empty")
-    t0 = timeline.entries[0].minute_start
-    t1 = timeline.entries[-1].minute_start + MS_PER_MINUTE
+    t0, t1 = int(minute[0]), int(minute[-1]) + MS_PER_MINUTE
     if day_start < t0 or day_end > t1:
         raise CoverageError(
             f"timeline [{t0}, {t1}) does not cover day window [{day_start}, {day_end})"
         )
 
-    minute = timeline.evidence.minute_start
-    labels = np.array(timeline.labels())
-    sleeping = (labels == ActivityLabel.SLEEPING.value) & (day_start <= minute) & (minute < day_end)
+    sleeping = timeline.label == ActivityLabel.SLEEPING.value
+    sleeping &= (day_start <= minute) & (minute < day_end)
     if (sleeping & (timeline.evidence.restroom_triggers >= k_rest)).any():
         raise AssertionError("sleep minute overlaps restroom triggers: upstream mitigation failed")
     edges = np.diff(np.r_[False, sleeping, False].astype(np.int8))
@@ -189,7 +188,7 @@ def night_toileting(
     minute, or restroom motion triggers in the restroom minute itself.
     """
     ev = timeline.evidence
-    labels = np.array(timeline.labels())
+    labels = timeline.label
     lamp = ev.light_step_max >= lamp_delta
     confirmed = (ev.restroom_triggers > 0) | lamp | np.r_[lamp[1:], False] | np.r_[False, lamp[:-1]]
     wakes = (

@@ -14,6 +14,7 @@ from pathlib import Path
 from . import analytics
 from .activity.evaluate import evaluate_timeline, posture_hits
 from .config import PipelineConfig, dump_config, load_config
+from .core import ACTIVITY_NAMES
 from .errors import (
     ConfigError,
     HometwinError,
@@ -214,7 +215,8 @@ def cmd_run(args) -> int:
 
     if args.plot_data:
         rows = ["minute_start,label"]
-        rows += [f"{e.minute_start},{e.label_name}" for e in result.timeline.entries]
+        minutes, labels = result.timeline.evidence.minute_start, result.timeline.label
+        rows += [f"{m},{ACTIVITY_NAMES[lab]}" for m, lab in zip(minutes.tolist(), labels.tolist())]
         write_atomic(out / "activity_series.csv", [("\n".join(rows) + "\n").encode()])
     return EXIT_OK
 

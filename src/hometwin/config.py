@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .errors import ConfigError
 
-# counts that the pipeline or training divides by, indexes with or loops
-# over, and so cannot be 0
+# counts the pipeline or training divides by, indexes with or loops over, and
+# the rule 1 and 2 thresholds (at 0 a rule fires on every minute): none can be 0
 _AT_LEAST_ONE = (
     "warmup_frames",
     "blob_min_pixels",
@@ -23,6 +23,8 @@ _AT_LEAST_ONE = (
     "val_every",
     "windows_per_class",
     "dataset_seeds",
+    "k_rest",
+    "s_vis",
 )
 
 

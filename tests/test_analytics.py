@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from hometwin import analytics
-from hometwin.activity.rules import ActivityTimeline, TimelineEntry
 from hometwin.config import PipelineConfig
 from hometwin.core import (
     MS_PER_HOUR,
@@ -17,7 +16,7 @@ from hometwin.core import (
 from hometwin.errors import CoverageError, InsufficientDataError, WindowMismatchError
 from hometwin.layout import lite_layout
 
-from test_rules_oracle import MinuteEvidence, frame_of
+from test_rules_oracle import MinuteEvidence, frame_of, labelled_timeline
 
 K_REST = PipelineConfig().k_rest
 
@@ -37,8 +36,7 @@ def timeline_of(labels, start=0, rest_triggers=None, light_steps=None, away=None
         )
         for i in range(len(labels))
     ]
-    entries = [TimelineEntry(ev.minute_start, label) for ev, label in zip(records, labels)]
-    return ActivityTimeline(start, entries, frame_of(records), away or [])
+    return labelled_timeline(frame_of(records), labels, away or [])
 
 
 class TestExtractSleep:

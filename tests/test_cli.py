@@ -241,7 +241,9 @@ def test_run_produces_timeline_and_report(workdir):
     assert "sleep" in report and "environment" in report
     assert (out / "report.txt").exists()
     assert (out / "environment.csv").exists()
-    assert (out / "activity_series.csv").exists()
+    # the plot series is the timeline's first two columns
+    series = (out / "activity_series.csv").read_text().splitlines()
+    assert series == ["minute_start,label"] + [row.rsplit(",", 2)[0] for row in timeline[1:]]
 
 
 def test_run_logs_pipeline_health(workdir, capsys):

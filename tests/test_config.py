@@ -111,15 +111,20 @@ def test_removed_key_refused_everywhere(key, tmp_path, capsys):
 @pytest.mark.parametrize(
     "key",
     ["warmup_frames", "blob_min_pixels", "train_iterations", "batch_size", "val_every",
-     "windows_per_class", "dataset_seeds"],
+     "windows_per_class", "dataset_seeds", "k_rest", "s_vis"],
 )
 @pytest.mark.parametrize("value", [0, -5])
-def test_count_below_one_refused_everywhere(key, value):
+def test_count_below_one_refused_everywhere(key, value, capsys):
+    # k_rest and s_vis are the rule 1 and 2 thresholds: at 0 a rule fires on
+    # every minute it reaches
+    from hometwin.cli import main
+
     with pytest.raises(ConfigError, match=f"'{key}' must be at least 1"):
         PipelineConfig(**{key: value})
     with pytest.raises(ConfigError, match=key):
         PipelineConfig().override(**{key: value})
     with pytest.raises(ConfigError, match=key):
         config_from_dict({key: value})
+    assert main(["print-config", "--set", f"{key}={value}"]) == 2
+    assert key in capsys.readouterr().err
     assert getattr(PipelineConfig().override(**{key: 1}), key) == 1
-

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from hometwin.activity.evaluate import evaluate_timeline
-from hometwin.activity.rules import ActivityTimeline, TimelineEntry
 from hometwin.core import MS_PER_MINUTE, ActivityLabel, UNKNOWN_ACTIVITY
 from hometwin.errors import AlignmentError
 from hometwin.simulate.truth import GroundTruthTimeline
+
+from test_rules_oracle import MinuteEvidence, frame_of, labelled_timeline
 
 
 def make_truth(codes, start=0):
@@ -19,10 +20,8 @@ def make_truth(codes, start=0):
 
 
 def make_timeline(labels, start=0):
-    entries = [
-        TimelineEntry(start + i * MS_PER_MINUTE, label) for i, label in enumerate(labels)
-    ]
-    return ActivityTimeline(start, entries, [None] * len(labels))
+    records = [MinuteEvidence(start + i * MS_PER_MINUTE, False) for i in range(len(labels))]
+    return labelled_timeline(frame_of(records), labels)
 
 
 def test_perfect_prediction_scores_one():
@@ -53,6 +52,10 @@ def test_misaligned_grids_rejected():
         evaluate_timeline(make_timeline([0, 1], start=60_000), make_truth([0, 1]))
     with pytest.raises(AlignmentError):
         evaluate_timeline(make_timeline([0, 1]), make_truth([0, 1, 2]))
+    # same start and count, but the second minute is off the grid
+    records = [MinuteEvidence(0, False), MinuteEvidence(2 * MS_PER_MINUTE, False)]
+    with pytest.raises(AlignmentError, match="misaligned"):
+        evaluate_timeline(labelled_timeline(frame_of(records), [0, 1]), make_truth([0, 1]))
 
 
 def test_report_text_has_matrix():

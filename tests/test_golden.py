@@ -15,14 +15,17 @@ Two sets of outputs are pinned:
   and truth are the only portable outputs with visitors in them.
 - "environment": model files and everything computed after a float32 GEMM
   (training reports, timelines and reports made with a posture model).
-  Their bytes depend on the numpy build, the BLAS library, its thread
-  count and the CPU, so they are compared only where `environment()`
-  equals the recorded one.  The thread count matters: the first conv's
+  Their bytes depend on the numpy build, the BLAS library and the CPU, so
+  each is compared only where the `environment()` keys it depends on
+  (`golden.json` "depends_on") equal the recorded ones.  The BLAS thread
+  count is a key of the 32x32 model file alone: the first conv's
   weight-gradient GEMM at 32x32 ((16, 900) @ (900, 180) per window) rounds
   differently with one BLAS thread than with two, so a run under
-  `OPENBLAS_NUM_THREADS=1` trains other 32x32 model bytes.
+  `OPENBLAS_NUM_THREADS=1` trains other 32x32 model bytes.  Its training
+  report and curve, the 4x4 models and every timeline and report made with
+  them come out the same with one thread, so a pinned run compares them.
 
-The test prints which outputs it compared and which it skipped.
+The test prints which outputs it compared and which it skipped, and why.
 """
 
 from __future__ import annotations
@@ -78,6 +81,16 @@ def environment() -> dict:
         "nproc": os.cpu_count(),
         "simd": simd,
     }
+
+
+# the environment digests whose bytes move with the BLAS thread count
+THREAD_BOUND = ("day_models/posture_32.htm",)
+
+
+def depends_on(names) -> dict[str, list[str]]:
+    """The `environment()` keys each environment digest depends on."""
+    keys = sorted(set(environment()) - {"blas_threads"})
+    return {name: sorted(keys + ["blas_threads"] * (name in THREAD_BOUND)) for name in names}
 
 
 def _sha(data: bytes | str) -> str:
@@ -233,26 +246,22 @@ def compute() -> dict:
 def test_golden_outputs():
     golden = json.loads(GOLDEN_PATH.read_text())
     env, recorded = environment(), golden["recorded_environment"]
-    env_differs = sorted(k for k in env.keys() | recorded.keys() if env.get(k) != recorded.get(k))
+    assert golden["depends_on"] == depends_on(golden["environment"]), "rerun update_golden.py"
     got = compute()
 
-    compared, skipped, differ = [], [], []
+    compared, skipped, differ = [], {}, []
     for group in ("portable", "environment"):
         assert sorted(got[group]) == sorted(golden[group]), f"{group} outputs renamed"
         for name, digest in golden[group].items():
-            if group == "environment" and env_differs:
-                skipped.append(name)
+            moved = [k for k in golden["depends_on"].get(name, ()) if env.get(k) != recorded.get(k)]
+            if moved:
+                reason = "; ".join(f"{k} is {env.get(k)!r}, recorded {recorded.get(k)!r}" for k in moved)
+                skipped.setdefault(reason, []).append(name)
                 continue
             compared.append(name)
             if got[group][name] != digest:
                 differ.append(name)
     print(f"golden: compared {len(compared)} outputs: {', '.join(compared)}")
-    if skipped:
-        reason = "; ".join(
-            f"{k} is {env.get(k)!r}, recorded {recorded.get(k)!r}" for k in env_differs
-        )
-        print(
-            f"golden: skipped {len(skipped)} BLAS-dependent outputs ({reason}): "
-            + ", ".join(skipped)
-        )
+    for reason, names in skipped.items():
+        print(f"golden: skipped {len(names)} BLAS-dependent outputs ({reason}): {', '.join(names)}")
     assert not differ, f"outputs differ from the golden digests: {differ}"

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Rewrite tests/golden.json: the digests of every pinned output and the
-environment the BLAS-dependent ones were computed in.
+"""Rewrite tests/golden.json: the digests of every pinned output, the
+environment the BLAS-dependent ones were computed in, and the environment
+keys each of those depends on.
 
     PYTHONPATH=src python tests/update_golden.py
 
@@ -16,12 +17,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from test_golden import GOLDEN_PATH, compute, environment  # noqa: E402
+from test_golden import GOLDEN_PATH, compute, depends_on, environment  # noqa: E402
 
 
 def main() -> int:
     old = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.is_file() else {}
     new = {"recorded_environment": environment(), **compute()}
+    new["depends_on"] = depends_on(new["environment"])
     GOLDEN_PATH.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     for group in ("portable", "environment"):
         before = old.get(group, {})
