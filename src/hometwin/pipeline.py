@@ -5,22 +5,29 @@ Reads one [start, end) window of a RecordStore: each sensor's readings as
 one time-ordered series and each thermal sensor's frames as one block.
 
 The frame block passes through as one columnar window stack, with no
-per-window objects: the tracker turns it into residuals, `build_windows`
-tiles them into 20-frame windows and drops the off-cadence ones,
+per-window objects: `build_windows` tiles the frames into 20-frame windows
+and drops the off-cadence ones (only the timestamps decide, so this runs
+before the tracker), the tracker turns the frames into residuals,
 `stack_windows` returns the kept windows as a [k, 20, r, r] view (one
-gather when some were dropped), and batched kernels compute the motion
-indices, the blob counts of the 32x32 window means and the postures
-(256-window inference batches).  A `SensorTrack` keeps one array per
+gather when they are not consecutive), and batched kernels compute the
+motion indices, the blob counts of the 32x32 window means and the
+postures (256-window inference batches).  A `SensorTrack` keeps one array per
 column.  The minute evidence is one frame of columns (`MinuteEvidence`):
 the tracks' windows are scattered into its [n_minutes, 6] room columns,
 the motion triggers and light steps are counted into its per-minute
 columns, and the rule cascade and the not-at-home pass read the frame.
 
-Inference uses a second core when BLAS runs one thread and more than one
-core is usable (`OPENBLAS_NUM_THREADS=1 hometwin run ...`): each batch's
-blocks are split between the caller and one helper thread, with the same
-logits as serially.  Under a BLAS that runs a thread per core (no thread
-count set) inference stays serial; see `posture.net`.
+Posture inference of a sensor starts before its tracker runs
+(`PostureNet.run_ahead`): the tracker reports after each slab how many
+residual frames are final, each report raises the count of kept windows
+whose frames are all final, and the helper thread runs the inference
+blocks of those windows while the caller finishes the tracker, the motion
+index and the blob count.  `predict_labels` then stops the helper and runs
+the blocks it has not done, with the helper's help again.  The helper is
+engaged only when BLAS runs one thread and more than one core is usable
+(`OPENBLAS_NUM_THREADS=1 hometwin run ...`); otherwise every block runs on
+the caller at the join, in the order of the serial loop.  Either way the
+logits are the same bits as serially; see `posture.net`.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .core import (
 from .ingestion.store import RecordStore
 from .layout import HomeLayout, RoomRole
 from .posture.net import PostureNet
-from .posture.windows import build_windows, stack_windows
+from .posture.windows import build_windows, stack_windows, tile_stack
 from .activity.evidence import MinuteEvidence
 from .activity.rules import ActivityTimeline, classify_timeline, detect_not_at_home
 from .thermal import BaselineTracker, count_blobs, motion_index
@@ -158,33 +165,50 @@ def _process_thermal_sensor(
     room = source.layout.room(spec.room_id)
     resolution = spec.kind.resolution
 
-    tracker = BaselineTracker(resolution, config)
-    ambient = _ambient_lookup(source, spec.room_id)
-    if ambient is not None and len(ambient):
-        tracker.set_ambient_series(ambient.timestamps, ambient.values)
-
     (block,) = source.frame_blocks(sensor_id)
     kept = off_cadence = np.empty(0, dtype=np.int64)
     if len(block):
-        residuals = tracker.process(block.timestamps, block.pixels_centi)
-        kept, off_cadence = build_windows(block.timestamps, residuals)
+        kept, off_cadence = build_windows(block.timestamps, block.pixels_centi)
+    ahead = residuals = None
+
+    def progress(made: np.ndarray, final: int) -> None:
+        nonlocal residuals
+        residuals = made
+        if ahead is not None:  # the kept windows whose frames are all final
+            ahead.advance(int(np.searchsorted(kept, final // WINDOW_FRAMES)))
+
+    tracker = BaselineTracker(resolution, config, progress)
+    ambient = _ambient_lookup(source, spec.room_id)
+    if ambient is not None and len(ambient):
+        tracker.set_ambient_series(ambient.timestamps, ambient.values)
     start = block.timestamps[kept * WINDOW_FRAMES]
     motion = np.empty(0, dtype=np.float64)
     blobs = posture = np.empty(0, dtype=np.int64)
-    if len(kept):
-        windows = stack_windows(residuals, kept)
-        motion = motion_index(windows)
-        if resolution == 32:
-            blobs = count_blobs(
-                windows.mean(axis=1), config.blob_threshold_c, config.blob_min_pixels
-            )
-        else:
-            blobs = np.zeros(len(kept), dtype=np.int64)
-        posture = (
-            model.predict_labels(windows, INFER_BATCH)
-            if model is not None
-            else np.full(len(kept), PostureLabel.NOT_HERE.value, dtype=np.int64)
+    if model is not None and len(kept):  # inference starts as the tracker runs
+        ahead = model.run_ahead(
+            len(kept), INFER_BATCH, lambda a, b: tile_stack(residuals, kept[a:b])
         )
+    try:
+        if len(block):
+            residuals = tracker.process(block.timestamps, block.pixels_centi)
+        if len(kept):
+            windows = stack_windows(residuals, kept)
+            motion = motion_index(windows)
+            if resolution == 32:
+                blobs = count_blobs(
+                    windows.mean(axis=1), config.blob_threshold_c, config.blob_min_pixels
+                )
+            else:
+                blobs = np.zeros(len(kept), dtype=np.int64)
+            posture = (
+                model.predict_labels(windows, INFER_BATCH, ahead=ahead)
+                if model is not None
+                else np.full(len(kept), PostureLabel.NOT_HERE.value, dtype=np.int64)
+            )
+    except BaseException:
+        if ahead is not None:
+            ahead.cancel()  # its helper would wait for frames that never come
+        raise
 
     return SensorTrack(
         sensor_id,

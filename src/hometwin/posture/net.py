@@ -13,15 +13,28 @@ drops dropout, and runs the batch in cache-sized blocks of windows; it writes
 nothing to the model, so repeated inference on the same input is
 bit-identical.
 
-A call of two or more blocks is split between the caller and one helper
-thread when more than one core is usable and BLAS runs one thread (see
-`blas_threads`; `OPENBLAS_NUM_THREADS=1 hometwin run ...` gets it): the
-caller runs the first half of the blocks and the helper the rest.  numpy
-releases the interpreter lock in BLAS calls and array copies, so the halves
-run at once, and each block is computed exactly as in the serial loop, so
-the logits are the same bits.  With a BLAS that runs a thread per core, the
-two would compete for the same cores, so inference stays serial.  The helper
-is made on the first split call and dropped in a forked child.
+Every inference call runs through one block executor: the caller and one
+helper thread claim the blocks of the call in order from one shared
+counter, and each block is computed exactly as in the serial loop over the
+same block grid, so the logits are the same bits whoever ran it.  numpy
+releases the interpreter lock in BLAS calls and array copies, so the two
+threads run at once.  A block can be claimed once all its windows are
+final.  A plain call has every window final from the start.  The pipeline
+instead starts the executor on a thermal sensor's windows before the
+baseline tracker has made them (`PostureNet.run_ahead`), raises the count
+of final windows as the tracker reports progress, and so lets the helper
+run blocks while the caller finishes the tracker, the motion index and the
+blob count; `predict_labels` then stops it and runs the blocks left.
+
+The helper is engaged when a call has two or more blocks, more than one
+core is usable and BLAS runs one thread (see `blas_threads`;
+`OPENBLAS_NUM_THREADS=1 hometwin run ...` gets it).  With a BLAS that runs
+a thread per core, the two would compete for the same cores, so every
+block runs on the caller, in order.  The helper only runs this module's
+block loop and the window source it is given; it never enters a public
+entry point (`forward`, `predict_proba`, the tracker, the window builders),
+so whatever wraps those sees the caller's work alone.  It is made on the
+first engaged call and dropped in a forked child.
 """
 
 from __future__ import annotations
@@ -68,8 +81,8 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# the one helper thread of split inference (a ThreadPoolExecutor), made on
-# first use so that a process that never infers never starts it
+# the one helper thread of the block executor (a ThreadPoolExecutor), made
+# on first engaged use so that a process that never engages it never starts it
 _helper = None
 _helper_lock = threading.Lock()
 
@@ -441,39 +454,122 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, dlogits / n
 
 
-def _infer_blocks(
-    layers: list[tuple], x: np.ndarray, out: np.ndarray, lo: int, hi: int, rows: int
-) -> None:
-    """Run windows lo:hi of `x` through the folded `layers` in blocks of
-    `rows` windows (lo on the block grid) and write their logits to `out`."""
-    for start in range(lo, hi, rows):
-        h = x[start : min(start + rows, hi)]
-        owned = False  # h may be written in place once it is not the caller's
-        for kind, *p in layers:
-            if kind == "conv":
-                w, b, k, pad = p
-                cols, (ho, wo) = _im2col(h, k, pad)
-                h = np.matmul(w, cols)
-                h += b[:, None]
-                h = h.reshape(h.shape[0], -1, ho, wo)
-            elif kind == "fc":
-                w, b = p
-                h = h @ w.T
-                h += b
-            elif kind == "affine":
-                shape = (1, -1, 1, 1) if h.ndim == 4 else (1, -1)
-                h = h * p[0].reshape(shape) + p[1].reshape(shape)
-            elif kind == "relu":
-                h = np.maximum(h, 0, out=h if owned else None)
-            elif kind == "pool":  # 2x2, stride 2, odd edges dropped
-                he, we = h.shape[2] // 2 * 2, h.shape[3] // 2 * 2
-                top = np.maximum(h[:, :, 0:he:2, 0:we:2], h[:, :, 0:he:2, 1:we:2])
-                h = np.maximum(h[:, :, 1:he:2, 0:we:2], h[:, :, 1:he:2, 1:we:2])
-                np.maximum(h, top, out=h)
-            else:  # flatten
-                h = h.reshape(h.shape[0], -1)
-            owned = kind != "flatten" or owned
-        out[start : start + len(h)] = h
+def _infer_block(layers: list[tuple], h: np.ndarray) -> np.ndarray:
+    """The logits of the windows `h` through the folded `layers`."""
+    owned = False  # h may be written in place once it is not the caller's
+    for kind, *p in layers:
+        if kind == "conv":
+            w, b, k, pad = p
+            cols, (ho, wo) = _im2col(h, k, pad)
+            h = np.matmul(w, cols)
+            h += b[:, None]
+            h = h.reshape(h.shape[0], -1, ho, wo)
+        elif kind == "fc":
+            w, b = p
+            h = h @ w.T
+            h += b
+        elif kind == "affine":
+            shape = (1, -1, 1, 1) if h.ndim == 4 else (1, -1)
+            h = h * p[0].reshape(shape) + p[1].reshape(shape)
+        elif kind == "relu":
+            h = np.maximum(h, 0, out=h if owned else None)
+        elif kind == "pool":  # 2x2, stride 2, odd edges dropped
+            he, we = h.shape[2] // 2 * 2, h.shape[3] // 2 * 2
+            top = np.maximum(h[:, :, 0:he:2, 0:we:2], h[:, :, 0:he:2, 1:we:2])
+            h = np.maximum(h[:, :, 1:he:2, 0:we:2], h[:, :, 1:he:2, 1:we:2])
+            np.maximum(h, top, out=h)
+        else:  # flatten
+            h = h.reshape(h.shape[0], -1)
+        owned = kind != "flatten" or owned
+    return h
+
+
+def _block_grid(n: int, batch: int, rows: int) -> list[tuple[int, int]]:
+    """The [a, b) window range of each block: each `batch` windows start
+    their own grid of `rows`-window blocks."""
+    return [
+        (a, min(a + rows, lo + batch, n))
+        for lo in range(0, n, batch)
+        for a in range(lo, min(lo + batch, n), rows)
+    ]
+
+
+class BlockRun:
+    """The blocks of one inference run, claimed in order from one counter
+    by the caller and, when engaged, the helper thread.
+
+    `windows(a, b)` gives the input of windows a:b.  A block can be claimed
+    once its windows are all final: the first `final` windows, raised by
+    `advance`.  The helper waits for blocks to become final; the caller
+    claims only blocks that are final already.
+    """
+
+    def __init__(self, layers, grid, windows, out: np.ndarray, final: int):
+        self.out = out
+        self._layers, self._grid, self._windows = layers, grid, windows
+        self._final = final
+        self._next = 0  # the next block to claim
+        self._stopped = False
+        self._cond = threading.Condition()
+        self._helper = None
+        if len(grid) >= 2 and blas_threads() == 1 and _usable_cores() >= 2:
+            # the caller's context carries its numpy error state to the helper
+            self._helper = _inference_helper().submit(
+                contextvars.copy_context().run, self.work, True
+            )
+
+    def advance(self, final: int) -> None:
+        """Windows [0, final) are final."""
+        with self._cond:
+            if final > self._final:
+                self._final = final
+                self._cond.notify()
+
+    def _claim(self, wait: bool) -> tuple[int, int] | None:
+        with self._cond:
+            while not self._stopped and self._next < len(self._grid):
+                a, b = self._grid[self._next]
+                if b <= self._final:
+                    self._next += 1
+                    return a, b
+                if not wait:
+                    break
+                self._cond.wait()
+        return None
+
+    def work(self, wait: bool = False) -> None:
+        """Run blocks as they are claimed, until none is left, the run is
+        stopped or (without `wait`) the next one is not final yet."""
+        try:
+            while (block := self._claim(wait)) is not None:
+                self._run_block(*block)
+        except BaseException:
+            self._halt()  # the other thread stops claiming too
+            raise
+
+    def _run_block(self, a: int, b: int) -> None:
+        self.out[a:b] = _infer_block(self._layers, self._windows(a, b))
+
+    def _halt(self) -> None:
+        with self._cond:
+            self._stopped = True
+            self._cond.notify()
+
+    def cancel(self) -> BaseException | None:
+        """Stop claiming and wait until the helper has stopped writing;
+        returns the helper's error, if it raised one."""
+        self._halt()
+        if self._helper is None or self._helper.cancel():  # a queued helper never starts
+            return None
+        return self._helper.exception()
+
+    def stop(self) -> int:
+        """`cancel`, raise the helper's error, and return how many windows
+        are done: a prefix, ending on the block grid."""
+        error = self.cancel()
+        if error is not None:
+            raise error
+        return self._grid[self._next - 1][1] if self._next else 0
 
 
 class PostureNet:
@@ -611,29 +707,42 @@ class PostureNet:
 
         A block's largest im2col matrix stays within INFER_BLOCK_BYTES, so
         each conv's patches are still in cache when its GEMM reads them.
-        With two or more blocks, two usable cores and a one-thread BLAS, the
-        helper thread runs the second half of the blocks while the caller
-        runs the first (the module docstring says why).
+        The block executor runs them, every window final from the start:
+        on the caller alone, or with the helper thread when engaged (the
+        module docstring says when).
         """
-        layers = self._folded_layers()
-        n, rows = x.shape[0], self._block_rows
+        n = x.shape[0]
         out = np.empty((n,) + self._out_shape, dtype=self.dtype)
-        blocks = -(-n // rows)
-        if blocks < 2 or blas_threads() != 1 or _usable_cores() < 2:
-            _infer_blocks(layers, x, out, 0, n, rows)
-            return out
-        cut = (blocks + 1) // 2 * rows
-        # the caller's context carries its numpy error state to the helper
-        half = _inference_helper().submit(
-            contextvars.copy_context().run, _infer_blocks, layers, x, out, cut, n, rows
+        run = BlockRun(
+            self._folded_layers(), _block_grid(n, max(n, 1), self._block_rows),
+            lambda a, b: x[a:b], out, final=n,
         )
         try:
-            _infer_blocks(layers, x, out, 0, cut, rows)
+            run.work()
         except BaseException:
-            half.exception()  # the helper writes into `out`: let it finish first
+            run.cancel()  # the helper writes into `out`: let it stop first
             raise
-        half.result()
+        run.stop()
         return out
+
+    def run_ahead(self, n: int, batch: int, windows) -> BlockRun:
+        """Start the inference of `n` windows that become final in order, on
+        the helper thread when it is engaged, and return the run.
+
+        `windows(a, b)` gives the input of windows a:b once they are final,
+        and `advance(k)` on the run says that the first k are.  The blocks
+        follow the grid of `predict_labels` with this `batch`, so
+        `predict_labels(x, batch, ahead=run)` on the same windows takes the
+        blocks the helper has done and runs only the rest.  `windows` runs
+        on the helper thread, so it must not enter anything that a tracer
+        may wrap.
+        """
+        dtype = self.dtype
+        return BlockRun(
+            self._folded_layers(), _block_grid(n, batch, self._block_rows),
+            lambda a, b: np.asarray(windows(a, b), dtype=dtype),
+            np.empty((n,) + self._out_shape, dtype=dtype), final=0,
+        )
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Parameter gradients (`named_grads`) of the last training forward,
@@ -655,17 +764,33 @@ class PostureNet:
         """Inference-mode class probabilities (deterministic)."""
         return softmax(self.forward(x, train=False))
 
-    def predict_labels(self, x: np.ndarray, batch: int, rows: np.ndarray | None = None) -> np.ndarray:
+    def predict_labels(
+        self,
+        x: np.ndarray,
+        batch: int,
+        rows: np.ndarray | None = None,
+        ahead: BlockRun | None = None,
+    ) -> np.ndarray:
         """The most probable class of each input, or of each `x[rows]` when
-        `rows` is given, one `predict_proba` call per `batch` inputs.  With
-        `rows`, each call gathers only its own batch from `x`.
+        `rows` is given, one `predict_proba` call per `batch` inputs, as
+        int64.  With `rows`, each call gathers only its own batch from `x`.
 
         The batch size is part of the result: each call starts its own block
         grid (`_block_rows`), and a dense layer's GEMM rounds by its block's
         row count, so other batch sizes can give other logit bits.
+
+        `ahead` is a `run_ahead` run on the same inputs and batch size.  It
+        is stopped, the windows it has done keep its logits, and the first
+        `predict_proba` call starts where it stopped, on its block grid, so
+        the labels are the same bits as without it.
         """
-        if rows is None:
-            batches = (x[lo : lo + batch] for lo in range(0, len(x), batch))
-        else:
-            batches = (x[rows[lo : lo + batch]] for lo in range(0, len(rows), batch))
-        return np.concatenate([self.predict_proba(b).argmax(axis=1) for b in batches])
+        n = len(x) if rows is None else len(rows)
+        done = 0 if ahead is None else ahead.stop()
+        labels = [softmax(ahead.out[:done]).argmax(axis=1)] if done else []
+        lo = done
+        while lo < n:
+            hi = min(lo - lo % batch + batch, n)  # the end of lo's batch
+            part = x[lo:hi] if rows is None else x[rows[lo:hi]]
+            labels.append(self.predict_proba(part).argmax(axis=1))
+            lo = hi
+        return np.concatenate(labels) if labels else np.empty(0, dtype=np.int64)

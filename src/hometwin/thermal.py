@@ -9,12 +9,15 @@ co-located temperature sensor reports a significant ambient shift.
 
 The tracker does what does not depend on the baseline once per cache-sized
 slab of chunks, and only the gate and the update chunk by chunk, with the
-same bits as a chunk-by-chunk loop (`tests/test_tracker_oracle.py`).
+same bits as a chunk-by-chunk loop (`tests/test_tracker_oracle.py`).  After
+each slab it can report how many residual frames are final, so that a
+consumer can read them before the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -263,15 +266,26 @@ class BaselineTracker:
     the update.  The calibration ring is a fixed circular buffer of the
     last RING_FRAMES absorbed frames as int16, filled once per call or
     before a calibration and cast only when one fires.
+
+    `progress`, when given, is called as `progress(residuals, hi)` after
+    each slab, once the residuals of the call's frames [0, hi) are final:
+    nothing later in the call writes them.  The pipeline uses it to start
+    posture inference on the first windows while the tracker still runs.
     """
 
     CHUNK = 40  # frames per update decision (10 s at 4 Hz)
     AMBIENT_SMOOTH_SAMPLES = 12  # one minute of 5 s thermometer readings
     RING_FRAMES = 240  # recent unoccupied frames a calibration resets from
 
-    def __init__(self, resolution: int, config: PipelineConfig):
+    def __init__(
+        self,
+        resolution: int,
+        config: PipelineConfig,
+        progress: Callable[[np.ndarray, int], None] | None = None,
+    ):
         self.resolution = resolution
         self.config = config
+        self._progress = progress
         self.baseline: PixelBaseline | None = None
         self._warmup: list[np.ndarray] = []  # int16 frames until the baseline forms
         self._warmup_end = 0  # timestamp of the last warm-up frame
@@ -451,6 +465,8 @@ class BaselineTracker:
                         self._ambient_at_mean = ambient
 
             _clamped_residuals(frames, levels, chunk, diffs, residuals[lo:hi])
+            if self._progress is not None:
+                self._progress(residuals, hi)
         self._ring_push(pixels_centi, absorbed)
         self._recent_ts = history_ts[left:].copy()
         self._recent_diff = history_diff[left:].copy()

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Print where posture inference spends its time, per layer, serial and split.
+"""Print where posture inference spends its time, per layer, serial and on
+two threads, and what streaming saves on the 32x32 sensor's stage.
 
     PYTHONPATH=src python tests/infer_cost.py [reps]
 
 BLAS is pinned to one thread before numpy loads, as `perfbench/run.py`
-pins it, so `PostureNet._infer` splits its blocks between the caller and
+pins it, so `PostureNet._infer` shares its blocks between the caller and
 the helper thread on a machine with two usable cores.  The input is 480
 simulated windows per resolution (one `mixed_day_32x32` report classifies
 480 windows per room), run as the pipeline runs them: one call of 256
@@ -14,13 +15,19 @@ the work.
 Per resolution it prints the median over `reps` rounds (default 5) of:
 
 - the whole calls' wall time, serial (the block loop on the caller alone)
-  and split (`PostureNet._infer` as the pipeline calls it);
+  and on two threads (`PostureNet._infer` as the pipeline calls it);
 - each folded layer's busy time, from a copy of the block loop with a timer
-  around each layer, summed over the threads that ran it.  A conv is shown
-  as its im2col copy and its GEMM (with the bias add), beside the conv's
-  computed GFLOP and MB moved from `perfbench/hbench/kernels.forward_cost`
-  (a batch norm folded into a conv counts with it) and the serial GFLOP/s
-  (of the GEMM alone for a conv).
+  around each layer, its blocks claimed in order by the caller and a
+  second thread as `_infer` claims them, summed over the threads.  A conv
+  is shown as its im2col copy and its GEMM (with the bias add), beside the
+  conv's computed GFLOP and MB moved from
+  `perfbench/hbench/kernels.forward_cost` (a batch norm folded into a conv
+  counts with it) and the serial GFLOP/s (of the GEMM alone for a conv).
+
+Then the median wall time of the 32x32 sensor's whole pipeline stage
+(`pipeline._process_thermal_sensor`: tracker, motion index, blob count and
+inference) on the `mixed_day_32x32` day window, serial (the helper off)
+against streamed (the helper runs inference blocks while the tracker runs).
 
 Nothing gates these figures.
 """
@@ -41,6 +48,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import hometwin.pipeline as pipeline  # noqa: E402
 import hometwin.posture.net as net  # noqa: E402
 from hometwin.posture.data import generate_posture_dataset  # noqa: E402
 
@@ -84,8 +92,9 @@ def layer_costs(config, n: int) -> dict[str, tuple[float, float]]:
 
 
 def timed_blocks(layers, names, x, out, lo, hi, rows, spent) -> None:
-    """`net._infer_blocks` with a timer around each layer (and around a
-    conv's im2col and GEMM apart) adding into `spent`."""
+    """`net._infer_block` over the blocks of `rows` windows of lo:hi, with a
+    timer around each layer (and around a conv's im2col and GEMM apart)
+    adding into `spent`."""
     clock = time.perf_counter
     for start in range(lo, hi, rows):
         h = x[start : min(start + rows, hi)]
@@ -123,21 +132,53 @@ def timed_blocks(layers, names, x, out, lo, hi, rows, spent) -> None:
         out[start : start + len(h)] = h
 
 
-def per_layer(model, x, split: bool) -> dict[str, float]:
-    """Busy seconds per layer of one call, split the way `_infer` splits."""
+def per_layer(model, x, two_threads: bool) -> dict[str, float]:
+    """Busy seconds per layer of one call, its blocks claimed in order from
+    one counter by the caller and, with `two_threads`, a second thread."""
     layers, names = model._folded_layers(), layer_names(model.config)
     n, rows = len(x), model._block_rows
     out = np.empty((n,) + model._out_shape, dtype=model.dtype)
-    blocks = -(-n // rows)
-    cut = (blocks + 1) // 2 * rows if split and blocks >= 2 else n
+    starts, lock = iter(range(0, n, rows)), threading.Lock()
+
+    def claim_blocks(spent) -> None:
+        while True:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            timed_blocks(layers, names, x, out, start, min(start + rows, n), rows, spent)
+
     mine, theirs = defaultdict(float), defaultdict(float)
-    helper = threading.Thread(
-        target=timed_blocks, args=(layers, names, x, out, cut, n, rows, theirs)
-    )
-    helper.start()  # with an empty range when serial
-    timed_blocks(layers, names, x, out, 0, cut, rows, mine)
-    helper.join()
+    helper = threading.Thread(target=claim_blocks, args=(theirs,))
+    if two_threads:
+        helper.start()
+    claim_blocks(mine)
+    if two_threads:
+        helper.join()
     return {k: mine[k] + theirs[k] for k in mine.keys() | theirs.keys()}
+
+
+def sensor_stage(reps: int) -> dict[str, float]:
+    """Median seconds of the 32x32 sensor's pipeline stage on the
+    `mixed_day_32x32` day window, serial and streamed."""
+    from hbench import day
+
+    inp = day.setup(1)
+    rep = day.report(inp)  # a filled store
+    source = pipeline.StreamSource(inp.layout, store=rep.store, start=rep.start, end=rep.end)
+    sensor = max(inp.layout.thermal_sensors(), key=lambda s: s.kind.resolution).sensor_id
+    usable = net._usable_cores
+    wall = defaultdict(list)
+    for _ in range(reps + 1):  # the first round warms up and is dropped
+        for mode in ("serial", "streamed"):
+            net._usable_cores = usable if mode == "streamed" else (lambda: 1)
+            try:
+                t0 = time.perf_counter()
+                pipeline._process_thermal_sensor(source, sensor, inp.models[32], day.CONFIG)
+                wall[mode].append(time.perf_counter() - t0)
+            finally:
+                net._usable_cores = usable
+    return {mode: statistics.median(v[1:]) for mode, v in wall.items()}
 
 
 def main() -> int:
@@ -149,20 +190,20 @@ def main() -> int:
         x, _ = generate_posture_dataset(resolution, sum(BATCHES) // 5)
         calls = [x[lo : lo + b] for lo, b in zip((0, BATCHES[0]), BATCHES)]
         layers = model._folded_layers()
-        wall, busy = defaultdict(list), {"serial": defaultdict(list), "split": defaultdict(list)}
+        wall, busy = defaultdict(list), {"serial": defaultdict(list), "two": defaultdict(list)}
         for _ in range(reps + 1):  # the first round warms up and is dropped
-            for mode in ("serial", "split"):
+            for mode in ("serial", "two"):
                 t0 = time.perf_counter()
                 for xs in calls:
-                    if mode == "split":
+                    if mode == "two":
                         model._infer(xs)
                     else:
-                        out = np.empty((len(xs),) + model._out_shape, dtype=model.dtype)
-                        net._infer_blocks(layers, xs, out, 0, len(xs), model._block_rows)
+                        for lo in range(0, len(xs), model._block_rows):
+                            net._infer_block(layers, xs[lo : lo + model._block_rows])
                 wall[mode].append(time.perf_counter() - t0)
                 spent = defaultdict(float)
                 for xs in calls:
-                    for name, s in per_layer(model, xs, mode == "split").items():
+                    for name, s in per_layer(model, xs, mode == "two").items():
                         spent[name] += s
                 for name, s in spent.items():
                     busy[mode][name].append(s)
@@ -174,24 +215,28 @@ def main() -> int:
               for mode, d in busy.items()}
         print(f"\n{resolution}x{resolution}, {len(x)} windows, "
               f"{model._block_rows} windows per block")
-        print(f"  {'':24s} {'serial ms':>10s} {'split ms':>10s}"
+        print(f"  {'':24s} {'serial ms':>10s} {'2-thread ms':>11s}"
               f" {'GFLOP':>8s} {'MB':>8s} {'GFLOP/s':>8s}")
         print(f"  {'whole calls (wall)':24s} {1e3 * statistics.median(wall['serial'][1:]):10.1f}"
-              f" {1e3 * statistics.median(wall['split'][1:]):10.1f}")
+              f" {1e3 * statistics.median(wall['two'][1:]):11.1f}")
         for name in layer_names(model.config):
             parts = [f"{name} im2col", f"{name} GEMM"] if name.startswith("conv") else [name]
             if len(parts) > 1:
                 for part in parts:
-                    print(f"  {part:24s} {ms['serial'][part]:10.2f} {ms['split'][part]:10.2f}")
+                    print(f"  {part:24s} {ms['serial'][part]:10.2f} {ms['two'][part]:11.2f}")
             g, m = costs[name]
             serial_ms = sum(ms["serial"][p] for p in parts)
             compute_ms = ms["serial"][parts[-1]]  # a conv's flops are its GEMM's
             rate = g / (compute_ms / 1e3) if compute_ms else 0.0
             label = f"{name} total" if len(parts) > 1 else name
-            print(f"  {label:24s} {serial_ms:10.2f} {sum(ms['split'][p] for p in parts):10.2f}"
+            print(f"  {label:24s} {serial_ms:10.2f} {sum(ms['two'][p] for p in parts):11.2f}"
                   f" {g:8.3f} {m:8.1f} {rate:8.1f}")
         print(f"  {'layers (busy, summed)':24s} {sum(ms['serial'].values()):10.1f}"
-              f" {sum(ms['split'].values()):10.1f}")
+              f" {sum(ms['two'].values()):11.1f}")
+    stage = sensor_stage(reps)
+    print("\n32x32 sensor stage: tracker, motion index, blob count, 480-window inference")
+    print(f"  {'':24s} {'serial ms':>10s} {'streamed ms':>11s}")
+    print(f"  {'whole stage (wall)':24s} {1e3 * stage['serial']:10.1f} {1e3 * stage['streamed']:11.1f}")
     return 0
 
 

@@ -26,6 +26,11 @@ Two sets of outputs are pinned:
   them come out the same with one thread, so a pinned run compares them.
 
 The test prints which outputs it compared and which it skipped, and why.
+
+Tier-1 runs with BLAS unpinned, where posture inference never engages its
+helper thread, so a second test recomputes the day window's pipeline and
+report digests with the engage rule forced on and compares them with the
+recorded ones.
 """
 
 from __future__ import annotations
@@ -36,10 +41,13 @@ import os
 import platform
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import hometwin.posture.net as net
 from hometwin.config import PipelineConfig
 from hometwin.ingestion.store import RecordStore
 from hometwin.ingestion.wire import encode_packet
@@ -265,3 +273,59 @@ def test_golden_outputs():
     for reason, names in skipped.items():
         print(f"golden: skipped {len(names)} BLAS-dependent outputs ({reason}): {', '.join(names)}")
     assert not differ, f"outputs differ from the golden digests: {differ}"
+
+
+# the day window's outputs made from the pipeline's posture labels
+DAY_PIPELINE = (
+    "mixed_day_1940_2020/timeline.csv",
+    "mixed_day_1940_2020/entries",
+    "mixed_day_1940_2020/report.txt",
+    "mixed_day_1940_2020/report.json",
+    "mixed_day_1940_2020/environment.csv",
+)
+
+
+def test_day_window_with_the_helper_forced_on(monkeypatch):
+    """The streamed path: the helper runs a sensor's inference blocks while
+    the tracker runs, and the digests stay the recorded ones."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    env, recorded = environment(), golden["recorded_environment"]
+    moved = sorted(
+        {k for name in DAY_PIPELINE for k in golden["depends_on"][name] if env.get(k) != recorded.get(k)}
+    )
+    if moved:
+        pytest.skip(f"environment keys differ from the recorded ones: {', '.join(moved)}")
+    for var in net.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(net, "_helper", None)
+    helper_blocks = []
+    run_block = net.BlockRun._run_block
+
+    def counted(run, a, b):
+        if threading.current_thread() is not threading.main_thread():
+            helper_blocks.append(b - a)
+        run_block(run, a, b)
+
+    monkeypatch.setattr(net.BlockRun, "_run_block", counted)
+    runs = []
+    run_ahead = net.PostureNet.run_ahead
+
+    def kept_run(model, *args):
+        runs.append(run_ahead(model, *args))
+        return runs[-1]
+
+    monkeypatch.setattr(net.PostureNet, "run_ahead", kept_run)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = mixed_day_outputs(Path(tmp))
+    finally:
+        if net._helper is not None:
+            net._helper.shutdown()
+    ahead = [run.stop() for run in runs]
+    print(f"golden: {len(runs)} streamed sensors, windows done ahead {ahead}; "
+          f"{sum(helper_blocks)} windows on the helper in all")
+    assert runs and helper_blocks, "the streamed path or the helper did not run"
+    differ = [name for name in DAY_PIPELINE if got[name] != golden["environment"][name]]
+    assert not differ, f"outputs differ from the golden digests with the helper on: {differ}"

@@ -1,12 +1,13 @@
-"""Differential tests of split posture inference against the serial block
-loop it splits.
+"""Differential tests of two-core posture inference against the serial block
+loop it replaces.
 
-The oracle below is PostureNet._infer as it was before the split: one loop
-over the whole batch in blocks of `_block_rows` windows.  With the split
-forced on (one BLAS thread, two usable cores), the caller runs the first
-half of the blocks and the helper thread the rest; every block is computed
+The oracle below is PostureNet._infer as it was before the helper thread:
+one loop over the whole batch in blocks of `_block_rows` windows.  With the
+helper forced on (one BLAS thread, two usable cores), the caller and the
+helper claim the blocks in order from one counter; every block is computed
 as before, so the logits must be the same bits, NaN payloads and signed
-zeros included.
+zeros included.  `tests/test_infer_stream.py` covers the streamed path,
+where the helper starts while the tracker still runs.
 """
 
 import multiprocessing
@@ -82,40 +83,69 @@ def batch(pool: np.ndarray, n: int, adversarial: bool, seed: int) -> np.ndarray:
     return x
 
 
+class Blocks:
+    """What the block executor ran: (a, b, on the caller's thread) of each
+    block, in the order they started.  With `turns`, the caller's first
+    block waits until the helper has started one, so that both threads
+    take part whatever the scheduler does."""
+
+    def __init__(self, run_block):
+        self.calls: list[tuple[int, int, bool]] = []
+        self.turns = False
+        self.helper_started = threading.Event()
+        self.caller = threading.get_ident()
+        self._run_block = run_block
+
+    def clear(self) -> None:
+        self.calls.clear()
+        self.helper_started.clear()
+
+    def ranges(self) -> list[tuple[int, int]]:
+        return sorted((a, b) for a, b, _ in self.calls)
+
+    def threads(self) -> set[bool]:
+        return {mine for _, _, mine in self.calls}
+
+    def wrap(self, body=None):
+        """A `BlockRun._run_block` that records each block, then runs
+        `body(run, a, b, on_caller)` (the real block by default)."""
+        blocks = self
+
+        def run_block(run, a, b):
+            mine = threading.get_ident() == blocks.caller
+            blocks.calls.append((a, b, mine))
+            if not mine:
+                blocks.helper_started.set()
+            elif blocks.turns and not blocks.helper_started.wait(timeout=30):
+                raise AssertionError("the helper never started a block")
+            if body is None:
+                blocks._run_block(run, a, b)
+            else:
+                body(run, a, b, mine)
+
+        return run_block
+
+
 @pytest.fixture
 def split(monkeypatch):
-    """Split inference forced on (one BLAS thread, two usable cores), with a
-    fresh helper; yields the (lo, hi, thread id) of each block-range call."""
+    """The helper forced on (one BLAS thread, two usable cores), fresh;
+    yields the `Blocks` record of the block executor."""
     for var in net.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(net, "_helper", None)
-    calls = []
-    run = net._infer_blocks
-
-    def recorded(layers, x, out, lo, hi, rows):
-        calls.append((lo, hi, threading.get_ident()))
-        run(layers, x, out, lo, hi, rows)
-
-    monkeypatch.setattr(net, "_infer_blocks", recorded)
-    yield calls
+    blocks = Blocks(net.BlockRun._run_block)
+    monkeypatch.setattr(net.BlockRun, "_run_block", blocks.wrap())
+    yield blocks
     if net._helper is not None:
         net._helper.shutdown()
 
 
-def expected_calls(model: PostureNet, n: int) -> list[tuple[int, int, bool]]:
-    """(lo, hi, on the caller's thread) of each block range, split forced on."""
-    blocks = -(-n // model._block_rows)
-    if blocks < 2:
-        return [(0, n, True)]
-    cut = (blocks + 1) // 2 * model._block_rows
-    return [(cut, n, False), (0, cut, True)]
-
-
-def seen_calls(calls) -> list[tuple[int, int, bool]]:
-    me = threading.get_ident()
-    return sorted((lo, hi, tid == me) for lo, hi, tid in calls)
+def grid(model: PostureNet, n: int) -> list[tuple[int, int]]:
+    """Each block's [a, b) window range for one call of n windows."""
+    rows = model._block_rows
+    return [(a, min(a + rows, n)) for a in range(0, n, rows)]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
@@ -130,9 +160,14 @@ def test_split_logits_are_bit_identical(small_models, real_windows, split, resol
         x = batch(real_windows[resolution], n, adversarial, seed=resolution)
         want = serial_infer(model, x)
         split.clear()
+        split.turns = len(grid(model, n)) >= 2
         got = model.forward(x, train=False)
         assert_bits_equal(got, want)
-        assert seen_calls(split) == sorted(expected_calls(model, n)), n
+        assert split.ranges() == grid(model, n), n
+        if split.turns:
+            assert split.threads() == {True, False}, n
+        else:
+            assert split.threads() <= {True}, n
     if adversarial:
         assert np.isnan(want).any() or np.isinf(want).any()
 
@@ -142,8 +177,10 @@ def test_split_logits_are_bit_identical(small_models, real_windows, split, resol
 def test_float64_network_splits_bit_identically(split, real_windows, resolution):
     model = PostureNet(net.config_for_resolution(resolution), seed=3, dtype=np.float64)
     x = batch(real_windows[resolution], 2 * model._block_rows + 1, True, seed=3)
+    split.turns = True
     assert_bits_equal(model.forward(x, train=False), serial_infer(model, x))
-    assert len(split) == 2
+    assert split.ranges() == grid(model, len(x))
+    assert split.threads() == {True, False}
 
 
 @pytest.mark.parametrize(
@@ -193,58 +230,77 @@ def test_when_the_split_engages(small_models, real_windows, split, monkeypatch, 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     model = small_models[0][32]
     x = batch(real_windows[32], 4 * model._block_rows, False, seed=0)
+    split.turns = splits
     assert_bits_equal(model.forward(x, train=False), serial_infer(model, x))
+    assert split.ranges() == grid(model, len(x))
     if splits:
-        assert seen_calls(split) == sorted(expected_calls(model, len(x)))
+        assert split.threads() == {True, False}
     else:
-        assert seen_calls(split) == [(0, len(x), True)]
+        # every block on the caller, in order
+        assert split.calls == [(a, b, True) for a, b in grid(model, len(x))]
         assert net._helper is None  # never made
 
 
 def test_helper_exception_reaches_the_caller(small_models, real_windows, split, monkeypatch):
     model = small_models[0][32]
     x = batch(real_windows[32], 5 * model._block_rows, False, seed=1)
-    run = net._infer_blocks
+    run = net.BlockRun._run_block
 
-    def helper_fails(layers, x, out, lo, hi, rows):
-        if lo > 0:
-            raise RuntimeError("helper half failed")
-        run(layers, x, out, lo, hi, rows)
+    def helper_fails(block_run, a, b, on_caller):
+        if not on_caller:
+            raise RuntimeError("helper block failed")
+        run(block_run, a, b)
 
-    monkeypatch.setattr(net, "_infer_blocks", helper_fails)
-    with pytest.raises(RuntimeError, match="helper half failed"):
+    monkeypatch.setattr(net.BlockRun, "_run_block", split.wrap(helper_fails))
+    split.turns = True
+    with pytest.raises(RuntimeError, match="helper block failed"):
         model.forward(x, train=False)
-    monkeypatch.setattr(net, "_infer_blocks", run)
+    monkeypatch.setattr(net.BlockRun, "_run_block", split.wrap())
+    split.clear()
     assert_bits_equal(model.forward(x, train=False), serial_infer(model, x))
+    assert split.threads() == {True, False}  # the same helper runs again
 
 
 def test_caller_exception_waits_for_the_helper(small_models, real_windows, split, monkeypatch):
     model = small_models[0][32]
     x = batch(real_windows[32], 4 * model._block_rows, False, seed=2)
-    run = net._infer_blocks
-    helper_done = []
+    run = net.BlockRun._run_block
+    helper_blocks = {"started": 0, "done": 0}
 
-    def caller_fails(layers, x, out, lo, hi, rows):
-        if lo == 0:
-            raise RuntimeError("caller half failed")
+    def caller_fails(block_run, a, b, on_caller):
+        if on_caller:
+            raise RuntimeError("caller block failed")
+        helper_blocks["started"] += 1
         time.sleep(0.2)
-        run(layers, x, out, lo, hi, rows)
-        helper_done.append(hi)
+        run(block_run, a, b)
+        helper_blocks["done"] += 1
 
-    monkeypatch.setattr(net, "_infer_blocks", caller_fails)
-    with pytest.raises(RuntimeError, match="caller half failed"):
+    monkeypatch.setattr(net.BlockRun, "_run_block", split.wrap(caller_fails))
+    split.turns = True
+    with pytest.raises(RuntimeError, match="caller block failed"):
         model.forward(x, train=False)
-    assert helper_done == [len(x)]  # it had stopped writing before the raise
+    # the helper had finished the block it was writing, and took no other
+    assert helper_blocks["started"] == helper_blocks["done"] == 1
 
 
-def test_numpy_error_state_reaches_the_helper(small_models, split):
+def test_numpy_error_state_reaches_the_helper(small_models, split, monkeypatch):
     model = small_models[0][32]
     x = np.zeros((4 * model._block_rows, 20, 32, 32), dtype=np.float32)
-    x[-1] = 3e38  # the helper's half overflows
+    x[-1] = 3e38  # the last block overflows
+    run = net.BlockRun._run_block
+    seen = []
+
+    def record(block_run, a, b, on_caller):
+        if not on_caller:
+            seen.append(np.geterr()["over"])
+        run(block_run, a, b)
+
+    monkeypatch.setattr(net.BlockRun, "_run_block", split.wrap(record))
+    split.turns = True
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             model.forward(x, train=False)
-    assert len(split) == 2
+    assert seen and set(seen) == {"raise"}
 
 
 def test_repeated_calls_make_one_helper_thread(small_models, real_windows, split):
@@ -260,11 +316,12 @@ def test_repeated_calls_make_one_helper_thread(small_models, real_windows, split
     assert threading.active_count() <= before + 1
 
 
-def _infer_in_child(model: PostureNet, x: np.ndarray, want: np.ndarray, calls: list) -> None:
-    calls.clear()
+def _infer_in_child(model: PostureNet, x: np.ndarray, want: np.ndarray, blocks: Blocks) -> None:
+    blocks.clear()
+    blocks.caller = threading.get_ident()
     got = model.forward(x, train=False)
-    split_ran = sorted(tid == threading.get_ident() for _, _, tid in calls) == [False, True]
-    os._exit(0 if split_ran and got.tobytes() == want.tobytes() else 1)
+    ok = blocks.threads() == {True, False} and got.tobytes() == want.tobytes()
+    os._exit(0 if ok else 1)
 
 
 def test_forked_child_runs_split_inference(small_models, real_windows, split):
@@ -273,6 +330,7 @@ def test_forked_child_runs_split_inference(small_models, real_windows, split):
     want = serial_infer(model, x)
     assert_bits_equal(model.forward(x, train=False), want)  # the helper exists
     assert net._helper is not None
+    split.turns = True
     child = multiprocessing.get_context("fork").Process(
         target=_infer_in_child, args=(model, x, want, split)
     )
@@ -283,3 +341,25 @@ def test_forked_child_runs_split_inference(small_models, real_windows, split):
         child.join()
         pytest.fail("split inference in a forked child hung")
     assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("resolution", [4, 32])
+@pytest.mark.parametrize("engaged", [False, True])
+def test_no_windows_give_no_labels(small_models, resolution, engaged, monkeypatch):
+    """`predict_labels` on zero windows, or on an empty `rows`, returns an
+    empty int64 array, as `predict_proba` returns a (0, 5) one."""
+    for var in net.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    if engaged:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    model = small_models[0][resolution]
+    empty = np.zeros((0, 20, resolution, resolution), dtype=np.float32)
+    some = np.zeros((3, 20, resolution, resolution), dtype=np.float32)
+    assert model.predict_proba(empty).shape == (0, 5)
+    for got in (
+        model.predict_labels(empty, 256),
+        model.predict_labels(some, 256, np.empty(0, dtype=np.int64)),
+        model.predict_labels(empty, 256, ahead=model.run_ahead(0, 256, lambda a, b: empty)),
+    ):
+        assert got.dtype == np.int64 and got.shape == (0,)
