@@ -140,6 +140,11 @@ def _load_models(model_dir: str | Path, layout: HomeLayout) -> dict:
 
 
 def _ingest_packets(path: str | Path) -> tuple[RecordStore, int, int]:
+    """A packet file's packets in a fresh store, with their window.
+
+    The stream decoder lays out each thermal sensor's pixels once, read-only,
+    and the store's first query of the sensor takes them as its column, so
+    the frames are copied once from the file bytes to the pipeline."""
     store = RecordStore()
     data = Path(path).read_bytes()
     packets = decode_packet_stream(data)
@@ -157,10 +162,10 @@ def _simulate_into_store(
 ) -> tuple[RecordStore, int, int, GroundTruthTimeline]:
     """A scenario's packets in a fresh store, with its window and truth.
 
-    The store holds the simulated arrays until its first query of a sensor
-    copies them into the sensor's column, so the bundle and its packets are
-    released on return: holding them would keep a second copy of every frame
-    through the pipeline.
+    The simulator renders each thermal sensor's frames into one read-only
+    array, and the store's first query of the sensor takes it as its column
+    with no copy.  The bundle and its packets are released on return: the
+    readings they hold are copied into their columns.
     """
     bundle = simulate(layout, script, config.seed, config)
     store = RecordStore()

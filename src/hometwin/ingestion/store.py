@@ -9,6 +9,14 @@ anything else is merged from its insertion point on by a stable sort into
 fresh arrays, so equal timestamps keep their append order.  A query is two
 binary searches and returns read-only views, and nothing it returned changes
 afterwards.  Missing sequence numbers are tracked as gaps, not errors.
+
+A column's first fold copies no data when its pending chunks are
+C-contiguous slices that sit back to back, in append order, in one
+read-only array, as the pixels of `decode_packet_stream` and of the
+simulator do: the column adopts that span as its data (timestamps are still
+copied) and holds exactly its rows, so the next fold that adds rows regrows
+into fresh arrays.  A writable chunk, or a gap such as a dropped duplicate
+leaves, takes the copy.
 """
 
 from __future__ import annotations
@@ -77,11 +85,17 @@ class _Column:
 
     def _fold(self) -> None:
         """Copy the pending chunks past the committed rows, growing the
-        buffers if they are full, and merge if that broke the time order."""
+        buffers if they are full, and merge if that broke the time order.
+        The first fold of a column whose chunks lie back to back in one
+        read-only array takes that span as its data instead (`_adopted`)."""
         chunks, self.pending = self.pending, []
         n = end = self.n
         total = n + sum(len(ts) for ts, _ in chunks)
-        if total > len(self.ts) and not n:  # the first fold reserves exactly
+        span = None if n else _adopted([data for _, data in chunks])
+        if span is not None:  # capacity is the row count: the next fold regrows
+            self.ts, self.data = np.concatenate([ts for ts, _ in chunks]), span
+            chunks = []
+        elif total > len(self.ts) and not n:  # the first fold reserves exactly
             self.ts = np.empty(total, self.ts.dtype)
             self.data = np.empty((total,) + self.data.shape[1:], self.data.dtype)
         elif total > len(self.ts):  # later growth is sized from the rows held
@@ -108,6 +122,25 @@ class _Column:
         self.ts, self.data = ts, data
 
 
+def _adopted(chunks: list[np.ndarray]) -> np.ndarray | None:
+    """The chunks as one view, if they are C-contiguous slices that sit back
+    to back, in order, in one read-only array; None otherwise."""
+    first, base = chunks[0], chunks[0].base
+    if not (isinstance(base, np.ndarray) and not base.flags.writeable
+            and base.flags.c_contiguous and base.dtype == first.dtype
+            and base.shape[1:] == first.shape[1:]):
+        return None
+    stride, at = base.strides[0], base.__array_interface__["data"][0]
+    lo, misaligned = divmod(first.__array_interface__["data"][0] - at, stride)
+    hi = lo
+    for chunk in chunks:
+        if (misaligned or chunk.base is not base or not chunk.flags.c_contiguous
+                or chunk.__array_interface__["data"][0] != at + hi * stride):
+            return None
+        hi += len(chunk)
+    return base[lo:hi]
+
+
 def _add(columns: dict[str, _Column], sensor_id: str, meta, ts: np.ndarray, data: np.ndarray):
     """List a chunk on its sensor's column, made empty on the sensor's first chunk."""
     column = columns.get(sensor_id)
@@ -126,9 +159,10 @@ class _Sequences:
     __slots__ = ("starts", "ends")
 
     def __init__(self, seqs=()):
+        """The runs of `seqs`, which are strictly increasing."""
         self.starts: list[int] = []
         self.ends: list[int] = []
-        for seq in sorted(set(seqs)):
+        for seq in seqs:
             if self.ends and self.ends[-1] == seq - 1:
                 self.ends[-1] = seq
             else:
@@ -184,10 +218,13 @@ class RecordStore:
         next read of their sensor copies them in, so the caller must not
         mutate them after the append.  A decoded packet's series and block
         timestamps are views of one timestamp column of the whole packet,
-        and its series values views of packet-wide value columns (each
-        block's pixels are its own), so a pending chunk keeps those columns
-        alive until its sensor is folded; a copy here would double the bytes
-        an ingest moves.
+        and its series values views of packet-wide value columns, so a
+        pending chunk keeps those columns alive until its sensor is folded;
+        a copy here would double the bytes an ingest moves.  The pixels of
+        a `decode_packet` block are its own.  Those of a
+        `decode_packet_stream` block are a read-only slice of the sensor's
+        pixels for the whole stream, which the sensor's first fold adopts
+        with no copy when nothing else lies between its chunks.
 
         A packet that gives a known sensor another resolution raises
         DimensionError, and one that gives it another kind raises
@@ -315,7 +352,9 @@ class RecordStore:
     @classmethod
     def load(cls, path: str | Path) -> "RecordStore":
         """Read a snapshot; malformed bytes raise WireFormatError with the
-        absolute offset of the fault."""
+        absolute offset of the fault.  So does any snapshot that `save`
+        would not write: a hub's sequence numbers out of order or repeated,
+        or hub or sensor ids repeated or out of order in their list."""
         data = Path(path).read_bytes()
         end = len(data)
         if data[: len(_MAGIC)] != _MAGIC:
@@ -352,17 +391,37 @@ class RecordStore:
                 )
             return ts
 
+        def after(last: str | None, key: str, what: str, at: int) -> str:
+            """`key`, which must sort after the `last` of its list: save
+            writes each list of ids once each, in order."""
+            if last is not None and key <= last:
+                raise WireFormatError(f"{what} {key} repeats or is out of order", at)
+            return key
+
         store = cls()
         n_hubs, pos = count(pos)
+        last = None
         for _ in range(n_hubs):
+            hub_at = pos
             hub_id, pos = _string(data, pos, end)
+            last = after(last, hub_id, "hub id", hub_at)
             n_seqs, pos = count(pos)
             at, pos = pos, _need(pos, 8 * n_seqs, end)
-            store._seen[hub_id] = _Sequences(np.frombuffer(data, "<u8", n_seqs, at).tolist())
+            seqs = np.frombuffer(data, "<u8", n_seqs, at)
+            back = np.flatnonzero(seqs[1:] <= seqs[:-1])
+            if len(back):
+                row = int(back[0]) + 1
+                raise WireFormatError(
+                    f"hub {hub_id} sequence numbers repeat or go backwards at entry {row}",
+                    at + 8 * row,
+                )
+            store._seen[hub_id] = _Sequences(seqs.tolist())
 
         n_series, pos = count(pos)
+        last = None
         for _ in range(n_series):
             sid, kind_idx, n, kind_at, at = group(pos)
+            last = after(last, sid, "reading series", pos)
             if kind_idx >= len(_KINDS) or _KINDS[kind_idx].is_thermal:
                 raise WireFormatError(
                     f"reading series {sid} has bad sensor kind index {kind_idx}", kind_at
@@ -373,8 +432,10 @@ class RecordStore:
             store._readings[sid] = _Column(_KINDS[kind_idx], ts, vals)
 
         n_series, pos = count(pos)
+        last = None
         for _ in range(n_series):
             sid, res, n, res_at, at = group(pos)
+            last = after(last, sid, "frame series", pos)
             if res not in (4, 32):
                 raise WireFormatError(f"frame series {sid} has bad resolution {res}", res_at)
             pos = _need(at, (8 + 2 * res * res) * n, end)

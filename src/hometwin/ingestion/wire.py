@@ -40,6 +40,14 @@ re-sealed) goes through the `HubPacket` constructor as before: it is
 silently brought into canonical form, or refused with WireFormatError at
 the body's offset when the constructor cannot.  A motion value above 1 is
 refused at its group's offset.
+
+The pixels are most of a packet's bytes, and each is copied once.
+`decode_packet` copies each block's pixels out on their own, writable, so
+that a store which copies one sensor's frames in frees them.
+`decode_packet_stream` checks and reads every packet first, then writes
+each thermal sensor's pixels for the whole stream into one read-only int16
+array, of which its blocks are consecutive slices: a store's first read of
+the sensor takes them as its column with no copy (see `store`).
 """
 
 from __future__ import annotations
@@ -276,11 +284,9 @@ def _read_columns(walk: _Walk) -> tuple[tuple, bool]:
     return (timestamps, scalars, motion), canonical
 
 
-def _build(walk: _Walk, columns: tuple) -> tuple:
-    """The packet's fields.  Each series is a view of the columns.  Each
-    block's pixels are copied out on their own, so that a store which copies
-    one sensor's frames in frees them: the pixels are most of a packet's
-    bytes."""
+def _build(walk: _Walk, columns: tuple, pixels: list[np.ndarray]) -> tuple:
+    """The packet's fields.  Each series is a view of the columns; each
+    block's pixels are the matching entry of `pixels`."""
     timestamps, scalars, motion = columns
     readings = []
     row = scalar_row = motion_row = 0
@@ -292,31 +298,26 @@ def _build(walk: _Walk, columns: tuple) -> tuple:
         readings.append(ReadingSeries(sensor_id, kind, timestamps[row : row + n], values))
         row += n
     frames = []
-    for (sensor_id, resolution, n), raw in zip(walk.blocks, walk.pixel_parts):
-        px = np.frombuffer(raw, "<i2").reshape(n, resolution, resolution).copy()
+    for (sensor_id, resolution, n), px in zip(walk.blocks, pixels):
         frames.append(FrameBlock(sensor_id, resolution, timestamps[row : row + n], px))
         row += n
     return walk.hub_id, walk.seq, walk.w0, walk.w1, readings, frames
 
 
-def _decode_body(data: bytes, start: int, end: int) -> HubPacket:
-    """Decode the body at data[start:end]: one walk over the group headers,
-    one frombuffer per column for the whole packet (per block for pixels),
-    and a fixed number of array checks that prove canonical form.  A
-    canonical body becomes its packet as read; any other goes through the
-    `HubPacket` constructor, which canonicalizes it or refuses it."""
-    walk = _Walk(data, start, end)
-    columns, canonical = _read_columns(walk)
-    fields = _build(walk, columns)
-    if canonical:
-        return HubPacket.trusted(*fields)
-    try:
-        return HubPacket(*fields)
-    except ValueError as exc:
-        raise WireFormatError(f"invalid packet contents: {exc}", start)
+def _own_pixels(walk: _Walk) -> list[np.ndarray]:
+    """Each block's pixels copied out on their own, writable."""
+    return [
+        np.frombuffer(raw, "<i2").reshape(n, resolution, resolution).copy()
+        for (_, resolution, n), raw in zip(walk.blocks, walk.pixel_parts)
+    ]
 
 
-def _decode_at(data: bytes, offset: int) -> tuple[HubPacket, int]:
+def _read_at(data: bytes, offset: int) -> tuple[_Walk, tuple, bool, int, int]:
+    """Check the packet at `offset` and read its body: one walk over the
+    group headers, one frombuffer per column for the whole packet, and a
+    fixed number of array checks that prove canonical form.  Returns the
+    walk, the columns, whether the body is canonical, and the offsets of
+    the body and of the next packet."""
     if len(data) - offset < _HEAD.size:
         raise WireFormatError("truncated packet header", offset)
     version, body_len = _HEAD.unpack_from(data, offset)
@@ -331,21 +332,72 @@ def _decode_at(data: bytes, offset: int) -> tuple[HubPacket, int]:
     (crc,) = _U32.unpack_from(data, body_end)
     if crc != zlib.crc32(memoryview(data)[body_start:body_end]):
         raise WireFormatError("crc mismatch", body_end)
-    return _decode_body(data, body_start, body_end), body_end + 4
+    walk = _Walk(data, body_start, body_end)
+    columns, canonical = _read_columns(walk)
+    return walk, columns, canonical, body_start, body_end + 4
+
+
+def _packet(walk: _Walk, columns: tuple, canonical: bool, pixels: list, start: int) -> HubPacket:
+    """A canonical body's packet as read; any other goes through the
+    `HubPacket` constructor, which canonicalizes it or refuses it at the
+    body's offset."""
+    fields = _build(walk, columns, pixels)
+    if canonical:
+        return HubPacket.trusted(*fields)
+    try:
+        return HubPacket(*fields)
+    except ValueError as exc:
+        raise WireFormatError(f"invalid packet contents: {exc}", start)
 
 
 def decode_packet(data: bytes) -> HubPacket:
-    packet, end = _decode_at(data, 0)
+    walk, columns, canonical, start, end = _read_at(data, 0)
+    packet = _packet(walk, columns, canonical, _own_pixels(walk), start)
     if end != len(data):
         raise WireFormatError(f"{len(data) - end} trailing bytes after packet", end)
     return packet
 
 
+def _lay_out(walks: list[_Walk]) -> list[list[np.ndarray]]:
+    """Each block's pixels as a slice of one read-only int16 stack per
+    (sensor id, resolution), the stack's blocks back to back in stream
+    order."""
+    rows: dict[tuple[str, int], int] = {}
+    spans = []  # per walk, per block: (stack key, first row, end row)
+    for walk in walks:
+        spans.append([])
+        for sensor_id, resolution, n in walk.blocks:
+            key = sensor_id, resolution
+            lo = rows.get(key, 0)
+            rows[key] = lo + n
+            spans[-1].append((key, lo, lo + n))
+    stacks = {key: np.empty((n, key[1], key[1]), "<i2") for key, n in rows.items()}
+    for walk, blocks in zip(walks, spans):
+        for (key, lo, hi), raw in zip(blocks, walk.pixel_parts):
+            stacks[key][lo:hi] = np.frombuffer(raw, "<i2").reshape(hi - lo, key[1], key[1])
+    for stack in stacks.values():
+        stack.flags.writeable = False
+    return [[stacks[key][lo:hi] for key, lo, hi in blocks] for blocks in spans]
+
+
 def decode_packet_stream(data: bytes) -> list[HubPacket]:
-    """Decode a concatenation of packets; the format is self-delimiting."""
-    packets = []
+    """Decode a concatenation of packets; the format is self-delimiting.
+
+    The first pass checks and reads every packet in stream order, so a
+    malformed stream raises where the packet-by-packet decoder would; a
+    non-canonical body becomes its packet at once, with pixels of its own.
+    The second pass lays out the pixels of every canonical block (see
+    `_lay_out`) and cannot fail."""
+    packets: list = []  # a packet, or the (walk, columns) of a canonical body
     offset = 0
     while offset < len(data):
-        packet, offset = _decode_at(data, offset)
-        packets.append(packet)
-    return packets
+        walk, columns, canonical, start, offset = _read_at(data, offset)
+        if canonical:
+            packets.append((walk, columns))
+        else:
+            packets.append(_packet(walk, columns, False, _own_pixels(walk), start))
+    pixels = iter(_lay_out([item[0] for item in packets if isinstance(item, tuple)]))
+    return [
+        HubPacket.trusted(*_build(*item, next(pixels))) if isinstance(item, tuple) else item
+        for item in packets
+    ]

@@ -273,8 +273,10 @@ def _render_sensor(
         sun = None
     step = block_frames(resolution)
     buffer = np.empty((2, min(step, n_frames), resolution, resolution))
+    # one read-only array of every frame: the store's first read of the
+    # sensor takes it as its column (see `ingestion.store`)
+    frames = np.empty((n_frames, resolution, resolution), dtype=np.int16)
 
-    blocks = []
     for lo in range(0, n_frames, RENDER_CHUNK_FRAMES):
         hi = min(lo + RENDER_CHUNK_FRAMES, n_frames)
         ts = timestamps[lo:hi]
@@ -291,7 +293,7 @@ def _render_sensor(
 
         # each block takes every term in the order of the whole-chunk sum:
         # ambient, bodies, patches, sunlight, noise; then clip and quantize
-        centi = np.empty((hi - lo, resolution, resolution), dtype=np.int16)
+        centi = frames[lo:hi]
         for b0 in range(0, hi - lo, step):
             b1 = min(b0 + step, hi - lo)
             pixels, noise = buffer[:, : b1 - b0]
@@ -301,8 +303,12 @@ def _render_sensor(
             if sunny is not None:
                 pixels[sunny[b0:b1], sun.row0 : sun.row1, sun.col0 : sun.col1] += sun.delta_c
             _finish_block(pixels, noise, noise_rng, noise_sigma, centi[b0:b1])
-        blocks.append(FrameBlock(spec.sensor_id, resolution, ts.copy(), centi))
-    return blocks
+    frames.flags.writeable = False
+    chunks = [slice(lo, lo + RENDER_CHUNK_FRAMES) for lo in range(0, n_frames, RENDER_CHUNK_FRAMES)]
+    return [
+        FrameBlock(spec.sensor_id, resolution, timestamps[rows].copy(), frames[rows])
+        for rows in chunks
+    ]
 
 
 def _finish_block(pixels, noise, noise_rng, noise_sigma: float, out) -> None:

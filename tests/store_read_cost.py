@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print what a dirty trailing-hour store read costs as the history grows.
+"""Print what a dirty trailing-hour store read costs as the history grows,
+and what the day workload's first read costs.
 
     PYTHONPATH=src python tests/store_read_cost.py
 
@@ -8,6 +9,14 @@ A store first holds 10 min, 2 h or 4 h of one-minute packets, each with
 and is read once.  Then, READS times, one more packet is appended and the
 trailing hour of both sensors is read and timed, so every timed read finds
 both sensors dirty.  The median of those reads is printed per history.
+
+Then the first read of a store filled with the 40 minutes of `mixed_day`
+that `perfbench/hbench/day.py` reports on, the dashboard read of that
+workload, is timed on the same packets decoded two ways:
+`decode_packet_stream` (the thermal columns adopt the decoded pixels) and
+`decode_packet` one packet at a time (they copy them).  The median of
+FIRST_READS fresh stores is printed for each.
+
 Nothing gates these figures; they are an informal measurement of the read
 path, not a benchmark metric.
 """
@@ -17,15 +26,23 @@ from __future__ import annotations
 import statistics
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from hometwin.core import FRAME_PERIOD_MS, MS_PER_MINUTE, FrameBlock, ReadingSeries, SensorKind
+from hometwin.ingestion import wire
 from hometwin.ingestion.packets import HubPacket
 from hometwin.ingestion.store import RecordStore
+from hometwin.simulate.scripts import mixed_day
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from hbench import day, inputs  # noqa: E402
 
 HISTORIES_MIN = (10, 120, 240)
 READS = 61
+FIRST_READS = 9
+DAY_SEED = 3001
 THERMAL = "kitchen/C0/thermal"
 SCALAR = "kitchen/A0/temperature"
 
@@ -66,10 +83,37 @@ def dirty_read_ms(history_min: int) -> float:
     return 1000.0 * statistics.median(times)
 
 
+def first_read_ms(layout, packets: list[HubPacket], adopts: bool) -> float:
+    """Median milliseconds of the day workload's first dashboard read over
+    FIRST_READS stores filled with the packets; whether the finest thermal
+    sensor's column is the packets' own pixel memory is checked first."""
+    end = max(p.window_end for p in packets)
+    times = []
+    for _ in range(FIRST_READS):
+        store = RecordStore()
+        for packet in packets:
+            store.append(packet)
+        start = time.perf_counter()
+        day.dashboard_query(layout, store, end)
+        times.append(time.perf_counter() - start)
+    thermal = max(layout.thermal_sensors(), key=lambda s: s.kind.resolution).sensor_id
+    block = next(b for p in packets for b in p.frames if b.sensor_id == thermal)
+    assert np.shares_memory(store._frames[thermal].data, block.pixels_centi) == adopts
+    return 1000.0 * statistics.median(times)
+
+
 def main() -> int:
     for history_min in HISTORIES_MIN:
         print(f"history {history_min:4d} min: median dirty trailing-hour read "
               f"{dirty_read_ms(history_min):.3f} ms over {READS} reads")
+    layout, script = mixed_day()
+    blobs, _, _ = inputs.home_wire(layout, inputs.window(script, *day.WINDOW_MIN), DAY_SEED)
+    for name, packets, adopts in (
+        ("stream-decoded, adopted", wire.decode_packet_stream(b"".join(blobs)), True),
+        ("per-packet decoded, copied", [wire.decode_packet(b) for b in blobs], False),
+    ):
+        print(f"day window first read, {name:26s} {first_read_ms(layout, packets, adopts):.3f} ms"
+              f" median of {FIRST_READS}")
     return 0
 
 

@@ -3,6 +3,7 @@ import json
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hometwin.cli import main
@@ -268,24 +269,35 @@ def test_run_logs_pipeline_health(workdir, capsys):
         assert line.endswith(" (auto)")
 
 
-def test_scenario_run_releases_the_simulated_frames(workdir, monkeypatch):
-    # once the pipeline has read every thermal sensor, the store holds its
-    # own copy of the frames, and nothing keeps the simulated ones alive
+def test_scenario_run_keeps_one_copy_of_the_simulated_frames(workdir, monkeypatch):
+    # once the pipeline has read every thermal sensor, each sensor's column
+    # is the simulated frames' own memory, not a copy, and the bundle's
+    # blocks are released: no second copy of the frames is alive
     import hometwin.cli as cli
 
     root, model_dir = workdir
-    frames = []
-    alive = []
+    pixels: dict[str, list] = {}
+    blocks = []
+    checks = []
 
     def simulate_and_watch(*args):
         bundle = cli_simulate(*args)
-        frames.extend(weakref.ref(block.pixels_centi) for block in bundle.frames)
+        for block in bundle.frames:
+            pixels.setdefault(block.sensor_id, []).append(block.pixels_centi)
+            blocks.append(weakref.ref(block))
         return bundle
 
-    def run_and_check(*args):
-        result = cli_run_pipeline(*args)
+    def run_and_check(source, *args):
+        result = cli_run_pipeline(source, *args)
         gc.collect()
-        alive.append(sum(ref() is not None for ref in frames))
+        for sensor_id, parts in pixels.items():
+            column = source.store._frames[sensor_id].data
+            checks.append(
+                column.base is parts[0].base
+                and len(column) == sum(map(len, parts))
+                and all(np.shares_memory(column, part) for part in parts)
+            )
+        checks.append(sum(ref() is not None for ref in blocks))
         return result
 
     cli_simulate, cli_run_pipeline = cli.simulate, cli.run_pipeline
@@ -302,7 +314,8 @@ def test_scenario_run_releases_the_simulated_frames(workdir, monkeypatch):
         ]
     )
     assert code == 0
-    assert len(frames) == len(lite_layout().thermal_sensors()) and alive == [0]
+    assert sorted(pixels) == sorted(s.sensor_id for s in lite_layout().thermal_sensors())
+    assert checks == [True] * len(pixels) + [0]
 
 
 def test_run_from_packet_file(workdir):

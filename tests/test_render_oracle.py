@@ -39,6 +39,7 @@ from hometwin.core import (
     parse_clock,
     parse_epoch,
 )
+from hometwin.ingestion.store import RecordStore
 from hometwin.layout import ModulePlacement, ModuleType, RoomRole, default_layout, lite_layout
 from hometwin.posture.data import (
     AMPLITUDE_SCALE_RANGE,
@@ -629,3 +630,19 @@ def test_dataset_matches_oracle_windows():
             assert same_bytes(x[row], want.astype(np.float32))
             assert y[row] == label.value
             row += 1
+
+
+def test_frames_across_the_hour_are_one_array_the_store_adopts():
+    # each sensor's hourly chunks are views of one read-only array, so the
+    # store's first read of a sensor takes its frames with no copy
+    layout, script = _lie_down_across_the_hour()
+    bundle = simulate(layout, script, 41)
+    store = RecordStore()
+    for packet in bundle.to_packets():
+        store.append(packet)
+    for spec in layout.thermal_sensors():
+        chunks = [b.pixels_centi for b in bundle.frames if b.sensor_id == spec.sensor_id]
+        assert len(chunks) == 2 and not chunks[0].base.flags.writeable
+        assert all(chunk.base is chunks[0].base for chunk in chunks)
+        block = store.query_frames(spec.sensor_id, script.start, script.end)
+        assert len(block) == len(chunks[0].base) and block.pixels_centi.base is chunks[0].base

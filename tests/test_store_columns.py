@@ -4,7 +4,8 @@
 order, and a read of a dirty sensor concatenates the sensor's chunks and
 stably sorts them by timestamp.  The columnar store must answer every query
 and write every snapshot byte exactly as it does, for any order of packets
-and any interleaving of reads.
+and any interleaving of reads, whether the packets come as built or
+through the wire's stream decoder.
 """
 
 import struct
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 from hometwin.core import FrameBlock, ReadingSeries, SensorKind
+from hometwin.errors import DimensionError
 from hometwin.ingestion.packets import HubPacket
-from hometwin.ingestion.store import RecordStore
-from hometwin.ingestion.wire import _GROUP_META, _str_bytes
+from hometwin.ingestion.store import RecordStore, _Column
+from hometwin.ingestion.wire import _GROUP_META, _str_bytes, decode_packet_stream, encode_packet
 
 from conftest import random_packet
 
@@ -265,3 +267,183 @@ def test_in_order_reads_do_not_sort_history(monkeypatch):
             shared += 1
         earlier = later
     assert shared >= 9
+
+
+# -- packets through the stream decoder -----------------------------------------
+#
+# `decode_packet_stream` lays out each thermal sensor's pixels for the whole
+# stream in one read-only array, and a column's first fold adopts the span
+# its chunks cover when they sit back to back in append order.  Every stream
+# below goes through the wire first; the columns must still answer and save
+# exactly as the oracle does.
+
+
+def through_stream(packets: list) -> list[HubPacket]:
+    """The packets (or wire blobs) as the stream decoder gives them back."""
+    blobs = [p if isinstance(p, bytes) else encode_packet(p) for p in packets]
+    return decode_packet_stream(b"".join(blobs))
+
+
+def adopted(store: RecordStore, packet: HubPacket) -> bool:
+    """Whether the column of the packet's first frame sensor is the decoded
+    stream's pixel memory rather than a copy of it."""
+    block = packet.frames[0]
+    return np.shares_memory(store._frames[block.sensor_id].data, block.pixels_centi)
+
+
+def first_read(packets: list[HubPacket]) -> RecordStore:
+    store = RecordStore()
+    for packet in packets:
+        store.append(packet)
+    store.query_frames(packets[0].frames[0].sensor_id, *ALL_TIME)
+    return store
+
+
+def test_decoded_stream_blocks_are_read_only():
+    packets = through_stream([minute_block(m, fill=m) for m in range(3)])
+    for packet in packets:
+        with pytest.raises(ValueError):
+            packet.frames[0].pixels_centi[0, 0, 0] = 1
+    # a column that adopts them is read-only too: a query's view cannot
+    # be made writable again
+    block = first_read(packets).query_frames("a/C0/thermal", *ALL_TIME)
+    with pytest.raises(ValueError):
+        block.pixels_centi.flags.writeable = True
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_in_order_stream_adopts_and_matches_oracle(seed, tmp_path):
+    rng = np.random.default_rng(400 + seed)
+    packets = through_stream([minute_block(m, n=int(rng.integers(1, 240)), fill=m)
+                              for m in range(20)])
+    assert adopted(first_read(packets), packets[0])
+    replay(packets, seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stream_with_a_retransmit_mid_stream_matches_oracle(seed, tmp_path):
+    # the dropped duplicate leaves a gap in the stream's pixels: the fold copies
+    rng = np.random.default_rng(410 + seed)
+    packets = [minute_block(m, fill=m) for m in range(12)]
+    packets.insert(int(rng.integers(2, 10)), packets[int(rng.integers(0, 2))])
+    decoded = through_stream(packets)
+    assert not adopted(first_read(decoded), decoded[0])
+    replay(decoded, seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_late_and_shuffled_stream_adopts_then_merges(seed, tmp_path, monkeypatch):
+    rng = np.random.default_rng(420 + seed)
+    minutes = np.cumsum(rng.integers(0, 2, size=60))
+    packets = [tied_packet(rng, seq, int(m)) for seq, m in enumerate(minutes)]
+    packets = [packets[i] for i in rng.permutation(len(packets)) if len(packets[i].frames[0])]
+    decoded = through_stream(packets)
+    merged_from = []
+    merge = _Column._merge
+
+    def watched(column, n, total):
+        merged_from.append(column.data.flags.writeable)
+        merge(column, n, total)
+
+    monkeypatch.setattr(_Column, "_merge", watched)
+    store = first_read(decoded)
+    # the adopted span is out of order: it is merged into fresh arrays, in
+    # append order for equal timestamps, and the span is never written
+    assert merged_from == [False] and store._frames["a/C0/thermal"].data.flags.writeable
+    assert not adopted(store, decoded[0])
+    replay(decoded, seed, tmp_path)
+
+
+def test_equal_timestamps_across_packets_in_order_adopt(tmp_path):
+    # each packet's first frame ties with the previous packet's last one, and
+    # the packets' pixels carry their sequence number, so a wrong order shows
+    packets = []
+    for seq in range(24):
+        start = (seq // 4) * 60_000
+        ts = start + 250 * (seq % 4) * 4 + 250 * np.arange(5, dtype=np.int64)
+        pixels = np.full((5, 4, 4), seq, dtype=np.int16)
+        block = FrameBlock("a/C0/thermal", 4, ts, pixels)
+        packets.append(HubPacket("hub0", seq, start, start + 60_000, [], [block]))
+    decoded = through_stream(packets)
+    assert adopted(first_read(decoded), decoded[0])
+    replay(decoded, 430, tmp_path)
+
+
+def test_non_canonical_packet_mid_stream_matches_oracle(tmp_path):
+    # a body whose frame groups are out of sensor id order is sorted by the
+    # packet constructor and keeps pixels of its own: the sensor's fold copies
+    from test_wire_oracle import body_of, sealed
+
+    ts = 5 * 60_000 + np.arange(4, dtype=np.int64)
+    px = np.full((4, 4, 4), 77, dtype=np.int16)
+    body = body_of("hub0", 5, 5 * 60_000, 6 * 60_000, [],
+                   [("b/C0/thermal", 4, ts, px), ("a/C0/thermal", 4, ts, px + 1)])
+    packets = [minute_block(m, fill=m) for m in range(10)]
+    decoded = through_stream(packets[:5] + [sealed(body)] + packets[6:])
+    assert decoded[5].frames[0].pixels_centi.flags.writeable
+    assert not adopted(first_read(decoded), decoded[0])
+    replay(decoded, 440, tmp_path)
+
+
+def test_two_blocks_of_one_sensor_in_one_packet_adopt(tmp_path):
+    packets = []
+    for m in range(8):
+        start = m * 60_000
+        ts = start + 500 * np.arange(120, dtype=np.int64)
+        pixels = np.full((120, 4, 4), m, dtype=np.int16)
+        pixels += np.arange(120, dtype=np.int16)[:, None, None]
+        block = FrameBlock("a/C0/thermal", 4, ts, pixels)
+        packets.append(HubPacket("hub0", m, start, start + 60_000, [], [block[:70], block[70:]]))
+    decoded = through_stream(packets)
+    assert len(decoded[0].frames) == 2
+    store = first_read(decoded)
+    assert adopted(store, decoded[0]) and not store._frames["a/C0/thermal"].data.flags.writeable
+    replay(decoded, 450, tmp_path)
+
+
+def test_stream_sensor_that_changes_resolution_is_refused():
+    wide = minute_block(3)
+    block = FrameBlock("a/C0/thermal", 32, wide.frames[0].timestamps[:2],
+                       np.zeros((2, 32, 32), dtype=np.int16))
+    wide = HubPacket("hub0", 3, wide.window_start, wide.window_end, [], [block])
+    decoded = through_stream([minute_block(m) for m in range(3)] + [wide, minute_block(4)])
+    store, oracle = RecordStore(), OracleStore()
+    for packet in decoded[:3]:
+        assert store.append(packet) == oracle.append(packet)
+    with pytest.raises(DimensionError):
+        store.append(decoded[3])
+    assert store.append(decoded[4]) == oracle.append(decoded[4])
+    assert_same_reads(store, oracle, np.random.default_rng(460))
+    # the refused packet left the stream's 4x4 pixels back to back
+    assert adopted(store, decoded[0])
+
+
+def test_stream_into_a_store_that_holds_the_sensor(tmp_path):
+    # the column already has committed rows, so the stream's chunks are copied
+    # past them, and the stream's own pixels are never written
+    early = [minute_block(m, fill=m) for m in range(3)]
+    decoded = through_stream([minute_block(m, fill=m) for m in range(3, 9)])
+    store, oracle = RecordStore(), OracleStore()
+    for packet in early:
+        assert store.append(packet) == oracle.append(packet)
+    assert_same_reads(store, oracle, np.random.default_rng(470))
+    for packet in decoded:
+        assert store.append(packet) == oracle.append(packet)
+    assert_same_reads(store, oracle, np.random.default_rng(471))
+    assert not adopted(store, decoded[0])
+    store.save(tmp_path / "store.bin")
+    assert (tmp_path / "store.bin").read_bytes() == oracle.snapshot()
+
+
+def test_view_taken_before_a_growing_fold_never_changes():
+    decoded = through_stream([minute_block(m, fill=m) for m in range(4)])
+    store = first_read(decoded)
+    assert adopted(store, decoded[0])
+    before = store.query_frames("a/C0/thermal", *ALL_TIME)
+    copy = before[np.arange(len(before))]
+    for packet in through_stream([minute_block(4, fill=4), minute_block(2, n=30, fill=9)]):
+        store.append(packet)
+        after = store.query_frames("a/C0/thermal", *ALL_TIME)
+        assert before == copy and len(after) > len(before)
+        # the grown column is fresh memory, not the adopted span
+        assert not np.shares_memory(after.pixels_centi, decoded[0].frames[0].pixels_centi)

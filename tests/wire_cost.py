@@ -15,10 +15,19 @@ packet of the set:
   motion-value check;
 - column reads: `_read_columns`, one frombuffer per column and the
   canonical-form proof;
-- construction: `_build` and `HubPacket.trusted`;
+- construction: the per-block pixel copies (`_own_pixels`), `_build` and
+  `HubPacket.trusted`;
 - encode: `encode_packet` of the decoded packet.
 
-"decode (measured)" is `decode_packet` whole.  The median over `reps`
+"decode (measured)" is `decode_packet` whole.  The same set, joined into one
+stream, is then replayed through `decode_packet_stream`'s two passes:
+
+- stream pass 1: `_read_at` of every packet (header, CRC, header walk and
+  column reads), with no pixel copy;
+- stream pass 2: `_lay_out`, which writes each sensor's pixels into one
+  read-only array, and the packets built on its slices.
+
+"stream (measured)" is `decode_packet_stream` whole.  The median over `reps`
 passes (default 7) is printed in microseconds per packet, with the rate in
 wire megabytes per second.  Nothing gates these figures.
 """
@@ -67,7 +76,7 @@ def phases(blobs: list[bytes]) -> dict[str, float]:
         t3 = time.perf_counter()
         columns, canonical = wire._read_columns(walk)
         t4 = time.perf_counter()
-        HubPacket.trusted(*wire._build(walk, columns))
+        HubPacket.trusted(*wire._build(walk, columns, wire._own_pixels(walk)))
         t5 = time.perf_counter()
         wire.encode_packet(packet)
         t6 = time.perf_counter()
@@ -77,11 +86,31 @@ def phases(blobs: list[bytes]) -> dict[str, float]:
     return spent
 
 
+def stream_phases(blobs: list[bytes]) -> dict[str, float]:
+    """Seconds of `decode_packet_stream` over the joined set, whole and per
+    pass, one pass each."""
+    data = b"".join(blobs)
+    t0 = time.perf_counter()
+    wire.decode_packet_stream(data)
+    t1 = time.perf_counter()
+    read, offset = [], 0
+    while offset < len(data):
+        walk, columns, canonical, _, offset = wire._read_at(data, offset)
+        assert canonical
+        read.append((walk, columns))
+    t2 = time.perf_counter()
+    pixels = wire._lay_out([walk for walk, _ in read])
+    for (walk, columns), px in zip(read, pixels):
+        HubPacket.trusted(*wire._build(walk, columns, px))
+    t3 = time.perf_counter()
+    return {"stream (measured)": t1 - t0, "stream pass 1": t2 - t1, "stream pass 2": t3 - t2}
+
+
 def main() -> int:
     reps = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     print(f"wire cost per packet, seed {SEED}, median of {reps} passes:")
     for name, blobs in workload_packets().items():
-        runs = [phases(blobs) for _ in range(reps)]
+        runs = [phases(blobs) | stream_phases(blobs) for _ in range(reps)]
         megabytes = sum(map(len, blobs)) / 1e6
         print(f"  {name}: {len(blobs)} packets, {megabytes / len(blobs) * 1e3:.1f} KB each")
         for phase in runs[0]:
