@@ -90,7 +90,7 @@ def load_model(path: str | Path) -> PostureNet:
 
     try:
         net = PostureNet(config)
-    except DimensionError as exc:  # an unknown layer kind, or fc before flatten
+    except DimensionError as exc:  # an unknown layer kind, fc before flatten, a grid under 1 pixel
         raise ModelFormatError(f"bad model config block: {exc}") from exc
     wanted = {name: arr.shape for name, arr in net.state_dict().items()}
 

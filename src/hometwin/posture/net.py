@@ -40,6 +40,7 @@ first engaged call and dropped in a forked child.
 from __future__ import annotations
 
 import contextvars
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -58,6 +59,9 @@ INFER_BLOCK_BYTES = 2 << 20
 STEP_BUFFERS = ("_cache", "_mask", "_x")
 # where OpenBLAS reads its thread count from, in the order it reads them
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# the widest conv output whose patches _im2col gathers in one indexed copy;
+# wider outputs copy k*k slices, which beat the gather from width 8 up
+GATHER_MAX_WIDTH = 6
 
 
 def blas_threads() -> int | None:
@@ -199,18 +203,44 @@ def toy_config() -> NetworkConfig:
 
 
 def _im2col(x: np.ndarray, k: int, pad: int) -> tuple[np.ndarray, tuple[int, int]]:
-    """Patches as (n, c*k*k, ho*wo), assembled from k*k contiguous slices."""
+    """Patches as (n, c*k*k, ho*wo), in (c, i, j, y, x) order.
+
+    An output at most GATHER_MAX_WIDTH wide is one np.take of the flat
+    input through a cached index (`_patch_index`), with a zero column
+    appended for the padding; a wider one is assembled from k*k slices of
+    the padded input, whose rows are then long enough to copy fast.  Both
+    copy the same elements, so the bytes are the same.
+    """
     n, c, h, w = x.shape
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    if wo <= GATHER_MAX_WIDTH:
+        flat = x.reshape(n, c * h * w)
+        if pad:
+            flat = np.concatenate((flat, np.zeros((n, 1), dtype=x.dtype)), axis=1)
+        return np.take(flat, _patch_index(c, h, w, k, pad), axis=1), (ho, wo)
     if pad:
         padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         padded[:, :, pad : pad + h, pad : pad + w] = x
         x = padded
-    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
     return cols.reshape(n, c * k * k, ho * wo), (ho, wo)
+
+
+@functools.lru_cache(maxsize=32)
+def _patch_index(c: int, h: int, w: int, k: int, pad: int) -> np.ndarray:
+    """The read-only [c*k*k, ho*wo] index of each patch element into one
+    window's flat [c*h*w] input; a padding position reads c*h*w, the zero
+    column _im2col appends."""
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    ch, i, j, y, x = np.ix_(range(c), range(k), range(k), range(ho), range(wo))
+    row, col = y + i - pad, x + j - pad
+    inside = (row >= 0) & (row < h) & (col >= 0) & (col < w)
+    index = np.where(inside, (ch * h + row) * w + col, c * h * w).reshape(c * k * k, ho * wo)
+    index.flags.writeable = False
+    return index
 
 
 def _col2im(dcols: np.ndarray, x_shape, k: int, pad: int, ho: int, wo: int) -> np.ndarray:
@@ -351,6 +381,11 @@ class _MaxPool2:
     nothing, so such a tile sends its gradient to (1,1), where argmax would
     pick its first NaN.  A NaN that reaches a pool in training has already
     spread over its whole channel through the batch norm before it.
+
+    The backward writes the gradient in one scatter: the four first-max
+    masks partition the tiles, so each tile's gradient goes to its origin,
+    the flat offset of its (0,0) pixel (`_tile_origins`), plus 0, 1, w or
+    w + 1, and every index is written once.
     """
 
     _SLOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -370,12 +405,25 @@ class _MaxPool2:
         return out
 
     def backward(self, dout):
-        masks, shape = self._cache
-        he, we = shape[2] // 2 * 2, shape[3] // 2 * 2
+        (_, first_b, first_c, first_d), shape = self._cache
+        index = _tile_origins(*shape) + (first_b | first_d)
+        index += (first_c | first_d) * shape[3]
         dx = np.zeros(shape, dtype=dout.dtype)
-        for (i, j), mask in zip(self._SLOTS, masks):
-            np.copyto(dx[:, :, i:he:2, j:we:2], dout, where=mask)
+        dx.reshape(-1)[index] = dout
         return dx
+
+
+@functools.lru_cache(maxsize=8)
+def _tile_origins(n: int, c: int, h: int, w: int) -> np.ndarray:
+    """The read-only flat offset of each 2x2 tile's (0,0) pixel in an
+    [n, c, h, w] array, as [n, c, h // 2, w // 2]."""
+    origins = (
+        np.arange(n * c).reshape(n, c, 1, 1) * (h * w)
+        + np.arange(h // 2).reshape(-1, 1) * (2 * w)
+        + np.arange(w // 2) * 2
+    )
+    origins.flags.writeable = False
+    return origins
 
 
 class _Dropout:
@@ -586,6 +634,10 @@ class PostureNet:
             if spec.kind == "conv":
                 self.modules.append(_Conv(spec, ch, rng, dtype))
                 side = side + 2 * spec.pad - spec.kernel + 1
+                if side < 1:
+                    raise DimensionError(
+                        f"conv kernel {spec.kernel}, pad {spec.pad} leaves a side of {side}"
+                    )
                 window_cols = max(window_cols, ch * spec.kernel**2 * side * side)
                 ch = spec.out
             elif spec.kind == "bn":
@@ -595,11 +647,15 @@ class PostureNet:
             elif spec.kind == "pool":
                 self.modules.append(_MaxPool2())
                 side //= 2
+                if side < 1:
+                    raise DimensionError("pool leaves a side of 0")
             elif spec.kind == "dropout":
                 self.modules.append(_Dropout(config.dropout_rate))
             elif spec.kind == "flatten":
                 self.modules.append(_Flatten())
                 dim = ch * side * side
+                if dim < 1:
+                    raise DimensionError("flatten gives 0 features")
             elif spec.kind == "fc":
                 if dim is None:
                     raise DimensionError("fc layer before flatten")

@@ -1,6 +1,6 @@
-"""The wire and store replays still match the decoder and the store they
-replay: each runs once as its own process and must finish cleanly and print
-its rows.  Their figures are not checked."""
+"""The wire, store and training replays still match the code they replay:
+each runs once as its own process and must finish cleanly and print its
+rows.  Their figures are not checked."""
 
 import os
 import subprocess
@@ -17,6 +17,7 @@ TESTS = Path(__file__).resolve().parent
     [
         ("wire_cost.py", ["1"], ["construction", "stream pass 1", "stream pass 2"]),
         ("store_read_cost.py", [], ["history  240 min", "adopted", "copied"]),
+        ("train_cost.py", ["1"], ["pool backward", "im2col", "whole operation"]),
     ],
 )
 def test_replay_runs(script, args, rows):

@@ -85,20 +85,22 @@ def batch(pool: np.ndarray, n: int, adversarial: bool, seed: int) -> np.ndarray:
 
 class Blocks:
     """What the block executor ran: (a, b, on the caller's thread) of each
-    block, in the order they started.  With `turns`, the caller's first
-    block waits until the helper has started one, so that both threads
-    take part whatever the scheduler does."""
+    block, in the order they started.  With `turns`, each thread marks its
+    first block and then waits until the other thread has started one, so
+    that both threads take part whatever the scheduler does: neither can
+    claim a second block before the other has claimed its first."""
 
     def __init__(self, run_block):
         self.calls: list[tuple[int, int, bool]] = []
         self.turns = False
-        self.helper_started = threading.Event()
+        self.started = {True: threading.Event(), False: threading.Event()}  # by on_caller
         self.caller = threading.get_ident()
         self._run_block = run_block
 
     def clear(self) -> None:
         self.calls.clear()
-        self.helper_started.clear()
+        for event in self.started.values():
+            event.clear()
 
     def ranges(self) -> list[tuple[int, int]]:
         return sorted((a, b) for a, b, _ in self.calls)
@@ -114,10 +116,10 @@ class Blocks:
         def run_block(run, a, b):
             mine = threading.get_ident() == blocks.caller
             blocks.calls.append((a, b, mine))
-            if not mine:
-                blocks.helper_started.set()
-            elif blocks.turns and not blocks.helper_started.wait(timeout=30):
-                raise AssertionError("the helper never started a block")
+            blocks.started[mine].set()
+            if blocks.turns and not blocks.started[not mine].wait(timeout=30):
+                other = "helper" if mine else "caller"
+                raise AssertionError(f"the {other} never started a block")
             if body is None:
                 blocks._run_block(run, a, b)
             else:

@@ -141,3 +141,36 @@ def test_run_exits_4_on_mutated_models(tmp_path, capsys):
         ])
         assert code == 4, (i, resolution)
         assert "model error" in capsys.readouterr().err
+
+
+def config_only_blob(layers: list[dict]) -> bytes:
+    """A 4x4 model file whose config block has `layers` and no tensors."""
+    config = json.dumps({
+        "resolution": 4, "in_channels": 20, "n_classes": 5, "dropout_rate": 0.0,
+        "layers": [{"out": 0, "kernel": 3, "pad": 0, **spec} for spec in layers],
+    }).encode()
+    return b"HTNET\x01" + struct.pack("<I", len(config)) + config + struct.pack("<H", 0)
+
+
+CONV = {"kind": "conv", "out": 4}
+HEAD = [{"kind": "flatten"}, {"kind": "fc", "out": 5}]
+
+
+@pytest.mark.parametrize("layers, match", [
+    # a side of 0: the dense layer had no inputs (ZeroDivisionError)
+    ([{**CONV, "kernel": 5}, *HEAD], "leaves a side of 0"),
+    # 4 -> 2 -> 1 -> 0: the same
+    ([{**CONV, "kernel": 3}, {"kind": "pool"}, {"kind": "pool"}, *HEAD], "pool leaves a side of 0"),
+    # a side of -2, squared into 64 dense inputs: the model loaded, and
+    # forward failed untyped in im2col
+    ([{**CONV, "kernel": 7}, *HEAD], "leaves a side of -2"),
+])
+def test_grid_under_one_pixel_is_a_format_error(tmp_path, layers, match):
+    path = tmp_path / "shrunk.htm"
+    path.write_bytes(config_only_blob(layers))
+    with pytest.raises(ModelFormatError, match=match):
+        load_model(path)
+    padded = [{**CONV, "kernel": 3, "pad": 1}, {"kind": "pool"}, {"kind": "pool"}, *HEAD]
+    path.write_bytes(config_only_blob(padded))
+    with pytest.raises(ModelFormatError, match="missing tensor"):  # 4 -> 4 -> 2 -> 1 builds
+        load_model(path)

@@ -10,12 +10,14 @@ The oracles below are the former training code, kept here in behaviour:
 - `oracle_accuracy` and `oracle_confusion` each predict the test set once,
   in batches of 128, and fill the confusion matrix one window at a time.
 - `WherePool.backward` fills each slot of the input gradient with
-  `np.where(mask, dout, 0)`.
+  `np.where(mask, dout, 0)`, and `CopytoPool.backward` with a masked
+  `np.copyto` into each slot's stride-2 view.
 - `OracleBatchNorm` takes the batch mean and `x.var` in two passes and runs
   its backward with a fresh temporary per term.
 - `OracleAdam` keeps one pair of float64 moments per tensor and updates
   tensor by tensor.
-- `oracle_im2col` pads its input with `np.pad`.
+- `oracle_im2col` pads its input with `np.pad`, and `slice_im2col` copies
+  k*k slices of a zero-padded input at every output width.
 - `oracle_train` copies the training, validation and test splits out of the
   dataset before it starts.
 
@@ -102,6 +104,16 @@ class WherePool(_MaxPool2):
         return dx
 
 
+class CopytoPool(_MaxPool2):
+    def backward(self, dout):
+        masks, shape = self._cache
+        he, we = shape[2] // 2 * 2, shape[3] // 2 * 2
+        dx = np.zeros(shape, dtype=dout.dtype)
+        for (i, j), mask in zip(self._SLOTS, masks):
+            np.copyto(dx[:, :, i:he:2, j:we:2], dout, where=mask)
+        return dx
+
+
 class OracleBatchNorm(_BatchNorm):
     def forward(self, x, rng):
         shape = (1, -1, 1, 1) if x.ndim == 4 else (1, -1)
@@ -150,6 +162,20 @@ def oracle_im2col(x, k, pad):
     n, c, h, w = x.shape
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
+    cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i : i + ho, j : j + wo]
+    return cols.reshape(n, c * k * k, ho * wo), (ho, wo)
+
+
+def slice_im2col(x, k, pad):
+    n, c, h, w = x.shape
+    if pad:
+        padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        padded[:, :, pad : pad + h, pad : pad + w] = x
+        x = padded
     ho, wo = h + 2 * pad - k + 1, w + 2 * pad - k + 1
     cols = np.empty((n, c, k, k, ho, wo), dtype=x.dtype)
     for i in range(k):
@@ -265,13 +291,16 @@ def assert_bits_equal(got, want):
 
 
 def pool_pair(x, dout):
-    lean, oracle, where = _MaxPool2(), OracleMaxPool2(), WherePool()
+    lean, oracle, where, copyto = _MaxPool2(), OracleMaxPool2(), WherePool(), CopytoPool()
     out, want = lean.forward(x, None), oracle.forward(x, None)
     assert_bits_equal(out, want)
     where.forward(x, None)
+    copyto.forward(x, None)
     dx = lean.backward(dout)
-    assert_bits_equal(dx, oracle.backward(dout))
+    assert_bits_equal(dx, copyto.backward(dout))
     assert_bits_equal(dx, where.backward(dout))
+    if not np.isnan(x).any():  # argmax takes a tile's first NaN, the masks (1,1)
+        assert_bits_equal(dx, oracle.backward(dout))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -307,6 +336,41 @@ def test_pool_backward_passes_signed_zeros_and_nan(dtype):
     dout.reshape(-1)[::5] = np.resize(specials, dout.size)[: len(dout.reshape(-1)[::5])]
     pool_pair(x, dout)
     pool_pair(every_tie_tiles(dtype), np.resize(specials, (1, 1, 16, 16)).astype(dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (1, 3, 7, 9), (2, 2, 1, 5), (3, 2, 6, 6)])
+def test_pool_matches_copyto_on_nan_inf_and_signed_zero_pixels(dtype, shape):
+    rng = np.random.default_rng(sum(shape))
+    x = relu_like(shape, dtype, seed=len(shape) + shape[-1])
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype)
+    picks = rng.integers(0, x.size, size=max(1, x.size // 3))
+    x.reshape(-1)[picks] = rng.choice(specials, picks.size)
+    out_shape = shape[:2] + (shape[2] // 2, shape[3] // 2)
+    dout = rng.standard_normal(out_shape).astype(dtype)
+    dout.reshape(-1)[::2] = -0.0
+    pool_pair(x, dout)
+    pool_pair(np.full(shape, np.nan, dtype), dout)  # every tile NaN: all to (1,1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_copyto_on_strided_input_and_gradient(dtype):
+    x = relu_like((4, 3, 14, 11), dtype, seed=5)[::2, :, 1:, ::-1]  # (2, 3, 13, 11), not contiguous
+    assert not x.flags.c_contiguous
+    dout = np.random.default_rng(6).standard_normal((2, 3, 12, 5)).astype(dtype)[:, :, ::2]
+    assert not dout.flags.c_contiguous
+    pool_pair(x, dout)
+
+
+def test_tile_origins_are_cached_read_only():
+    pool = _MaxPool2()
+    pool.forward(relu_like((2, 3, 5, 7), np.float32, seed=1), None)
+    pool.backward(np.ones((2, 3, 2, 3), np.float32))
+    origins = net_module._tile_origins(2, 3, 5, 7)
+    assert origins is net_module._tile_origins(2, 3, 5, 7)
+    assert not origins.flags.writeable
+    assert origins.shape == (2, 3, 2, 3) and origins[1, 2, 1, 2] == (1 * 3 + 2) * 35 + 2 * 7 + 4
+    assert net_module._tile_origins.cache_info().maxsize <= 16  # bounded
 
 
 def test_pool_backward_writes_positive_zeros():
@@ -452,17 +516,81 @@ def test_adam_matches_oracle_on_zero_and_subnormal_grads(dtype):
         adam_pair(params, steps, lr=0.5, beta1=0.0, beta2=0.5, eps=0.0)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape, k, pad", [
+def special_pixels(x, seed):
+    """x with NaN, +-inf and -0.0 written over a third of its pixels."""
+    x = x.copy()
+    rng = np.random.default_rng(seed)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0], x.dtype)
+    picks = rng.integers(0, x.size, size=max(1, x.size // 3))
+    x.reshape(-1)[picks] = rng.choice(specials, picks.size)
+    return x
+
+
+def im2col_pair(x, k, pad):
+    cols, grid = _im2col(x, k, pad)
+    for oracle in (slice_im2col, oracle_im2col):
+        want, want_grid = oracle(x, k, pad)
+        assert grid == want_grid
+        assert_bits_equal(cols, want)
+    return cols
+
+
+# (shape, k, pad): the product's 4x4 conv and mixed cases, then output
+# widths 1 to 8 around the cut, each pad, odd and 1x1 sides, k from 1 to 5,
+# batch 1
+IM2COL_CASES = [
     ((3, 20, 4, 4), 3, 1), ((2, 3, 5, 5), 3, 1), ((2, 2, 3, 7), 3, 1),
     ((1, 1, 1, 1), 3, 1), ((2, 3, 5, 4), 3, 2), ((2, 4, 13, 13), 3, 0),
-])
+    ((2, 3, 3, 3), 3, 0), ((2, 3, 5, 5), 3, 0), ((2, 3, 7, 8), 3, 0), ((2, 3, 8, 8), 3, 0),
+    ((2, 3, 9, 9), 3, 0), ((2, 3, 10, 10), 3, 0), ((1, 20, 4, 4), 3, 1), ((2, 3, 5, 5), 3, 1),
+    ((2, 3, 6, 6), 3, 1), ((2, 3, 7, 7), 3, 1), ((2, 3, 8, 8), 3, 1), ((2, 3, 1, 1), 3, 1),
+    ((2, 3, 1, 1), 3, 2), ((2, 3, 3, 3), 3, 2), ((2, 3, 4, 4), 3, 2), ((1, 3, 5, 5), 3, 2),
+    ((2, 3, 6, 6), 3, 2), ((2, 4, 6, 6), 1, 0), ((2, 4, 7, 5), 2, 1), ((2, 2, 9, 9), 5, 1),
+    ((1, 1, 1, 1), 1, 0), ((3, 2, 13, 1), 1, 1),
+]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape, k, pad", IM2COL_CASES)
 def test_im2col_matches_np_pad(dtype, shape, k, pad):
+    """Equal to both oracles on the path its output width takes, also with
+    NaN, +-inf and -0.0 pixels."""
     x = relu_like(shape, dtype, seed=7) - relu_like(shape, dtype, seed=8)
-    cols, grid = _im2col(x, k, pad)
-    want, want_grid = oracle_im2col(x, k, pad)
-    assert grid == want_grid
-    assert_bits_equal(cols, want)
+    net_module._patch_index.cache_clear()
+    cols = im2col_pair(x, k, pad)
+    wo = shape[3] + 2 * pad - k + 1
+    gathered = net_module._patch_index.cache_info().currsize == 1
+    assert gathered == (wo <= net_module.GATHER_MAX_WIDTH)
+    assert cols.flags.c_contiguous and cols.flags.writeable
+    im2col_pair(special_pixels(x, seed=len(IM2COL_CASES)), k, pad)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1, 2])
+def test_im2col_matches_slices_on_strided_input(dtype, pad):
+    for wide in (False, True):
+        side = 13 if wide else 6
+        base = special_pixels(relu_like((4, 6, side + 2, side), dtype, seed=pad), seed=pad)
+        x = base[::2, ::-2, 2:]  # (2, 3, side, side), not contiguous
+        assert not x.flags.c_contiguous
+        im2col_pair(x, 3, pad)
+        im2col_pair(np.transpose(base[:, :, :side], (0, 1, 3, 2)), 3, pad)
+
+
+def test_im2col_routes_the_product_widths():
+    """The 4x4 conv and the 32x32 conv3 (6x6 -> 4x4) gather; the 32x32
+    conv1 (30 wide) and conv2 (13 wide) copy slices."""
+    assert 4 <= net_module.GATHER_MAX_WIDTH < 13
+    net_module._patch_index.cache_clear()
+    for shape, pad in (((2, 20, 32, 32), 0), ((2, 16, 15, 15), 0), ((2, 20, 4, 4), 1), ((2, 32, 6, 6), 0)):
+        im2col_pair(relu_like(shape, np.float32, seed=3), 3, pad)
+    info = net_module._patch_index.cache_info()
+    assert info.currsize == 2
+    index = net_module._patch_index(20, 4, 4, 3, 1)
+    assert net_module._patch_index(32, 6, 6, 3, 0) is net_module._patch_index(32, 6, 6, 3, 0)
+    assert net_module._patch_index.cache_info().hits == info.hits + 3
+    assert not index.flags.writeable and index.shape == (180, 16)
+    assert index.max() == 20 * 16  # the zero column, for the padding
 
 
 def test_float64_toy_net_steps_match_oracle(monkeypatch):

@@ -11,13 +11,19 @@ conv backward less its parameter gradient.  The median over `reps`
 operations (default 5) is printed per kernel, in seconds per operation.
 The benchmark's traced run charges all of backward to one layer; this
 splits it.  On a tree whose conv has no `param_grads`, the input-gradient
-row holds the whole conv backward.  Nothing gates these figures; the
-wrappers add a few microseconds per call.
+row holds the whole conv backward.  The im2col row is the patch copy inside
+every conv forward and every inference block, so the conv forward and eval
+rows exclude it.  Each thread keeps its own account of wrapped calls: with
+BLAS pinned to one thread (`OPENBLAS_NUM_THREADS=1`), evaluation's
+inference blocks run partly on the helper thread, and their im2col time
+overlaps the caller's.  Nothing gates these figures; the wrappers add a few
+microseconds per call.
 
 One more operation then runs under `tracemalloc` (untimed, since tracing
 slows every allocation) and prints each kernel's traced peak: the most
 memory its calls held above what was held when they started, their inner
-kernels' included.  The last row is the peak of the whole operation.
+kernels' included; calls on the helper thread are timed but not traced.
+The last row is the peak of the whole operation.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from __future__ import annotations
 import importlib
 import statistics
 import sys
+import threading
 import time
 import tracemalloc
 from collections import defaultdict
@@ -39,6 +46,7 @@ from hbench import training  # noqa: E402
 
 KERNELS = (
     ("conv forward", net._Conv, "forward"),
+    ("im2col", net, "_im2col"),
     ("conv backward, param gradient", net._Conv, "param_grads"),
     ("conv backward, input gradient", net._Conv, "backward"),
     ("pool forward", net._MaxPool2, "forward"),
@@ -54,13 +62,16 @@ SEED = 10301
 def install(spent: dict[str, float], peaks: dict[str, int]) -> None:
     """Wrap every kernel so that `spent` collects its self time and, while
     tracemalloc traces, `peaks` its traced peak in bytes."""
-    children = [0.0]  # time of wrapped calls inside the current one
+    local = threading.local()  # per thread: the time of wrapped calls inside the current one
+    main_thread = threading.get_ident()
     held = [0]  # peak of each open call so far, as the tracer is reset per call
+    lock = threading.Lock()  # both threads add to `spent`
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
+            children = vars(local).setdefault("children", [0.0])
             outer, children[0] = children[0], 0.0
-            tracing = tracemalloc.is_tracing()
+            tracing = tracemalloc.is_tracing() and threading.get_ident() == main_thread
             if tracing:
                 start, peak = tracemalloc.get_traced_memory()
                 held[-1] = max(held[-1], peak)
@@ -71,7 +82,8 @@ def install(spent: dict[str, float], peaks: dict[str, int]) -> None:
                 return fn(*args, **kwargs)
             finally:
                 dt = time.perf_counter() - t0
-                spent[name] += dt - children[0]
+                with lock:
+                    spent[name] += dt - children[0]
                 children[0] = outer + dt
                 if tracing:
                     mine = max(held.pop(), tracemalloc.get_traced_memory()[1])
